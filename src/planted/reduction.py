@@ -51,56 +51,109 @@ def literal_codes(var_ids: np.ndarray, signs: np.ndarray) -> np.ndarray:
     return 2 * np.asarray(var_ids, dtype=np.int64) + (np.asarray(signs) < 0)
 
 
+_INT64_LIMIT = 2**63
+
+
 class TupleIndexer:
     """Bijection between canonical literal-code tuples and dense right-vertex
     indices. Canonical form is the sorted code tuple; indices are assigned
-    contiguously from 0 in order of first appearance."""
+    contiguously from 0 in order of first appearance. The tuples are held as
+    one (count, r-1) array in index order."""
 
     def __init__(self, r: int, n_vars: int):
         self.r = r
         self.n_vars = n_vars
         self.n2_nominal = math.comb(2 * n_vars, r - 1)
-        self._index: dict[tuple[int, ...], int] = {}
-        self._tuples: list[tuple[int, ...]] = []
+        self._rows = np.empty((0, r - 1), dtype=np.int64)
 
     def __len__(self) -> int:
-        return len(self._tuples)
+        return len(self._rows)
 
     def index_of(self, codes, create: bool = False) -> int:
+        """Index of a tuple by a linear scan; ``create`` appends it if absent.
+        Meant for single lookups: bulk construction goes through
+        ``_from_rows``."""
         key = tuple(sorted(int(c) for c in codes))
+        if len(key) != self.r - 1:
+            raise ReductionError(f"expected {self.r - 1} literal codes, got {len(key)}")
         if len({c // 2 for c in key}) != len(key):
             raise ReductionError("tuple repeats a variable")
-        if key not in self._index:
-            if not create:
-                raise KeyError(key)
-            self._index[key] = len(self._tuples)
-            self._tuples.append(key)
-        return self._index[key]
+        hit = np.flatnonzero((self._rows == key).all(axis=1))
+        if len(hit):
+            return int(hit[0])
+        if not create:
+            raise KeyError(key)
+        self._rows = np.vstack([self._rows, np.array([key], dtype=np.int64)])
+        return len(self._rows) - 1
 
     def tuple_at(self, idx: int) -> tuple[int, ...]:
-        return self._tuples[idx]
+        return tuple(int(c) for c in self._rows[idx])
 
     def materialized(self) -> np.ndarray:
         """(count, r-1) array of the stored canonical tuples."""
-        if not self._tuples:
-            return np.empty((0, self.r - 1), dtype=np.int64)
-        return np.array(self._tuples, dtype=np.int64)
+        return self._rows.copy()
 
     @classmethod
     def _from_rows(cls, r: int, n_vars: int, rows: np.ndarray) -> tuple["TupleIndexer", np.ndarray]:
-        """Bulk-build from canonical (m, r-1) rows; returns (indexer, ids)."""
+        """Bulk-build from canonical (m, r-1) rows; returns (indexer, ids).
+
+        Each row is packed column by column into one int64 key in mixed
+        radix 2n. When the next column would overflow int64, the key is
+        first replaced by its group id, which is below m, so any witness
+        size fits."""
         idxr = cls(r, n_vars)
         if len(rows) == 0:
             return idxr, np.empty(0, dtype=np.int64)
-        uniq, first, inv = np.unique(rows, axis=0, return_index=True, return_inverse=True)
-        order = np.argsort(first, kind="stable")
-        rank = np.empty(len(order), dtype=np.int64)
-        rank[order] = np.arange(len(order))
-        for row in uniq[order]:
-            key = tuple(int(c) for c in row)
-            idxr._index[key] = len(idxr._tuples)
-            idxr._tuples.append(key)
-        return idxr, rank[inv.ravel()]
+        radix = 2 * n_vars
+        key = rows[:, 0]
+        bound = radix
+        for col in rows.T[1:]:
+            if bound * radix > _INT64_LIMIT:
+                key, first = _group_first_seen(key, bound)
+                bound = len(first)
+            key = key * radix + col
+            bound *= radix
+        ids, first = _group_first_seen(key, bound)
+        idxr._rows = rows[first]
+        return idxr, ids
+
+
+def _group_first_seen(key: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """Number the distinct values of a 1-D integer array by first appearance.
+
+    ``bound`` is an upper bound on the values (exclusive). Returns
+    ``(ids, first)``: ``ids[i]`` is the number of ``key[i]``'s value and
+    ``first[g]`` the index where value ``g`` first appears (ascending).
+    ``np.unique`` is several times slower than either path below.
+    """
+    m = len(key)
+    if bound <= m:
+        # a table over the value range costs no more memory than the key
+        first_at = np.full(bound, m, dtype=np.int64)
+        np.minimum.at(first_at, key, np.arange(m))
+        values = np.flatnonzero(first_at < m)
+        first = first_at[values]
+        by_first = np.argsort(first)
+        lookup = np.empty(bound, dtype=np.int64)
+        lookup[values[by_first]] = np.arange(len(values))
+        return lookup[key], first[by_first]
+    order = np.argsort(key)
+    sorted_key = key[order]
+    starts = np.flatnonzero(np.concatenate(([True], sorted_key[1:] != sorted_key[:-1])))
+    # the argsort is not stable, so take each group's smallest index
+    first = np.minimum.reduceat(order, starts)
+    by_first = np.argsort(first)
+    rank = np.empty(len(first), dtype=np.int64)
+    rank[by_first] = np.arange(len(first))
+    ids = np.empty(m, dtype=np.int64)
+    ids[order] = np.repeat(rank, np.diff(np.append(starts, m)))
+    return ids, first[by_first]
+
+
+def _distinct_sorted(key: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of a 1-D integer array."""
+    key = np.sort(key)
+    return key[np.concatenate(([True], key[1:] != key[:-1]))]
 
 
 @dataclass(frozen=True)
@@ -152,6 +205,23 @@ def _poisson_keep(m: int, epsilon: float, rng: np.random.Generator) -> int:
     return min(z, m)
 
 
+def _check_restricted(n: int, r_vars: np.ndarray, r_signs: np.ndarray) -> None:
+    """Reject restricted clauses with a variable id outside [0, n), a sign
+    other than +1/-1, or a variable repeated within the clause."""
+    r_vars = np.asarray(r_vars, dtype=np.int64)
+    # viewed as unsigned, a negative id is huge, so one compare checks [0, n)
+    bad = (r_vars.view(np.uint64) >= n) | (np.abs(r_signs) != 1)
+    for b in range(1, r_vars.shape[1]):
+        for a in range(b):
+            bad[:, b] |= r_vars[:, a] == r_vars[:, b]
+    if bad.any():
+        row = int(np.flatnonzero(bad.any(axis=1))[0])
+        raise ReductionError(
+            f"restricted clause {row} (vars {r_vars[row].tolist()}, signs {r_signs[row].tolist()}) "
+            f"needs distinct variable ids in [0, {n}) and signs +1/-1"
+        )
+
+
 def _build_reduced(
     n: int,
     r_vars: np.ndarray,
@@ -167,6 +237,7 @@ def _build_reduced(
     m, r = r_vars.shape
     if m == 0:
         raise ReductionError("empty instance")
+    _check_restricted(n, r_vars, r_signs)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     if thinning == "poisson":
         keep = _poisson_keep(m, epsilon, rng)
@@ -192,8 +263,9 @@ def _build_reduced(
     tails = np.sort(codes[:, 1:], axis=1)
     indexer, tuple_ids = TupleIndexer._from_rows(r, n, tails)
 
-    pairs = np.column_stack([left, tuple_ids])
-    edges = np.unique(pairs, axis=0)
+    n_tuples = len(indexer)
+    edge_keys = _distinct_sorted(left * n_tuples + tuple_ids)
+    edges = np.column_stack([edge_keys // n_tuples, edge_keys % n_tuples])
     n1 = 2 * n
     graph = BipartiteGraph(n1, indexer.n2_nominal, edges)
     p_equiv = m_kept / (2.0 * n1 * indexer.n2_nominal)

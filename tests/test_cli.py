@@ -107,6 +107,19 @@ def test_reduce_rejects_majority_route(tmp_path):
     assert _run("reduce", "-i", str(f), "-o", str(tmp_path / "x.jsonl"), "-q") == 2
 
 
+def test_reduce_rejects_malformed_clause(tmp_path, capsys):
+    q = noisy_xor_weights(3, 0.8)
+    inst = sample_planted_csp(q, 10, 50, seed=0)
+    inst.clause_vars[7] = [4, 4, 4]  # one variable three times
+    f = tmp_path / "bad.jsonl"
+    files.write_csp(f, inst, q, seed=0)
+    assert _run("reduce", "-i", str(f), "-o", str(tmp_path / "x.jsonl"), "-q") == 2
+    err = capsys.readouterr().err
+    assert "cannot reduce: restricted clause 7" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "x.jsonl").exists()
+
+
 def test_gen_goldreich_roundtrip(tmp_path):
     f = tmp_path / "g.jsonl"
     assert _run("gen-goldreich", "--n", "20", "--m", "200",

@@ -2,13 +2,20 @@
 lazy tuple indexing, and assignment decoding."""
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from reduction_oracle import build_reduced_oracle
 from scipy import stats
 
+from planted import reduction
 from planted.fourier import distribution_complexity, predicate_lowest_degree
 from planted.instances import (
+    PlantedCspInstance,
+    PlantingDistribution,
     constant_predicate,
     majority_predicate,
     noisy_xor_weights,
@@ -225,6 +232,138 @@ def test_tuple_indexer_contract():
         idx.index_of((0, 2))
     with pytest.raises(ReductionError):
         idx.index_of((2, 3), create=True)  # both literals of variable 1
+
+
+@pytest.mark.parametrize(
+    "vars_row, signs_row",
+    [
+        ([4, 4, 4], [1, 1, 1]),  # one variable three times
+        ([2, 7, 2], [1, -1, -1]),  # repeated, opposite literals
+        ([1, 2, 10], [1, 1, 1]),  # id == n
+        ([-1, 2, 3], [1, 1, 1]),  # negative id
+        ([1, 2, 3], [1, 0, 1]),  # zero sign
+        ([1, 2, 3], [1, 1, 2]),  # sign outside +/-1
+    ],
+)
+@pytest.mark.parametrize("with_sigma", [True, False])
+def test_reduction_rejects_malformed_clauses(vars_row, signs_row, with_sigma):
+    q = noisy_xor_weights(3, 0.8)
+    good = sample_planted_csp(q, 10, 50, seed=0)
+    cvars = np.vstack([good.clause_vars, [vars_row]])
+    csigns = np.vstack([good.clause_signs, [signs_row]])
+    inst = PlantedCspInstance(10, good.sigma if with_sigma else None, cvars, csigns)
+    with pytest.raises(ReductionError, match="restricted clause 50"):
+        csp_to_bipartite(inst, distribution_complexity(q))
+
+
+# ---------------------------------------------------------------------------
+# Packed-key core against the dict / np.unique(axis=0) oracle
+# ---------------------------------------------------------------------------
+
+
+def _assert_matches_oracle(reduce):
+    """Run ``reduce`` through the production core and through the oracle core;
+    both must raise the same ReductionError or give identical outputs."""
+    outcomes = []
+    for core in (reduction._build_reduced, build_reduced_oracle):
+        with mock.patch.object(reduction, "_build_reduced", core):
+            try:
+                outcomes.append(reduce())
+            except ReductionError as exc:
+                outcomes.append(str(exc))
+    got, want = outcomes
+    if isinstance(want, str) or isinstance(got, str):
+        assert got == want
+        return
+    assert got.graph.edges.dtype == want.graph.edges.dtype
+    assert np.array_equal(got.graph.edges, want.graph.edges)
+    assert (got.graph.n1, got.graph.n2) == (want.graph.n1, want.graph.n2)
+    assert len(got.indexer) == len(want.indexer)
+    assert np.array_equal(got.indexer.materialized(), want.indexer.materialized())
+    assert got.p_equiv == want.p_equiv
+    assert np.array_equal(got.truth.u, want.truth.u)
+    assert np.array_equal(got.truth.v, want.truth.v)
+
+
+def _witness_weights(k: int, r: int, eta: float) -> PlantingDistribution:
+    """w(z) = 1 + eta * prod of the last r coordinates: witness of size r
+    inside k-clauses, so the reduction restricts when r < k."""
+    z = np.where((np.arange(2**k)[:, None] >> np.arange(k)) & 1, 1, -1)
+    return PlantingDistribution(k, 1.0 + eta * z[:, k - r :].prod(axis=1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    r=st.integers(2, 4),
+    extra=st.integers(0, 1),
+    n_extra=st.integers(0, 8),
+    m=st.integers(1, 200),
+    seed=st.integers(0, 2**16),
+    thinning=st.sampled_from(["dedup", "poisson"]),
+    left_literal=st.sampled_from(["first", "random"]),
+)
+def test_csp_reduction_matches_oracle(r, extra, n_extra, m, seed, thinning, left_literal):
+    k = r + extra
+    q = _witness_weights(k, r, 0.8)
+    report = distribution_complexity(q)
+    assert report.r == r
+    inst = sample_planted_csp(q, k + n_extra, m, seed=seed)
+    _assert_matches_oracle(
+        lambda: csp_to_bipartite(
+            inst, report, thinning=thinning, seed=seed, left_literal=left_literal
+        )
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    predicate=st.sampled_from(["parity2", "parity3", "parity4", "noisy5"]),
+    n_extra=st.integers(0, 8),
+    m=st.integers(1, 200),
+    seed=st.integers(0, 2**16),
+    thinning=st.sampled_from(["dedup", "poisson"]),
+    value_handling=st.sampled_from(["fold", "discard"]),
+)
+def test_goldreich_reduction_matches_oracle(predicate, n_extra, m, seed, thinning, value_handling):
+    table = _noisy_witness3_predicate() if predicate == "noisy5" else parity_predicate(int(predicate[-1]))
+    k = int(np.log2(len(table)))
+    inst = sample_goldreich(table, k + n_extra, m, seed=seed)
+    report = predicate_lowest_degree(table)
+    _assert_matches_oracle(
+        lambda: goldreich_to_bipartite(
+            inst, report, thinning=thinning, seed=seed, value_handling=value_handling
+        )
+    )
+
+
+def test_wide_witness_reduction_matches_oracle():
+    """8-XOR at n=300: a mixed-radix pack of the 7 tail codes would need
+    (2n)^7 > 2^63, so this pins that the keys never overflow int64."""
+    n, r = 300, 8
+    assert (2 * n) ** (r - 1) > 2**63
+    q = noisy_xor_weights(r, 0.8)
+    inst = sample_planted_csp(q, n, 500, seed=11)
+    report = distribution_complexity(q)
+    red = csp_to_bipartite(inst, report, seed=11)
+    assert red.graph.num_edges == len(red.indexer) == 500
+    _assert_matches_oracle(lambda: csp_to_bipartite(inst, report, seed=11))
+
+
+def test_packed_keys_do_not_wrap():
+    """Two distinct 9-code tails whose radix-200 packs differ by exactly 2^64:
+    keys that wrapped in int64 would merge them into one tuple."""
+    n, r = 100, 10
+    tail_a = [0, 2, 15, 17, 48, 82, 159, 161, 163]
+    tail_b = [7, 43, 45, 92, 94, 96, 98, 119, 179]
+    assert sum(c * (2 * n) ** (r - 2 - i) for i, c in enumerate(tail_b)) - sum(
+        c * (2 * n) ** (r - 2 - i) for i, c in enumerate(tail_a)
+    ) == 2**64
+    codes = np.array([[198] + tail_a, [198] + tail_b])
+    inst = PlantedCspInstance(n, np.ones(n, dtype=np.int64), codes // 2, 1 - 2 * (codes % 2))
+    q = noisy_xor_weights(r, 0.8)
+    red = csp_to_bipartite(inst, distribution_complexity(q))
+    assert red.indexer.materialized().tolist() == [tail_a, tail_b]
+    assert red.graph.edges.tolist() == [[198, 0], [198, 1]]
 
 
 # ---------------------------------------------------------------------------
