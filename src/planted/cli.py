@@ -16,7 +16,13 @@ import numpy as np
 
 from . import files
 from .fourier import distribution_complexity
-from .harness import SweepSpec, run_sweep, solve_csp_end_to_end, write_sweep_csv
+from .harness import (
+    SweepSpec,
+    run_sweep,
+    solve_csp_end_to_end,
+    solve_goldreich_end_to_end,
+    write_sweep_csv,
+)
 from .instances import (
     BlockModelParams,
     PlantingDistribution,
@@ -94,7 +100,6 @@ def _build_parser() -> _Parser:
         sub = subs.add_parser(name, **kw)
         sub.add_argument("--seed", type=int, default=0)
         sub.add_argument("--output", "-o", default=None)
-        sub.add_argument("--format", choices=["json", "csv"], default=None)
         sub.add_argument("--quiet", "-q", action="store_true")
         return sub
 
@@ -127,7 +132,7 @@ def _build_parser() -> _Parser:
     g.add_argument("--input", "-i", required=True)
     _add_solver_flags(g)
 
-    g = add("solve-csp", help="end-to-end planted CSP recovery from a file")
+    g = add("solve-csp", help="end-to-end recovery from a CSP or predicate-constraint file")
     g.add_argument("--input", "-i", required=True)
     g.add_argument("--thinning", choices=["dedup", "poisson"], default="dedup")
     g.add_argument("--epsilon", type=float, default=0.5)
@@ -136,21 +141,22 @@ def _build_parser() -> _Parser:
     g = add("sweep", help="density sweep from a TOML/JSON spec to CSV")
     g.add_argument("--config", "-c")
     g.add_argument("--timing", choices=["none", "wall"], default="none")
+    g.add_argument("--format", choices=["json", "csv"], default=None)
     g.add_argument("--print-config", action="store_true", help="print default spec and exit")
 
     return parser
 
 
 def _load_sweep_config(path) -> dict:
-    raw = open(path, "rb").read()
+    """JSON for a ``.json`` file name, TOML for any other."""
+    text = open(path, "rb").read().decode()
+    if str(path).endswith(".json"):
+        return json.loads(text)
     try:
-        try:
-            import tomllib  # py >= 3.11
-        except ModuleNotFoundError:
-            import tomli as tomllib
-        return tomllib.loads(raw.decode())
-    except Exception:
-        return json.loads(raw.decode())
+        import tomllib  # py >= 3.11
+    except ModuleNotFoundError:
+        import tomli as tomllib
+    return tomllib.loads(text)
 
 
 _SWEEP_DEFAULTS = {
@@ -264,15 +270,19 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_solve_csp(args) -> int:
-    csp = files.read_csp(args.input)
-    assignment, report = solve_csp_end_to_end(
-        csp.instance,
-        csp.weights,
-        seed=args.seed,
-        thinning=args.thinning,
-        epsilon=args.epsilon,
-        config=_solver_config(args),
+    common = dict(
+        seed=args.seed, thinning=args.thinning, epsilon=args.epsilon, config=_solver_config(args)
     )
+    try:
+        if files.read_header(args.input).get("type") == "goldreich":
+            instance = files.read_goldreich(args.input).instance
+            assignment, report = solve_goldreich_end_to_end(instance, **common)
+        else:
+            csp = files.read_csp(args.input)
+            assignment, report = solve_csp_end_to_end(csp.instance, csp.weights, **common)
+    except ReductionError as exc:
+        print(f"cannot reduce: {exc}", file=sys.stderr)
+        return 2
     payload = report.to_dict()
     payload["assignment"] = None if assignment is None else [int(a) for a in assignment]
     _emit(args, json.dumps(payload))

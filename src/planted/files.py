@@ -24,6 +24,7 @@ __all__ = [
     "SbmFile",
     "CspFile",
     "GoldreichFile",
+    "read_header",
     "write_sbm",
     "read_sbm",
     "write_csp",
@@ -51,6 +52,11 @@ def _read_lines(path):
             line = line.strip()
             if line:
                 yield json.loads(line)
+
+
+def read_header(path) -> dict:
+    """The header record of an instance file; empty for an empty file."""
+    return next(_read_lines(path), None) or {}
 
 
 @dataclass

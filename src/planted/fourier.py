@@ -27,9 +27,6 @@ __all__ = [
 # ~1e-17 after normalization while genuine signal stays far above 1e-9.
 ZERO_TOL = 1e-9
 
-# Direct summation below this width, butterfly transform above.
-_FWHT_MIN_K = 9
-
 
 @dataclass(frozen=True)
 class FourierReport:
@@ -63,14 +60,6 @@ def _popcounts(k: int) -> np.ndarray:
     return np.bitwise_count(np.arange(2**k, dtype=np.uint64)).astype(np.int64)
 
 
-def _coefficients_direct(values: np.ndarray, k: int) -> np.ndarray:
-    idx = np.arange(2**k)
-    # chi_S(z) = (-1)^{|S & ~z|}; table of signs indexed [S, z]
-    flipped = idx[None, :] ^ (2**k - 1)
-    signs = 1 - 2 * (np.bitwise_count((idx[:, None] & flipped).astype(np.uint64)).astype(np.int64) & 1)
-    return (signs @ values) / 2**k
-
-
 def _coefficients_fwht(values: np.ndarray, k: int) -> np.ndarray:
     f = values.astype(np.float64).copy()
     h = 1
@@ -88,12 +77,10 @@ def _coefficients_fwht(values: np.ndarray, k: int) -> np.ndarray:
 
 def all_coefficients(values: np.ndarray, k: int) -> np.ndarray:
     """All 2^k character sums 2^-k * sum_z f(z) chi_S(z), indexed by the bit
-    mask of S. Dispatches on width; both paths agree to machine precision."""
+    mask of S, by the fast Walsh-Hadamard transform in O(k 2^k)."""
     values = np.asarray(values, dtype=np.float64)
     if values.shape != (2**k,):
         raise ValueError("values must have length 2^k")
-    if k < _FWHT_MIN_K:
-        return _coefficients_direct(values, k)
     return _coefficients_fwht(values, k)
 
 

@@ -3,7 +3,8 @@
 The CSP pipeline: analyze the weight table, route witness-size-1 laws to the
 majority vote, everything else through the block-model reduction and the
 subsampled iteration, and map the recovered literal partition back to an
-assignment. Sweeps scan multiples of the theoretical density threshold and
+assignment. Predicate instances become signed clauses and take the same
+route. Sweeps scan multiples of the theoretical density threshold and
 record recovery rates to CSV.
 """
 from __future__ import annotations
@@ -12,6 +13,7 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from itertools import combinations
 
 import numpy as np
 
@@ -26,7 +28,7 @@ from .instances import (
     sample_goldreich,
     sample_planted_csp,
 )
-from .reduction import csp_to_bipartite, goldreich_to_bipartite, partition_to_assignment
+from .reduction import _signed_clauses, csp_to_bipartite, partition_to_assignment
 from .solver import RecoveryResult, SolverConfig, majority_vote_r1, spi_solve
 
 __all__ = [
@@ -68,12 +70,50 @@ class EndToEndReport:
         }
 
 
-def _run_reduced(reduced, seed, config, sigma):
+def _run_reduced(reduced, seed, config):
     res = spi_solve(reduced.graph, replace(config, seed=seed), truth=reduced.truth)
     if not res.ok:
         return None, res, 0
     assignment, bad = partition_to_assignment(res.signs, seed=seed + 1)
     return assignment, res, bad
+
+
+def _solve_clauses(
+    instance: PlantedCspInstance | None,
+    report: FourierReport,
+    candidates: list[FourierReport],
+    seed: int,
+    thinning: str,
+    epsilon: float,
+    config: SolverConfig,
+) -> tuple[np.ndarray | None, EndToEndReport]:
+    """Route -> reduce -> solve -> decode for signed clauses. Witness size 1
+    goes to the majority vote; larger witnesses go through the reduction and
+    the subsampled iteration, once per candidate witness, and the decoding
+    with the fewest inconsistent literal pairs wins. ``instance`` may be None
+    only when ``report`` is unidentifiable."""
+    chosen, res, flips, bad = report, None, 0, 0
+    if not report.identifiable:
+        status, route, assignment = "unidentifiable", "none", None
+    elif report.r == 1:
+        status, route = "ok", "majority"
+        assignment, flips = majority_vote_r1(instance, report.subset, seed=seed)
+    else:
+        route, best = "spi", None
+        for cand in candidates:
+            reduced = csp_to_bipartite(instance, cand, thinning=thinning, epsilon=epsilon, seed=seed)
+            assignment, res, bad = _run_reduced(reduced, seed, config)
+            entry = (math.inf if assignment is None else bad, cand, assignment, res, bad)
+            if best is None or entry[0] < best[0]:
+                best = entry
+        _, chosen, assignment, res, bad = best
+        status = "degenerate" if assignment is None else "ok"
+    ov = None
+    if assignment is not None and instance.sigma is not None:
+        ov = overlap(assignment, instance.sigma)
+    return assignment, EndToEndReport(
+        status, chosen.r, chosen.subset, chosen.delta, route, ov, flips, bad, res
+    )
 
 
 def solve_csp_end_to_end(
@@ -92,48 +132,17 @@ def solve_csp_end_to_end(
     the decoding with the fewest inconsistent literal pairs wins (for laws
     whose witness is ambiguous).
     """
-    config = config or SolverConfig()
     report = distribution_complexity(weights)
-    if not report.identifiable:
-        return None, EndToEndReport("unidentifiable", None, (), None, "none", None, 0, 0, None)
-
-    sigma = instance.sigma
-    if report.r == 1:
-        assignment, flips = majority_vote_r1(instance, report.subset, seed=seed)
-        ov = overlap(assignment, sigma) if sigma is not None else None
-        return assignment, EndToEndReport(
-            "ok", 1, report.subset, report.delta, "majority", ov, flips, 0, None
-        )
-
     candidates = [report]
-    if try_all_witnesses:
+    if try_all_witnesses and report.identifiable and report.r > 1:
         coefs = all_coefficients(weights.normalized(), weights.k)
-        from itertools import combinations
-
         candidates = []
         for subset in combinations(range(weights.k), report.r):
             c = coefs[sum(1 << i for i in subset)]
             if abs(c) > ZERO_TOL:
                 candidates.append(FourierReport(report.r, subset, float(c), 1.0 + 2**weights.k * c))
-
-    best = None
-    for cand in candidates:
-        reduced = csp_to_bipartite(instance, cand, thinning=thinning, epsilon=epsilon, seed=seed)
-        assignment, res, bad = _run_reduced(reduced, seed, config, sigma)
-        if assignment is None:
-            entry = (math.inf, cand, None, res, 0)
-        else:
-            entry = (bad, cand, assignment, res, bad)
-        if best is None or entry[0] < best[0]:
-            best = entry
-    _, chosen, assignment, res, bad = best
-    if assignment is None:
-        return None, EndToEndReport(
-            "degenerate", chosen.r, chosen.subset, chosen.delta, "spi", None, 0, 0, res
-        )
-    ov = overlap(assignment, sigma) if sigma is not None else None
-    return assignment, EndToEndReport(
-        "ok", chosen.r, chosen.subset, chosen.delta, "spi", ov, 0, bad, res
+    return _solve_clauses(
+        instance, report, candidates, seed, thinning, epsilon, config or SolverConfig()
     )
 
 
@@ -145,39 +154,16 @@ def solve_goldreich_end_to_end(
     config: SolverConfig | None = None,
     value_handling: str = "fold",
 ) -> tuple[np.ndarray | None, EndToEndReport]:
-    """Predicate-constraint pipeline; witness size 1 folds the observed value
-    into a 1-clause stream and majority-votes it."""
-    config = config or SolverConfig()
+    """Predicate-constraint pipeline: the constraints become signed clauses
+    (see ``goldreich_to_bipartite``) and take the CSP route. Witness size 1
+    always folds the observed value, so the majority vote sees every
+    constraint."""
     report = predicate_lowest_degree(instance.predicate)
-    if report.r == 0 or not report.identifiable:
-        return None, EndToEndReport("unidentifiable", report.r, (), None, "none", None, 0, 0, None)
-
-    sigma = instance.sigma
-    if report.r == 1:
-        pos = report.subset[0]
-        one_clauses = PlantedCspInstance(
-            instance.n,
-            sigma,
-            instance.tuple_vars[:, pos : pos + 1],
-            instance.values[:, None],
-        )
-        assignment, flips = majority_vote_r1(one_clauses, (0,), seed=seed)
-        ov = overlap(assignment, sigma) if sigma is not None else None
-        return assignment, EndToEndReport(
-            "ok", 1, report.subset, report.delta, "majority", ov, flips, 0, None
-        )
-
-    reduced = goldreich_to_bipartite(
-        instance, report, thinning=thinning, epsilon=epsilon, seed=seed, value_handling=value_handling
-    )
-    assignment, res, bad = _run_reduced(reduced, seed, config, sigma)
-    if assignment is None:
-        return None, EndToEndReport(
-            "degenerate", report.r, report.subset, report.delta, "spi", None, 0, 0, res
-        )
-    ov = overlap(assignment, sigma) if sigma is not None else None
-    return assignment, EndToEndReport(
-        "ok", report.r, report.subset, report.delta, "spi", ov, 0, bad, res
+    clauses = None
+    if report.identifiable:
+        clauses = _signed_clauses(instance, report, "fold" if report.r == 1 else value_handling)
+    return _solve_clauses(
+        clauses, report, [report], seed, thinning, epsilon, config or SolverConfig()
     )
 
 

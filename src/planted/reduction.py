@@ -313,6 +313,24 @@ def csp_to_bipartite(
     )
 
 
+def _signed_clauses(
+    instance: GoldreichInstance, report: FourierReport, value_handling: str
+) -> PlantedCspInstance:
+    """Predicate constraints as signed clauses over the same variables.
+
+    ``"fold"`` keeps every constraint and writes its observed value into the
+    sign of the first witness literal; ``"discard"`` keeps only the value +1
+    constraints. All other signs are +1."""
+    signs = np.ones_like(instance.tuple_vars)
+    if value_handling == "fold":
+        signs[:, min(report.subset)] = instance.values
+        return PlantedCspInstance(instance.n, instance.sigma, instance.tuple_vars, signs)
+    if value_handling == "discard":
+        keep = instance.values == 1
+        return PlantedCspInstance(instance.n, instance.sigma, instance.tuple_vars[keep], signs[keep])
+    raise ReductionError(f"unknown value_handling mode: {value_handling!r}")
+
+
 def goldreich_to_bipartite(
     instance: GoldreichInstance,
     report: FourierReport,
@@ -326,7 +344,8 @@ def goldreich_to_bipartite(
     Each constraint's witness coordinates form a noisy parity of the observed
     value. ``value_handling="fold"`` absorbs the value into the sign of the
     first restricted literal and keeps every constraint; ``"discard"`` keeps
-    only value +1 constraints with all-positive literals.
+    only value +1 constraints with all-positive literals. Either way the
+    constraints become signed clauses reduced by ``csp_to_bipartite``.
     """
     if report.r == 0:
         raise ReductionError("constant predicate carries no information")
@@ -334,26 +353,8 @@ def goldreich_to_bipartite(
         raise ReductionError("predicate has no usable witness subset")
     if report.r == 1:
         raise ReductionError("witness size 1: use the majority-vote solver")
-    positions = sorted(report.subset)
-    r_vars = instance.tuple_vars[:, positions]
-    r_signs = np.ones_like(r_vars)
-    if value_handling == "fold":
-        r_signs[:, 0] = instance.values
-    elif value_handling == "discard":
-        keep = instance.values == 1
-        r_vars, r_signs = r_vars[keep], r_signs[keep]
-    else:
-        raise ReductionError(f"unknown value_handling mode: {value_handling!r}")
-    return _build_reduced(
-        instance.n,
-        r_vars,
-        r_signs,
-        instance.sigma,
-        report.delta,
-        thinning,
-        epsilon,
-        seed,
-        "first",
+    return csp_to_bipartite(
+        _signed_clauses(instance, report, value_handling), report, thinning, epsilon, seed
     )
 
 

@@ -9,7 +9,9 @@ touches, and the centered products are computed implicitly:
     x' = (A - qJ) y   expands to  A yhat - q (sum yhat) - q L deg + q^2 L n2,
 
 so one iteration costs O(edges + support + n1) regardless of n2. The dense
-reference mode materializes the same sub-matrices for differential testing.
+reference mode materializes the same sub-matrices and computes both products
+from them, with yhat = A^T x held over all of n2; both modes run the same
+loop, so the dense one is a differential test of the implicit products.
 """
 from __future__ import annotations
 
@@ -20,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .instances import BipartiteGraph, PlantedCspInstance
+from .reduction import _check_restricted
 
 __all__ = [
     "SubGraph",
@@ -40,6 +43,9 @@ __all__ = [
 
 # Any intermediate with norm below this aborts the solve.
 NORM_ABORT = 1e-12
+
+# Largest n2 the dense reference mode materializes (T dense n1 x n2 matrices).
+DENSE_MAX_N2 = 10_000
 
 
 class SolverError(RuntimeError):
@@ -221,7 +227,6 @@ class SolverConfig:
     seed: int = 0
     p_override: float | None = None
     mode: str = "implicit_sparse"
-    dense_max_n2: int = 10_000
 
     def resolve_T(self, n1: int) -> int:
         T = max(2, math.ceil(self.T_factor * math.log(max(n1, 2))))
@@ -319,16 +324,30 @@ def spi_solve(
         x = x / np.linalg.norm(x)
     _track(x.size)
 
-    dense_mats = None
-    if config.mode == "dense_reference":
-        if n2 > config.dense_max_n2:
-            raise ValueError("dense_reference mode limited to small n2")
-        dense_mats = []
+    # one operator pair per mode: (A - qJ)^T x as (yhat, L), then (A - qJ) y
+    if config.mode == "implicit_sparse":
+        def forward(t: int, x: np.ndarray) -> tuple[SparseRightVec, float]:
+            return apply_mt(split.subs[t], x, q)
+
+        def backward(t: int, yhat: SparseRightVec, L: float) -> np.ndarray:
+            return apply_m(split.subs[t], yhat, L, q, n2)
+    elif config.mode == "dense_reference":
+        if n2 > DENSE_MAX_N2:
+            raise ValueError(f"dense_reference mode limited to n2 <= {DENSE_MAX_N2}")
+        mats = []
         for sub in split.subs:
             a = np.zeros((n1, n2))
             a[sub.rows, sub.cols] = 1.0
-            dense_mats.append(a)
-    elif config.mode != "implicit_sparse":
+            mats.append(a)
+        everywhere = np.arange(n2)
+
+        def forward(t: int, x: np.ndarray) -> tuple[SparseRightVec, float]:
+            return SparseRightVec(everywhere, mats[t].T @ x), float(x.sum())
+
+        def backward(t: int, yhat: SparseRightVec, L: float) -> np.ndarray:
+            y = yhat.values - q * L
+            return mats[t] @ y - q * y.sum()
+    else:
         raise ValueError(f"unknown mode: {config.mode!r}")
 
     u_trace: list[float] = []
@@ -338,25 +357,14 @@ def spi_solve(
     vsum = float(v.sum()) if v is not None else 0.0
 
     for i in range(n_it):
-        sub_a, sub_b = split.subs[2 * i], split.subs[2 * i + 1]
-        ops += sub_a.num_edges + sub_b.num_edges
-        if dense_mats is None:
-            yhat, L = apply_mt(sub_a, x, q)
-            ny = right_norm(yhat, L, q, n2)
-            if ny < NORM_ABORT:
-                return failed(ops)
-            if v is not None:
-                v_trace.append(right_dot(yhat, L, q, v, vsum) / ny)
-            xu = apply_m(sub_b, yhat, L, q, n2)
-        else:
-            a_t, b_t = dense_mats[2 * i], dense_mats[2 * i + 1]
-            yu = a_t.T @ x - q * x.sum()
-            ny = float(np.linalg.norm(yu))
-            if ny < NORM_ABORT:
-                return failed(ops)
-            if v is not None:
-                v_trace.append(float(v @ yu) / ny)
-            xu = b_t @ yu - q * yu.sum()
+        ops += split.subs[2 * i].num_edges + split.subs[2 * i + 1].num_edges
+        yhat, L = forward(2 * i, x)
+        ny = right_norm(yhat, L, q, n2)
+        if ny < NORM_ABORT:
+            return failed(ops)
+        if v is not None:
+            v_trace.append(right_dot(yhat, L, q, v, vsum) / ny)
+        xu = backward(2 * i + 1, yhat, L)
         nx = float(np.linalg.norm(xu))
         if nx < NORM_ABORT * max(ny, 1.0):
             return failed(ops)
@@ -388,16 +396,14 @@ def majority_vote_r1(
     """Witness-size-1 solver: each variable takes the sign it shows more
     often at the witness position; zero counts fall back to a seeded coin.
     Returns (assignment, number of coin flips). The assignment matches the
-    planted one up to a global flip."""
+    planted one up to a global flip. A witness literal with a variable id
+    outside [0, n) or a sign other than +1/-1 raises ``ReductionError``."""
     subset = tuple(subset)
     if len(subset) != 1:
         raise ValueError("majority vote needs a single witness position")
-    pos = subset[0]
-    counts = np.bincount(
-        instance.clause_vars[:, pos],
-        weights=instance.clause_signs[:, pos].astype(np.float64),
-        minlength=instance.n,
-    )
+    vars_, signs = instance.clause_vars[:, subset], instance.clause_signs[:, subset]
+    _check_restricted(instance.n, vars_, signs)
+    counts = np.bincount(vars_[:, 0], weights=signs[:, 0].astype(np.float64), minlength=instance.n)
     coin = np.random.default_rng(np.random.SeedSequence(seed)).integers(0, 2, size=instance.n) * 2 - 1
     assignment = np.where(counts > 0, 1, np.where(counts < 0, -1, coin)).astype(np.int64)
     return assignment, int((counts == 0).sum())

@@ -1,7 +1,9 @@
 """Reference reduction core: the dict-backed tuple indexer and the
 ``np.unique(..., axis=0)`` edge dedup that ``planted.reduction`` used before
 its packed-integer-key path. Tests compare the production core against it;
-it has the signature of ``planted.reduction._build_reduced``."""
+it has the signature of ``planted.reduction._build_reduced``. It also keeps
+the fold/discard restriction ``goldreich_to_bipartite`` did itself before it
+became an adapter into ``csp_to_bipartite``."""
 from __future__ import annotations
 
 import math
@@ -90,3 +92,19 @@ def build_reduced_oracle(n, r_vars, r_signs, sigma, delta, thinning, epsilon, se
             literal_truth_labels(sigma), tuple_truth_labels(indexer.materialized(), sigma)
         )
     return ReducedInstance(graph, indexer, delta, p_equiv, truth)
+
+
+def goldreich_to_bipartite_oracle(instance, report, thinning, epsilon, seed, value_handling):
+    positions = sorted(report.subset)
+    r_vars = instance.tuple_vars[:, positions]
+    r_signs = np.ones_like(r_vars)
+    if value_handling == "fold":
+        r_signs[:, 0] = instance.values
+    elif value_handling == "discard":
+        keep = instance.values == 1
+        r_vars, r_signs = r_vars[keep], r_signs[keep]
+    else:
+        raise ReductionError(f"unknown value_handling mode: {value_handling!r}")
+    return build_reduced_oracle(
+        instance.n, r_vars, r_signs, instance.sigma, report.delta, thinning, epsilon, seed, "first"
+    )

@@ -5,10 +5,22 @@ import math
 import numpy as np
 import pytest
 
+try:
+    import tomllib
+except ModuleNotFoundError:  # Python < 3.11
+    import tomli as tomllib
+
 from planted import files
 from planted.cli import main
 from planted.fourier import distribution_complexity
-from planted.instances import noisy_xor_weights, sample_planted_csp
+from planted.harness import solve_goldreich_end_to_end
+from planted.instances import (
+    noisy_xor_weights,
+    parity_predicate,
+    sample_goldreich,
+    sample_planted_csp,
+    sat_clause_weights,
+)
 from planted.reduction import csp_to_bipartite
 from planted.solver import SolverConfig, spi_solve
 
@@ -131,6 +143,36 @@ def test_gen_goldreich_roundtrip(tmp_path):
     assert np.array_equal(data.instance.values, expect)  # parity table
 
 
+@pytest.mark.parametrize(
+    "weights", [sat_clause_weights(3), noisy_xor_weights(3, 0.8)], ids=["majority", "spi"]
+)
+def test_solve_csp_rejects_malformed_clause(tmp_path, capsys, weights):
+    inst = sample_planted_csp(weights, 10, 50, seed=0)
+    inst.clause_vars[7] = [10, 3, 4]  # id == n at the witness position
+    f = tmp_path / "bad.jsonl"
+    files.write_csp(f, inst, weights, seed=0)
+    assert _run("solve-csp", "-i", str(f), "-o", str(tmp_path / "r.json"), "-q") == 2
+    err = capsys.readouterr().err
+    assert "cannot reduce: restricted clause 7" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_gen_goldreich_solve_csp_matches_in_memory(tmp_path, capsys):
+    pred = parity_predicate(3)
+    f = tmp_path / "g.jsonl"
+    assert _run("gen-goldreich", "--n", "100", "--m", "60000",
+                "--predicate=" + ",".join(str(v) for v in pred),
+                "--seed", "6", "-o", str(f), "-q") == 0
+    assert _run("solve-csp", "-i", str(f), "--seed", "7", "--t-factor", "3.0", "-q") == 0
+    cli_res = json.loads(capsys.readouterr().out)
+    assert cli_res["overlap"] == 1.0
+
+    inst = sample_goldreich(pred, 100, 60_000, seed=6)
+    assignment, rep = solve_goldreich_end_to_end(inst, seed=7, config=SolverConfig(T_factor=3.0))
+    assert cli_res == {**rep.to_dict(), "assignment": [int(a) for a in assignment]}
+
+
 def test_exit_codes(tmp_path):
     assert _run("no-such-command") == 1
     assert _run("gen-sbm", "--bogus-flag") == 1
@@ -174,6 +216,30 @@ def test_sweep_cli_json_config_fallback(tmp_path):
     out = tmp_path / "s.csv"
     assert _run("sweep", "-c", str(cfg), "-o", str(out), "-q") == 0
     assert out.exists()
+
+
+def test_format_flag_only_on_sweep(tmp_path):
+    assert _run("gen-sbm", "--n1", "10", "--n2", "10", "--delta", "1.8", "--p", "0.1",
+                "--format", "json", "-o", str(tmp_path / "x.jsonl")) == 1
+    assert not (tmp_path / "x.jsonl").exists()
+    cfg = tmp_path / "sweep.toml"
+    cfg.write_text('family = "sbm"\nmultipliers = [2.0, 12.0]\ntrials = 2\nn1 = 64\nn2 = 64\n')
+    out = tmp_path / "s.json"
+    assert _run("sweep", "-c", str(cfg), "-o", str(out), "--format", "json", "-q") == 0
+    rows = json.loads(out.read_text())
+    assert [r["multiplier"] for r in rows] == [2.0, 12.0]
+    assert set(rows[0]) == {"multiplier", "trials", "exact_rate", "mean_overlap",
+                            "mean_runtime_ms", "mean_edges"}
+
+
+def test_sweep_cli_malformed_toml_exits_1(tmp_path, capsys):
+    cfg = tmp_path / "sweep.toml"
+    cfg.write_text('family = "sbm"\ntrials = \n')
+    with pytest.raises(tomllib.TOMLDecodeError) as parse:
+        tomllib.loads(cfg.read_text())
+    assert _run("sweep", "-c", str(cfg), "-o", str(tmp_path / "s.csv"), "-q") == 1
+    assert str(parse.value) in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
 
 
 def test_sweep_print_config(capsys):

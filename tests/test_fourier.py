@@ -3,13 +3,13 @@ import itertools
 
 import numpy as np
 import pytest
+from fourier_oracle import _FWHT_MIN_K, _coefficients_direct
 
 from planted.fourier import (
     all_coefficients,
     distribution_complexity,
     fourier_coefficient,
     predicate_lowest_degree,
-    _coefficients_direct,
     _coefficients_fwht,
 )
 from planted.instances import (
@@ -127,7 +127,7 @@ def test_predicate_parseval():
 
 def test_fwht_matches_direct_summation():
     rng = np.random.default_rng(2)
-    for k in (4, 8, 9, 11):
+    for k in (4, _FWHT_MIN_K - 1, _FWHT_MIN_K, 11):
         f = rng.normal(size=2**k)
         assert np.allclose(
             _coefficients_direct(f, k), _coefficients_fwht(f, k), atol=1e-12

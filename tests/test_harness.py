@@ -1,6 +1,7 @@
 """End-to-end pipeline and sweep tests."""
 import math
 
+import numpy as np
 import pytest
 from scipy import stats
 
@@ -14,6 +15,7 @@ from planted.harness import (
     write_sweep_csv,
 )
 from planted.instances import (
+    PlantedCspInstance,
     majority_predicate,
     noisy_xor_weights,
     parity_predicate,
@@ -22,6 +24,7 @@ from planted.instances import (
     sat_clause_weights,
     uniform_weights,
 )
+from planted.reduction import ReductionError
 from planted.solver import SolverConfig
 
 
@@ -51,6 +54,25 @@ def test_end_to_end_uniform_is_unidentifiable():
     assignment, rep = solve_csp_end_to_end(inst, uniform_weights(3), seed=1)
     assert assignment is None and rep.status == "unidentifiable"
     assert rep.to_dict()["r"] == "inf"
+
+
+@pytest.mark.parametrize(
+    "weights", [sat_clause_weights(3), noisy_xor_weights(3, 0.8)], ids=["majority", "spi"]
+)
+@pytest.mark.parametrize(
+    "vars_row, signs_row",
+    [([10, 3, 4], [1, 1, 1]), ([3, 4, 5], [0, 1, 1])],  # id == n; zero sign
+)
+def test_end_to_end_rejects_malformed_witness_literal(weights, vars_row, signs_row):
+    good = sample_planted_csp(weights, 10, 50, seed=0)
+    inst = PlantedCspInstance(
+        10,
+        good.sigma,
+        np.vstack([good.clause_vars, [vars_row]]),
+        np.vstack([good.clause_signs, [signs_row]]),
+    )
+    with pytest.raises(ReductionError, match="restricted clause 50"):
+        solve_csp_end_to_end(inst, weights, seed=1)
 
 
 def test_end_to_end_try_all_witnesses():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reduction_oracle import build_reduced_oracle
+from reduction_oracle import build_reduced_oracle, goldreich_to_bipartite_oracle
 from scipy import stats
 
 from planted import reduction
@@ -261,17 +261,15 @@ def test_reduction_rejects_malformed_clauses(vars_row, signs_row, with_sigma):
 # ---------------------------------------------------------------------------
 
 
-def _assert_matches_oracle(reduce):
-    """Run ``reduce`` through the production core and through the oracle core;
-    both must raise the same ReductionError or give identical outputs."""
-    outcomes = []
-    for core in (reduction._build_reduced, build_reduced_oracle):
-        with mock.patch.object(reduction, "_build_reduced", core):
-            try:
-                outcomes.append(reduce())
-            except ReductionError as exc:
-                outcomes.append(str(exc))
-    got, want = outcomes
+def _outcome(reduce):
+    try:
+        return reduce()
+    except ReductionError as exc:
+        return str(exc)
+
+
+def _assert_same_reduction(got, want):
+    """Both outcomes are the same ReductionError message or identical outputs."""
     if isinstance(want, str) or isinstance(got, str):
         assert got == want
         return
@@ -283,6 +281,16 @@ def _assert_matches_oracle(reduce):
     assert got.p_equiv == want.p_equiv
     assert np.array_equal(got.truth.u, want.truth.u)
     assert np.array_equal(got.truth.v, want.truth.v)
+
+
+def _assert_matches_oracle(reduce):
+    """Run ``reduce`` through the production core and through the oracle core;
+    both must raise the same ReductionError or give identical outputs."""
+    outcomes = []
+    for core in (reduction._build_reduced, build_reduced_oracle):
+        with mock.patch.object(reduction, "_build_reduced", core):
+            outcomes.append(_outcome(reduce))
+    _assert_same_reduction(*outcomes)
 
 
 def _witness_weights(k: int, r: int, eta: float) -> PlantingDistribution:
@@ -329,10 +337,16 @@ def test_goldreich_reduction_matches_oracle(predicate, n_extra, m, seed, thinnin
     k = int(np.log2(len(table)))
     inst = sample_goldreich(table, k + n_extra, m, seed=seed)
     report = predicate_lowest_degree(table)
-    _assert_matches_oracle(
-        lambda: goldreich_to_bipartite(
-            inst, report, thinning=thinning, seed=seed, value_handling=value_handling
-        )
+    # production adapter and core against the old restriction on the oracle core
+    _assert_same_reduction(
+        _outcome(
+            lambda: goldreich_to_bipartite(
+                inst, report, thinning=thinning, seed=seed, value_handling=value_handling
+            )
+        ),
+        _outcome(
+            lambda: goldreich_to_bipartite_oracle(inst, report, thinning, 0.5, seed, value_handling)
+        ),
     )
 
 

@@ -14,6 +14,7 @@ from planted.instances import (
     sat_clause_weights,
 )
 from planted.solver import (
+    DENSE_MAX_N2,
     SolverConfig,
     SolverError,
     allocation_audit,
@@ -199,8 +200,10 @@ def test_dense_reference_matches_implicit():
         assert np.array_equal(imp.signs, ref.signs)
         assert np.allclose(imp.u_trace, ref.u_trace, atol=1e-9)
         assert np.allclose(imp.v_trace, ref.v_trace, atol=1e-9)
-    with pytest.raises(ValueError):
-        spi_solve(g, SolverConfig(mode="dense_reference", dense_max_n2=10))
+    params = BlockModelParams(20, DENSE_MAX_N2 + 2, 1.6, 0.01, 0)  # n2 must be even
+    wide, _ = sample_bipartite_block(params)
+    with pytest.raises(ValueError, match="dense_reference mode limited"):
+        spi_solve(wide, SolverConfig(mode="dense_reference", p_override=params.p))
 
 
 def test_spi_lopsided_never_allocates_right_side():
