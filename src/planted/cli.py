@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import asdict
 
 import numpy as np
 
 from . import files
-from .fourier import distribution_complexity
+from .fourier import distribution_complexity, predicate_lowest_degree
 from .harness import (
     SweepSpec,
     run_sweep,
@@ -33,7 +34,7 @@ from .instances import (
     sat_clause_weights,
     uniform_weights,
 )
-from .reduction import ReductionError, csp_to_bipartite
+from .reduction import ReductionError, csp_to_bipartite, goldreich_to_bipartite
 from .solver import SolverConfig, spi_solve
 
 __all__ = ["main"]
@@ -44,6 +45,12 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # A token starting with "-<digit>" is a value, not a flag, so a +/-1
+        # table can follow its flag: "--predicate -1,1,1,-1".
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     def error(self, message):
         raise UsageError(message)
 
@@ -123,7 +130,7 @@ def _build_parser() -> _Parser:
     g = add("analyze-q", help="lowest-degree witness of a weight table")
     _add_weight_flags(g)
 
-    g = add("reduce", help="CSP instance file -> block-model instance file")
+    g = add("reduce", help="CSP or predicate-constraint file -> block-model instance file")
     g.add_argument("--input", "-i", required=True)
     g.add_argument("--thinning", choices=["dedup", "poisson"], default="dedup")
     g.add_argument("--epsilon", type=float, default=0.5)
@@ -243,12 +250,15 @@ def _cmd_analyze_q(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    csp = files.read_csp(args.input)
-    report = distribution_complexity(csp.weights)
+    common = dict(thinning=args.thinning, epsilon=args.epsilon, seed=args.seed)
     try:
-        reduced = csp_to_bipartite(
-            csp.instance, report, thinning=args.thinning, epsilon=args.epsilon, seed=args.seed
-        )
+        if files.read_header(args.input).get("type") == "goldreich":
+            instance = files.read_goldreich(args.input).instance
+            report = predicate_lowest_degree(instance.predicate)
+            reduced = goldreich_to_bipartite(instance, report, **common)
+        else:
+            csp = files.read_csp(args.input)
+            reduced = csp_to_bipartite(csp.instance, distribution_complexity(csp.weights), **common)
     except ReductionError as exc:
         print(f"cannot reduce: {exc}", file=sys.stderr)
         return 2

@@ -7,6 +7,9 @@ fixed so identical inputs serialize byte-identically.
 from __future__ import annotations
 
 import json
+import math
+import re
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,7 +88,18 @@ class GoldreichFile:
 # ---------------------------------------------------------------------------
 
 
-def _sbm_records(graph, header, truth_u=None, truth_v=None, reduced_meta=None):
+# Edges formatted per string by write_sbm (about 1 MB of text).
+_WRITE_CHUNK = 1 << 16
+# Size hint, in characters, of the whole-line blocks read_sbm parses.
+_READ_BLOCK = 1 << 20
+
+# A run of edge lines exactly as write_sbm writes them. Ids of at most 18
+# digits fit int64; longer ones and every other line go through json.
+_EDGE_RUN = re.compile(r'(?:\{"i":(?:0|[1-9][0-9]{0,17}),"j":(?:0|[1-9][0-9]{0,17})\}\n)*')
+_EDGE_PUNCT = str.maketrans('{}":ij,', " " * 7)
+
+
+def _sbm_head(header, truth_u=None, truth_v=None, reduced_meta=None):
     yield header
     if reduced_meta is not None:
         yield {"meta": "reduced", **reduced_meta}
@@ -94,8 +108,6 @@ def _sbm_records(graph, header, truth_u=None, truth_v=None, reduced_meta=None):
         if truth_v is not None:
             rec["truth_v"] = [int(x) for x in truth_v]
         yield rec
-    for i, j in graph.edges:
-        yield {"i": int(i), "j": int(j)}
 
 
 def write_sbm(
@@ -118,7 +130,13 @@ def write_sbm(
     }
     tu = truth.u if truth is not None else None
     tv = truth.v if truth is not None and include_truth_v else None
-    _write_lines(path, _sbm_records(graph, header, tu, tv, reduced_meta))
+    with open(path, "w") as fh:
+        for rec in _sbm_head(header, tu, tv, reduced_meta):
+            fh.write(_dumps(rec))
+            fh.write("\n")
+        edges = graph.edges
+        for s in range(0, len(edges), _WRITE_CHUNK):
+            fh.write("".join([f'{{"i":{i},"j":{j}}}\n' for i, j in edges[s : s + _WRITE_CHUNK].tolist()]))
 
 
 def write_reduced(path, reduced: ReducedInstance, seed: int):
@@ -146,34 +164,111 @@ def write_reduced(path, reduced: ReducedInstance, seed: int):
     )
 
 
+def _labels(value, sizes, name: str, where: str) -> list:
+    """A truth record's label list, checked: +/-1 integers, length in sizes."""
+    if not isinstance(value, list) or not all(type(x) is int and abs(x) == 1 for x in value):
+        raise ValueError(f"{where}: {name} must be a list of +1/-1 integers")
+    if len(value) not in sizes:
+        raise ValueError(f"{where}: {name} has {len(value)} labels, expected {' or '.join(map(str, sizes))}")
+    return value
+
+
+def _first_repeat(edges: np.ndarray, n1: int, n2: int) -> int | None:
+    """File index of the first edge equal to an earlier one, or None."""
+    rows, cols = edges[:, 0], edges[:, 1]
+    if n1 * n2 > np.iinfo(np.int64).max:  # pack the ids' ranks (< m) instead
+        rows, cols = (np.unique(c, return_inverse=True)[1] for c in (rows, cols))
+        n2 = len(edges)
+    key = rows * n2 + cols
+    ordered = np.sort(key)
+    if not (ordered[1:] == ordered[:-1]).any():
+        return None
+    order = np.argsort(key, kind="stable")
+    return int(order[1:][key[order[1:]] == key[order[:-1]]].min())
+
+
 def read_sbm(path) -> SbmFile:
-    records = _read_lines(path)
-    header = next(records, None)
-    if header is None or header.get("type") != "sbm":
+    """Read a block-model file. Runs of edge lines in the form ``write_sbm``
+    writes are parsed in bulk; every other non-empty line is one JSON record.
+    Raises ``ValueError`` naming the line for a malformed record, an edge id
+    that is not an integer in range, a repeated edge, or truth labels whose
+    count is not n1 (left) or 0 or n2 (right)."""
+    header = truth = reduced_meta = None
+    n1 = n2 = 0
+    chunks = []  # (k, 2) int64 edge arrays in file order
+    pending = []  # edges from single records, not yet in chunks
+    starts = []  # (index of an edge, its line): one per run or single record
+    n_edges, lineno = 0, 1
+
+    def flush():
+        if pending:
+            chunks.append(np.array(pending, dtype=np.int64))
+            pending.clear()
+
+    with open(path) as fh:
+        for lines in iter(lambda: fh.readlines(_READ_BLOCK), []):
+            text, pos = "".join(lines), 0
+            while pos < len(text):
+                end = pos if header is None else _EDGE_RUN.match(text, pos).end()
+                if end > pos:
+                    ids = text[pos:end].translate(_EDGE_PUNCT).split()
+                    run = np.array(ids, dtype=np.int64).reshape(-1, 2)
+                    bad = np.flatnonzero((run[:, 0] >= n1) | (run[:, 1] >= n2))
+                    if len(bad):
+                        raise ValueError(f"{path}, line {lineno + bad[0]}: edge id out of range")
+                    flush()
+                    chunks.append(run)
+                    starts.append((n_edges, lineno))
+                    n_edges += len(run)
+                    lineno += len(run)
+                    if end == len(text):
+                        break
+                nl = text.find("\n", end) + 1 or len(text)
+                line, pos = text[end:nl].strip(), nl
+                if not line:
+                    lineno += 1
+                    continue
+                where = f"{path}, line {lineno}"
+                try:
+                    rec = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise ValueError(f"{where}: {exc.msg}") from None
+                if header is None:
+                    if not isinstance(rec, dict) or rec.get("type") != "sbm":
+                        raise ValueError(f"{path}: not an SBM instance file")
+                    n1, n2 = rec.get("n1"), rec.get("n2")
+                    if not all(type(n) is int and n >= 1 for n in (n1, n2)):
+                        raise ValueError(f"{where}: n1 and n2 must be positive integers")
+                    header = rec
+                elif not isinstance(rec, dict):
+                    raise ValueError(f"{where}: not a JSON object")
+                elif "i" in rec:
+                    i, j = rec["i"], rec.get("j")
+                    if not (type(i) is int and 0 <= i < n1 and type(j) is int and 0 <= j < n2):
+                        raise ValueError(f"{where}: edge ids must be integers in range, got {line}")
+                    starts.append((n_edges, lineno))
+                    pending.append((i, j))
+                    n_edges += 1
+                elif "truth_u" in rec:
+                    # empty v marks "left labels only" (reduced files); the
+                    # solver skips the right-side trace whenever len(v) != n2
+                    tu = _labels(rec["truth_u"], (n1,), "truth_u", where)
+                    tv = [] if rec.get("truth_v") is None else rec["truth_v"]
+                    tv = _labels(tv, (0, n2), "truth_v", where)
+                    truth = HiddenPartition(np.array(tu, dtype=np.int64), np.array(tv, dtype=np.int64))
+                elif rec.get("meta") == "reduced":
+                    reduced_meta = {k: v for k, v in rec.items() if k != "meta"}
+                lineno += 1
+    if header is None:
         raise ValueError(f"{path}: not an SBM instance file")
-    truth_u = truth_v = None
-    reduced_meta = None
-    edges = []
-    for rec in records:
-        if "i" in rec:
-            edges.append((rec["i"], rec["j"]))
-        elif "truth_u" in rec:
-            truth_u = rec["truth_u"]
-            truth_v = rec.get("truth_v")
-        elif rec.get("meta") == "reduced":
-            reduced_meta = {k: v for k, v in rec.items() if k != "meta"}
-    graph = BipartiteGraph(
-        header["n1"],
-        header["n2"],
-        np.array(edges, dtype=np.int64).reshape(-1, 2),
-    )
-    truth = None
-    if truth_u is not None:
-        # empty v marks "left labels only" (reduced files); the solver skips
-        # the right-side trace whenever len(v) != n2
-        tv = truth_v if truth_v is not None else []
-        truth = HiddenPartition(np.array(truth_u, dtype=np.int64), np.array(tv, dtype=np.int64))
-    return SbmFile(graph, header, truth, reduced_meta)
+    flush()
+    edges = np.concatenate(chunks) if chunks else np.empty((0, 2), dtype=np.int64)
+    k = _first_repeat(edges, n1, n2)
+    if k is not None:
+        edge_at, line_at = starts[bisect_right(starts, (k, math.inf)) - 1]
+        i, j = edges[k]
+        raise ValueError(f"{path}, line {line_at + k - edge_at}: duplicate edge ({i}, {j})")
+    return SbmFile(BipartiteGraph(n1, n2, edges), header, truth, reduced_meta)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -276,6 +277,21 @@ def _signs_of(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1, -1).astype(np.int8)
 
 
+def _power_step(forward, backward, x: np.ndarray, q: float, n2: int):
+    """One power-iteration round: y = forward(x) as (yhat, L), then
+    x' = backward(yhat, L) normalized. Returns (x', yhat, L, |y|), or None
+    when |y| or |x'| before normalization is below NORM_ABORT."""
+    yhat, L = forward(x)
+    ny = right_norm(yhat, L, q, n2)
+    if ny < NORM_ABORT:
+        return None
+    xu = backward(yhat, L)
+    nx = float(np.linalg.norm(xu))
+    if nx < NORM_ABORT * max(ny, 1.0):
+        return None
+    return xu / nx, yhat, L, ny
+
+
 def spi_solve(
     graph: BipartiteGraph,
     config: SolverConfig | None = None,
@@ -358,17 +374,12 @@ def spi_solve(
 
     for i in range(n_it):
         ops += split.subs[2 * i].num_edges + split.subs[2 * i + 1].num_edges
-        yhat, L = forward(2 * i, x)
-        ny = right_norm(yhat, L, q, n2)
-        if ny < NORM_ABORT:
+        step = _power_step(partial(forward, 2 * i), partial(backward, 2 * i + 1), x, q, n2)
+        if step is None:
             return failed(ops)
+        x, yhat, L, ny = step
         if v is not None:
             v_trace.append(right_dot(yhat, L, q, v, vsum) / ny)
-        xu = backward(2 * i + 1, yhat, L)
-        nx = float(np.linalg.norm(xu))
-        if nx < NORM_ABORT * max(ny, 1.0):
-            return failed(ops)
-        x = xu / nx
         if u is not None:
             u_trace.append(float(u @ x))
         zs[i] = _signs_of(x)
@@ -428,13 +439,8 @@ def power_iteration_baseline(
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     x = (rng.integers(0, 2, size=n1) * 2 - 1) / math.sqrt(n1)
     for _ in range(iterations):
-        yhat, L = apply_mt(sub, x, q)
-        ny = right_norm(yhat, L, q, n2)
-        if ny < NORM_ABORT:
+        step = _power_step(partial(apply_mt, sub, q=q), partial(apply_m, sub, q=q, n2_nominal=n2), x, q, n2)
+        if step is None:
             raise SolverError("zero-norm iterate")
-        xu = apply_m(sub, yhat, L, q, n2)
-        nx = float(np.linalg.norm(xu))
-        if nx < NORM_ABORT * max(ny, 1.0):
-            raise SolverError("zero-norm iterate")
-        x = xu / nx
+        x = step[0]
     return np.where(x >= 0, 1, -1).astype(np.int64)

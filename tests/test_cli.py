@@ -1,6 +1,7 @@
 """CLI tests: determinism, round-trips, exit codes, file formats."""
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -21,7 +22,8 @@ from planted.instances import (
     sample_planted_csp,
     sat_clause_weights,
 )
-from planted.reduction import csp_to_bipartite
+from planted.fourier import predicate_lowest_degree
+from planted.reduction import csp_to_bipartite, goldreich_to_bipartite
 from planted.solver import SolverConfig, spi_solve
 
 
@@ -141,6 +143,67 @@ def test_gen_goldreich_roundtrip(tmp_path):
     assert data.instance.m == 200 and data.instance.k == 2
     expect = data.instance.sigma[data.instance.tuple_vars].prod(axis=1)
     assert np.array_equal(data.instance.values, expect)  # parity table
+
+
+def test_gen_goldreich_predicate_starting_with_minus_one(tmp_path):
+    pred = parity_predicate(3)  # -1,1,1,-1,1,-1,-1,1
+    f = tmp_path / "g.jsonl"
+    assert _run("gen-goldreich", "--n", "20", "--m", "100",
+                "--predicate", ",".join(str(v) for v in pred),
+                "--seed", "2", "-o", str(f), "-q") == 0
+    assert files.read_goldreich(f).header["predicate"] == [int(v) for v in pred]
+
+
+def test_reduce_goldreich_then_solve_matches_in_memory(tmp_path, capsys):
+    pred = parity_predicate(3)
+    g_f, red_f = tmp_path / "g.jsonl", tmp_path / "reduced.jsonl"
+    assert _run("gen-goldreich", "--n", "100", "--m", "60000",
+                "--predicate", ",".join(str(v) for v in pred),
+                "--seed", "6", "-o", str(g_f), "-q") == 0
+    assert _run("reduce", "-i", str(g_f), "--seed", "4", "-o", str(red_f), "-q") == 0
+    assert _run("solve", "-i", str(red_f), "--seed", "7", "--t-factor", "3.0", "-q") == 0
+    cli_res = json.loads(capsys.readouterr().out)
+    assert cli_res["status"] == "ok" and cli_res["overlap"] == 1.0
+
+    inst = sample_goldreich(pred, 100, 60_000, seed=6)
+    red = goldreich_to_bipartite(inst, predicate_lowest_degree(pred), seed=4)
+    data = files.read_sbm(red_f)
+    assert np.array_equal(data.graph.edges, red.graph.edges)
+    assert np.array_equal(data.truth.u, red.truth.u)
+    assert data.reduced_meta["indexer_size"] == len(red.indexer)
+    p_realized = red.graph.num_edges / (red.graph.n1 * red.graph.n2)
+    mem = spi_solve(red.graph, SolverConfig(T_factor=3.0, seed=7, p_override=p_realized),
+                    truth=red.truth)
+    assert cli_res["signs"] == [int(s) for s in mem.signs]
+    assert cli_res["U_trace"] == mem.u_trace
+
+
+_SBM_HEAD = '{"type":"sbm","n1":3,"n2":4,"delta":1.8,"p":0.5,"seed":0}'
+
+
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        (['{"i":0.5,"j":1}'], "line 2: edge ids must be integers"),
+        (['{"i":0,"j":1}', '{"i":true,"j":1}'], "line 3: edge ids must be integers"),
+        (['{"i":"1","j":1}'], "line 2: edge ids must be integers"),
+        (['{"i":0,"j":1}', '{"i":2,"j":3}', "", '{"j":1,"i":0}'], "line 5: duplicate edge (0, 1)"),
+        (['{"i":0,"j":1}', '{"i":2,"j":3}', '{"i":0,"j":1}'], "line 4: duplicate edge (0, 1)"),
+        (['{"truth_u":[1,-1]}', '{"i":0,"j":1}'], "line 2: truth_u has 2 labels, expected 3"),
+        (['{"truth_u":[1,-1,1],"truth_v":[1,1]}'], "line 2: truth_v has 2 labels, expected 0 or 4"),
+    ],
+    ids=["float-id", "bool-id", "string-id", "duplicate-mixed", "duplicate-canonical",
+         "short-truth-u", "short-truth-v"],
+)
+def test_solve_rejects_malformed_sbm_file(tmp_path, capsys, lines, message):
+    f = tmp_path / "bad.jsonl"
+    f.write_text("\n".join([_SBM_HEAD, *lines]) + "\n")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        files.read_sbm(f)
+    assert _run("solve", "-i", str(f), "-o", str(tmp_path / "r.json"), "-q") == 1
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not (tmp_path / "r.json").exists()
 
 
 @pytest.mark.parametrize(

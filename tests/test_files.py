@@ -1,0 +1,105 @@
+"""Block-model file I/O against the per-record reference in files_oracle:
+byte-identical writes, and the same ``SbmFile`` from the reader on the
+canonical file and on valid variants of it."""
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import files_oracle
+from planted import files
+from planted.instances import BipartiteGraph, HiddenPartition
+
+_META = {"delta": 2.0, "p_equiv": 0.0014124293785310734, "n2_nominal": 1770, "indexer_size": 215}
+_BIG = 2**62  # ids of 19 digits: past the bulk edge pattern, still int64
+
+
+@st.composite
+def sbm_cases(draw):
+    """(graph, truth, include_truth_v, reduced_meta, write chunk, read block)."""
+    big = draw(st.booleans())
+    n1, n2 = (draw(st.integers(1, _BIG if big else 40)) for _ in range(2))
+    ids = st.tuples(st.integers(0, n1 - 1), st.integers(0, n2 - 1))
+    if big:  # include the extreme ids
+        ids = st.one_of(ids, st.just((n1 - 1, n2 - 1)), st.just((0, n2 - 1)))
+    edges = draw(st.lists(ids, max_size=min(n1 * n2, 120), unique=True))
+    truth = None
+    if not big and draw(st.booleans()):
+        signs = st.sampled_from([-1, 1])
+        truth = HiddenPartition(draw(st.lists(signs, min_size=n1, max_size=n1)),
+                                draw(st.lists(signs, min_size=n2, max_size=n2)))
+    return (
+        BipartiteGraph(n1, n2, np.array(edges, dtype=np.int64).reshape(-1, 2)),
+        truth,
+        draw(st.booleans()),
+        draw(st.sampled_from([None, _META])),
+        draw(st.sampled_from([1, 7, files._WRITE_CHUNK])),
+        draw(st.sampled_from([1, 50, files._READ_BLOCK])),
+    )
+
+
+def _variant_text(text: str, draw) -> str:
+    """The same records with blank lines, CRLF breaks, reordered keys and
+    spaced edge records mixed in."""
+    out = []
+    for line in text.splitlines():
+        if line.startswith('{"i":'):
+            rec = line[1:-1].split(",")
+            style = draw(st.sampled_from(["canonical", "reordered", "spaced"]))
+            if style == "reordered":
+                line = "{" + rec[1] + "," + rec[0] + "}"
+            elif style == "spaced":
+                line = "  { " + rec[0].replace(":", ": ") + " , " + rec[1] + " }\t"
+        out.append(line + draw(st.sampled_from(["\n", "\r\n", "\n\n", "\r\n \r\n"])))
+    return "".join(out)
+
+
+def _assert_same_file(got, want):
+    assert got.header == want.header
+    assert got.reduced_meta == want.reduced_meta
+    assert got.graph.n1 == want.graph.n1 and got.graph.n2 == want.graph.n2
+    assert got.graph.edges.dtype == want.graph.edges.dtype
+    assert np.array_equal(got.graph.edges, want.graph.edges)
+    assert (got.truth is None) == (want.truth is None)
+    if want.truth is not None:
+        assert np.array_equal(got.truth.u, want.truth.u)
+        assert np.array_equal(got.truth.v, want.truth.v)
+
+
+_EMPTY = (BipartiteGraph(3, 5, np.empty((0, 2), dtype=np.int64)), None, True, None, 7, 50)
+_ONE_PAST_CHUNK = (BipartiteGraph(4, 4, np.array([(i, j) for i in range(4) for j in range(4)][:15])),
+                   HiddenPartition([1, -1, 1, -1], [1, 1, -1, -1]), True, _META, 7, 50)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=sbm_cases(), data=st.data())
+@example(case=_EMPTY, data=None)
+@example(case=_ONE_PAST_CHUNK, data=None)
+def test_sbm_io_matches_per_record_oracle(tmp_path_factory, case, data):
+    graph, truth, include_truth_v, meta, chunk, block = case
+    tmp = tmp_path_factory.mktemp("sbm")
+    new, ref = tmp / "new.jsonl", tmp / "ref.jsonl"
+    args = dict(delta=1.8, p=0.25, seed=11, truth=truth, include_truth_v=include_truth_v,
+                reduced_meta=meta)
+    with mock.patch.object(files, "_WRITE_CHUNK", chunk), mock.patch.object(files, "_READ_BLOCK", block):
+        files.write_sbm(new, graph, **args)
+        files_oracle.write_sbm(ref, graph, **args)
+        assert new.read_bytes() == ref.read_bytes()
+        _assert_same_file(files.read_sbm(new), files_oracle.read_sbm(ref))
+        if data is not None:
+            variant = tmp / "variant.jsonl"
+            variant.write_bytes(_variant_text(ref.read_text(), data.draw).encode())
+            _assert_same_file(files.read_sbm(variant), files_oracle.read_sbm(variant))
+
+
+def test_duplicate_check_does_not_wrap_on_huge_sizes(tmp_path):
+    # packed as i * n2 + j in int64, (4, 0) would wrap onto (0, 0): 4 * 2^62 = 2^64
+    f = tmp_path / "huge.jsonl"
+    head = '{"type":"sbm","n1":5,"n2":4611686018427387904,"delta":1.8,"p":0.1,"seed":0}\n'
+    f.write_text(head + '{"i":0,"j":0}\n{"i":4,"j":0}\n')
+    assert files.read_sbm(f).graph.edges.tolist() == [[0, 0], [4, 0]]
+    f.write_text(head + '{"i":4,"j":0}\n{"i":0,"j":0}\n{"i":4,"j":0}\n')
+    with pytest.raises(ValueError, match=r"line 4: duplicate edge \(4, 0\)"):
+        files.read_sbm(f)
