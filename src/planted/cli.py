@@ -156,7 +156,8 @@ def _build_parser() -> _Parser:
 
 def _load_sweep_config(path) -> dict:
     """JSON for a ``.json`` file name, TOML for any other."""
-    text = open(path, "rb").read().decode()
+    with open(path, "rb") as fh:
+        text = fh.read().decode()
     if str(path).endswith(".json"):
         return json.loads(text)
     try:

@@ -20,6 +20,7 @@ from .instances import (
     HiddenPartition,
     PlantedCspInstance,
     PlantingDistribution,
+    _row_major_key,
 )
 from .reduction import ReducedInstance
 
@@ -49,17 +50,36 @@ def _write_lines(path, records):
             fh.write("\n")
 
 
-def _read_lines(path):
+def _records(path):
+    """(position, record) for each non-empty line. Raises ``ValueError``
+    naming the line for one that is not a JSON object."""
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
-            if line:
-                yield json.loads(line)
+            if not line:
+                continue
+            where = f"{path}, line {lineno}"
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{where}: {exc.msg}") from None
+            if not isinstance(rec, dict):
+                raise ValueError(f"{where}: not a JSON object")
+            yield where, rec
 
 
 def read_header(path) -> dict:
-    """The header record of an instance file; empty for an empty file."""
-    return next(_read_lines(path), None) or {}
+    """The header record of an instance file; empty for an empty file.
+    Raises ``ValueError`` when the first record is not a JSON object."""
+    return next((rec for _, rec in _records(path)), {})
+
+
+def _int_row(value, k: int, name: str, where: str) -> list:
+    """A clause record's list of k JSON integers, checked as ``read_sbm``
+    checks edge ids: ``true`` or ``1.0`` is not an integer."""
+    if not (isinstance(value, list) and len(value) == k and all(type(x) is int for x in value)):
+        raise ValueError(f"{where}: {name} must be a list of {k} integers, got {json.dumps(value)}")
+    return value
 
 
 @dataclass
@@ -175,11 +195,7 @@ def _labels(value, sizes, name: str, where: str) -> list:
 
 def _first_repeat(edges: np.ndarray, n1: int, n2: int) -> int | None:
     """File index of the first edge equal to an earlier one, or None."""
-    rows, cols = edges[:, 0], edges[:, 1]
-    if n1 * n2 > np.iinfo(np.int64).max:  # pack the ids' ranks (< m) instead
-        rows, cols = (np.unique(c, return_inverse=True)[1] for c in (rows, cols))
-        n2 = len(edges)
-    key = rows * n2 + cols
+    key = _row_major_key(edges, n1, n2)
     ordered = np.sort(key)
     if not (ordered[1:] == ordered[:-1]).any():
         return None
@@ -297,19 +313,22 @@ def write_csp(path, instance: PlantedCspInstance, weights: PlantingDistribution,
 
 
 def read_csp(path) -> CspFile:
-    records = _read_lines(path)
-    header = next(records, None)
-    if header is None or header.get("type") != "csp":
+    """Read a planted-CSP file. Raises ``ValueError`` naming the line for a
+    record that is not a JSON object or a clause whose variable ids or signs
+    are not k integers; range checks are left to the reduction."""
+    records = _records(path)
+    _, header = next(records, (None, {}))
+    if header.get("type") != "csp":
         raise ValueError(f"{path}: not a CSP instance file")
     sigma = None
     cvars, csigns = [], []
-    for rec in records:
-        if "vars" in rec:
-            cvars.append(rec["vars"])
-            csigns.append(rec["signs"])
-        elif "sigma" in rec:
-            sigma = np.array(rec["sigma"], dtype=np.int64)
     k = header["k"]
+    for where, rec in records:
+        if "vars" in rec:
+            cvars.append(_int_row(rec["vars"], k, "clause ids", where))
+            csigns.append(_int_row(rec.get("signs"), k, "clause signs", where))
+        elif "sigma" in rec:
+            sigma = np.array(_labels(rec["sigma"], (header["n"],), "sigma", where), dtype=np.int64)
     instance = PlantedCspInstance(
         header["n"],
         sigma,
@@ -346,19 +365,24 @@ def write_goldreich(path, instance: GoldreichInstance, seed: int):
 
 
 def read_goldreich(path) -> GoldreichFile:
-    records = _read_lines(path)
-    header = next(records, None)
-    if header is None or header.get("type") != "goldreich":
+    """Read a predicate-constraint file, with the checks of ``read_csp``; a
+    constraint's value must be one integer."""
+    records = _records(path)
+    _, header = next(records, (None, {}))
+    if header.get("type") != "goldreich":
         raise ValueError(f"{path}: not a predicate-constraint instance file")
     sigma = None
     tvars, values = [], []
-    for rec in records:
-        if "vars" in rec:
-            tvars.append(rec["vars"])
-            values.append(rec["value"])
-        elif "sigma" in rec:
-            sigma = np.array(rec["sigma"], dtype=np.int64)
     k = header["k"]
+    for where, rec in records:
+        if "vars" in rec:
+            value = rec.get("value")
+            if type(value) is not int:
+                raise ValueError(f"{where}: value must be an integer, got {json.dumps(value)}")
+            tvars.append(_int_row(rec["vars"], k, "clause ids", where))
+            values.append(value)
+        elif "sigma" in rec:
+            sigma = np.array(_labels(rec["sigma"], (header["n"],), "sigma", where), dtype=np.int64)
     instance = GoldreichInstance(
         header["n"],
         np.array(header["predicate"], dtype=np.int64),

@@ -257,7 +257,9 @@ def _bernoulli_indices(length: int, prob: float, rng: np.random.Generator) -> np
     while pos < length:
         mean = (length - pos) * prob
         n_draw = max(16, int(mean * 1.1 + 6.0 * math.sqrt(mean + 1.0)))
-        gaps = rng.geometric(prob, size=n_draw)
+        # numpy saturates a huge gap at the int64 maximum, where the cumsum
+        # would wrap; any gap past length lands outside just the same
+        gaps = np.minimum(rng.geometric(prob, size=n_draw), length + 1)
         hits = pos + np.cumsum(gaps) - 1
         inside = hits[hits < length]
         chunks.append(inside)
@@ -309,8 +311,22 @@ def sample_bipartite_block(
             r, c = np.divmod(flat, max(len(cols), 1))
             parts.append(np.column_stack([rows[r], cols[c]]))
     edges = np.vstack(parts) if parts else np.empty((0, 2), dtype=np.int64)
-    order = np.lexsort((edges[:, 1], edges[:, 0]))
+    # Each block is already in row-major order (flatnonzero gives ascending
+    # rows and columns), so a stable sort of the packed key only merges four
+    # sorted runs.
+    order = np.argsort(_row_major_key(edges, params.n1, params.n2), kind="stable")
     return BipartiteGraph(params.n1, params.n2, edges[order]), partition
+
+
+def _row_major_key(edges: np.ndarray, n1: int, n2: int) -> np.ndarray:
+    """One int64 per (row, col) edge, ordered as the edges are in row-major
+    (lexicographic) order: ``row * n2 + col``. When ``n1 * n2`` would
+    overflow int64, the ids' ranks (below m) are packed instead."""
+    rows, cols = edges[:, 0], edges[:, 1]
+    if n1 * n2 > np.iinfo(np.int64).max:
+        rows, cols = (np.unique(c, return_inverse=True)[1] for c in (rows, cols))
+        n2 = len(edges)
+    return rows * n2 + cols
 
 
 # ---------------------------------------------------------------------------

@@ -125,7 +125,9 @@ def split_edges(graph: BipartiteGraph, T: int, seed, p: float | None = None) -> 
     m = graph.num_edges
     rng = np.random.default_rng(seed)
     assignment = rng.integers(0, T, size=m)
-    order = np.argsort(assignment, kind="stable")
+    # the narrowest unsigned copy keeps the stable order; numpy radix-sorts
+    # it when it fits in 8 or 16 bits
+    order = np.argsort(assignment.astype(np.min_scalar_type(T - 1)), kind="stable")
     counts = np.bincount(assignment, minlength=T)
     bounds = np.concatenate([[0], np.cumsum(counts)])
     subs = []

@@ -1,7 +1,10 @@
 """CLI tests: determinism, round-trips, exit codes, file formats."""
+import gc
 import json
 import math
 import re
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -221,6 +224,64 @@ def test_solve_csp_rejects_malformed_clause(tmp_path, capsys, weights):
     assert not (tmp_path / "r.json").exists()
 
 
+@pytest.mark.parametrize("command", ["solve-csp", "reduce"])
+def test_non_object_first_line_exits_1(tmp_path, capsys, command):
+    f = tmp_path / "list.jsonl"
+    f.write_text("[1,2]\n")
+    assert _run(command, "-i", str(f), "-o", str(tmp_path / "out"), "-q") == 1
+    err = capsys.readouterr().err
+    assert "line 1: not a JSON object" in err and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
+_CSP_HEAD = '{"type":"csp","n":4,"k":3,"m":2,"seed":0,"weights":[1,1,1,1,1,1,1,2]}'
+_GOLDREICH_HEAD = '{"type":"goldreich","n":4,"k":3,"m":2,"seed":0,"predicate":[1,-1,-1,1,-1,1,1,-1]}'
+
+
+@pytest.mark.parametrize(
+    "head, clause, bad, message",
+    [
+        (_CSP_HEAD, '{"vars":[0,1,2],"signs":[1,-1,1]}', '{"vars":[0.5,1,2],"signs":[1,1,1]}',
+         "line 3: clause ids must be a list of 3 integers, got [0.5, 1, 2]"),
+        (_CSP_HEAD, '{"vars":[0,1,2],"signs":[1,-1,1]}', '{"vars":[0,true,2],"signs":[1,1,1]}',
+         "line 3: clause ids must be a list of 3 integers, got [0, true, 2]"),
+        (_CSP_HEAD, '{"vars":[0,1,2],"signs":[1,-1,1]}', '{"vars":[0,1,"2"],"signs":[1,1,1]}',
+         'line 3: clause ids must be a list of 3 integers, got [0, 1, "2"]'),
+        (_CSP_HEAD, '{"vars":[0,1,2],"signs":[1,-1,1]}', '{"vars":[0,1,2],"signs":[1,1.0,1]}',
+         "line 3: clause signs must be a list of 3 integers, got [1, 1.0, 1]"),
+        (_GOLDREICH_HEAD, '{"vars":[0,1,2],"value":1}', '{"vars":[0.5,1,2],"value":1}',
+         "line 3: clause ids must be a list of 3 integers, got [0.5, 1, 2]"),
+        (_GOLDREICH_HEAD, '{"vars":[0,1,2],"value":1}', '{"vars":[true,1,2],"value":1}',
+         "line 3: clause ids must be a list of 3 integers, got [true, 1, 2]"),
+        (_GOLDREICH_HEAD, '{"vars":[0,1,2],"value":1}', '{"vars":["0",1,2],"value":1}',
+         'line 3: clause ids must be a list of 3 integers, got ["0", 1, 2]'),
+        (_GOLDREICH_HEAD, '{"vars":[0,1,2],"value":1}', '{"vars":[0,1,3],"value":true}',
+         "line 3: value must be an integer, got true"),
+        (_CSP_HEAD, '{"vars":[0,1,2],"signs":[1,-1,1]}', '{"sigma":[1,-1,1.0,1]}',
+         "line 3: sigma must be a list of +1/-1 integers"),
+        (_CSP_HEAD, '{"vars":[0,1,2],"signs":[1,-1,1]}', '{"sigma":[1,-1,1]}',
+         "line 3: sigma has 3 labels, expected 4"),
+        (_GOLDREICH_HEAD, '{"vars":[0,1,2],"value":1}', '{"sigma":[1,true,1,-1]}',
+         "line 3: sigma must be a list of +1/-1 integers"),
+    ],
+    ids=["csp-float-id", "csp-bool-id", "csp-string-id", "csp-float-sign",
+         "goldreich-float-id", "goldreich-bool-id", "goldreich-string-id", "goldreich-bool-value",
+         "csp-float-sigma", "csp-short-sigma", "goldreich-bool-sigma"],
+)
+@pytest.mark.parametrize("command", ["solve-csp", "reduce"])
+def test_malformed_clause_ids_exit_1(tmp_path, capsys, head, clause, bad, message, command):
+    f = tmp_path / "bad.jsonl"
+    f.write_text("\n".join([head, clause, bad]) + "\n")
+    reader = files.read_csp if head is _CSP_HEAD else files.read_goldreich
+    with pytest.raises(ValueError, match=re.escape(message)):
+        reader(f)
+    assert _run(command, "-i", str(f), "-o", str(tmp_path / "out"), "-q") == 1
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_gen_goldreich_solve_csp_matches_in_memory(tmp_path, capsys):
     pred = parity_predicate(3)
     f = tmp_path / "g.jsonl"
@@ -303,6 +364,19 @@ def test_sweep_cli_malformed_toml_exits_1(tmp_path, capsys):
     assert _run("sweep", "-c", str(cfg), "-o", str(tmp_path / "s.csv"), "-q") == 1
     assert str(parse.value) in capsys.readouterr().err
     assert not (tmp_path / "s.csv").exists()
+
+
+def test_sweep_closes_its_config_file(tmp_path, monkeypatch):
+    # an unclosed file warns from its finalizer, where an error is unraisable
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    cfg = tmp_path / "sweep.toml"
+    cfg.write_text('family = "sbm"\nmultipliers = [4.0]\ntrials = 1\nn1 = 32\nn2 = 32\n')
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        assert _run("sweep", "-c", str(cfg), "-o", str(tmp_path / "s.csv"), "-q") == 0
+        gc.collect()
+    assert [u.exc_value for u in unraisable] == []
 
 
 def test_sweep_print_config(capsys):

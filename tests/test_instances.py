@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from planted.instances import (
@@ -22,6 +24,7 @@ from planted.instances import (
     sample_planted_csp,
     sat_clause_weights,
     uniform_weights,
+    _row_major_key,
 )
 
 
@@ -107,6 +110,65 @@ def test_sbm_supplied_partition_is_used():
     )
     assert np.array_equal(part.u, u)
     assert all(u[i] == v[j] for i, j in g.edges)
+
+
+def test_sbm_tiny_density_gives_no_edges():
+    # geometric gaps saturate at the int64 maximum for p this small
+    g, _ = sample_bipartite_block(BlockModelParams(2, 2, 0.0, 7e-306, 0))
+    assert g.num_edges == 0
+
+
+@st.composite
+def block_model_cases(draw):
+    """(params, partition or None): small sizes, any valid delta and p."""
+    delta = draw(st.sampled_from([0.0, 0.3, 1.5, 1.8, 2.0]))
+    p = draw(st.floats(0.0, 1.0 / max(delta, 2.0 - delta)))
+    seed = draw(st.integers(0, 2**63))
+    if draw(st.booleans()):
+        n1, n2 = (2 * draw(st.integers(1, 20)) for _ in range(2))
+        return BlockModelParams(n1, n2, delta, p, seed), None
+    n1, n2 = (draw(st.integers(1, 40)) for _ in range(2))
+    signs = st.sampled_from([-1, 1])
+    part = HiddenPartition(draw(st.lists(signs, min_size=n1, max_size=n1)),
+                           draw(st.lists(signs, min_size=n2, max_size=n2)))
+    return BlockModelParams(n1, n2, delta, p, seed), part
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=block_model_cases())
+def test_sbm_edges_come_in_lexsort_order(case):
+    g, _ = sample_bipartite_block(*case)
+    old_order = np.lexsort((g.edges[:, 1], g.edges[:, 0]))  # the sampler's sort before the packed key
+    assert np.array_equal(g.edges, g.edges[old_order])
+
+
+@st.composite
+def edge_arrays(draw):
+    """(edges, n1, n2), repeats allowed: small sizes, or sizes whose product
+    overflows int64 with ids near 2^31."""
+    if draw(st.booleans()):
+        n1, n2 = (draw(st.integers(1, 30)) for _ in range(2))
+        lo = 0
+    else:
+        n1, n2 = (draw(st.integers(2**32, 2**62)) for _ in range(2))
+        lo = 2**31 - 8
+    ids = st.tuples(st.integers(lo, min(n1 - 1, lo + 16)), st.integers(lo, min(n2 - 1, lo + 16)))
+    edges = np.array(draw(st.lists(ids, max_size=60)), dtype=np.int64).reshape(-1, 2)
+    return edges, n1, n2
+
+
+# packed directly, (2^31, 5) would be 2^63 + 5 and wrap below every other key
+_WRAPPING = (np.array([[1, 0], [0, 2**31], [2**31, 5], [1, 2**31 + 1]], dtype=np.int64), 2**32, 2**32)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=edge_arrays())
+@example(case=_WRAPPING)
+def test_row_major_key_orders_like_lexsort(case):
+    edges, n1, n2 = case
+    key = _row_major_key(edges, n1, n2)
+    assert key.dtype == np.int64 and key.shape == (len(edges),)
+    assert np.array_equal(np.argsort(key, kind="stable"), np.lexsort((edges[:, 1], edges[:, 0])))
 
 
 def test_graph_type_rejects_out_of_range():

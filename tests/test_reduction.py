@@ -350,6 +350,16 @@ def test_goldreich_reduction_matches_oracle(predicate, n_extra, m, seed, thinnin
     )
 
 
+@settings(max_examples=100, deadline=None)
+@given(rows=st.integers(0, 30).flatmap(
+    lambda m: st.lists(st.lists(st.integers(-3, 3), min_size=m, max_size=m), min_size=1, max_size=6)))
+def test_sort_rows_matches_np_sort(rows):
+    a = np.array(rows, dtype=np.int64).T  # (m, width), ties and negatives included
+    got = reduction._sort_rows(a)
+    assert got.dtype == a.dtype
+    assert np.array_equal(got, np.sort(a, axis=1))
+
+
 def test_wide_witness_reduction_matches_oracle():
     """8-XOR at n=300: a mixed-radix pack of the 7 tail codes would need
     (2n)^7 > 2^63, so this pins that the keys never overflow int64."""

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from planted.instances import (
     BipartiteGraph,
@@ -73,6 +75,58 @@ def test_split_determinism_and_support():
         assert np.array_equal(a.support, np.unique(a.cols))
     with pytest.raises(ValueError):
         split_edges(g, 1, seed=0)
+
+
+def _split_edges_int64(graph, T, seed):
+    """split_edges as it was before it sorted a narrow unsigned copy of the
+    bucket assignment: kept as the oracle for the sub-graphs."""
+    assignment = np.random.default_rng(seed).integers(0, T, size=graph.num_edges)
+    order = np.argsort(assignment, kind="stable")
+    bounds = np.concatenate([[0], np.cumsum(np.bincount(assignment, minlength=T))])
+    return [_make_sub(graph.n1, graph.edges[order[a:b], 0], graph.edges[order[a:b], 1])
+            for a, b in zip(bounds[:-1], bounds[1:])]
+
+
+@st.composite
+def split_cases(draw):
+    """(graph with distinct edges in any order, T, seed)."""
+    n1, n2 = (draw(st.integers(1, 12)) for _ in range(2))
+    ids = st.tuples(st.integers(0, n1 - 1), st.integers(0, n2 - 1))
+    edges = draw(st.lists(ids, max_size=n1 * n2, unique=True))
+    graph = BipartiteGraph(n1, n2, np.array(edges, dtype=np.int64).reshape(-1, 2))
+    T = draw(st.one_of(st.integers(2, 40), st.integers(257, 600)))  # uint8 and uint16 keys
+    return graph, T, draw(st.integers(0, 2**32))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=split_cases())
+def test_split_is_an_ordered_partition_matching_int64_sort(case):
+    graph, T, seed = case
+    position = {e: k for k, e in enumerate(map(tuple, graph.edges.tolist()))}
+    taken = []
+    for sub, want in zip(split_edges(graph, T, seed).subs, _split_edges_int64(graph, T, seed), strict=True):
+        for name in ("rows", "cols", "support", "col_rank", "row_degrees"):
+            got, ref = getattr(sub, name), getattr(want, name)
+            assert got.dtype == ref.dtype and np.array_equal(got, ref), name
+        assert np.array_equal(sub.support, np.unique(sub.cols))
+        assert np.array_equal(sub.support[sub.col_rank], sub.cols)
+        pos = [position[e] for e in zip(sub.rows.tolist(), sub.cols.tolist())]
+        assert pos == sorted(pos)  # source order kept
+        taken += pos
+    assert sorted(taken) == list(range(graph.num_edges))  # a partition
+
+
+def test_split_past_the_uint16_limit_matches_int64_sort():
+    # ~6% of the edges fall in buckets past 2^16 - 1, so the keys are uint32
+    T = 2**16 + 2**12
+    g, _ = sample_bipartite_block(BlockModelParams(40, 40, 1.5, 0.5, 1))
+    split = split_edges(g, T, seed=5)
+    assignment = np.random.default_rng(5).integers(0, T, size=g.num_edges)
+    assert (assignment >= 2**16).sum() > 20
+    order = np.argsort(assignment, kind="stable")
+    assert [s.num_edges for s in split.subs] == np.bincount(assignment, minlength=T).tolist()
+    assert np.array_equal(np.concatenate([s.rows for s in split.subs]), g.edges[order, 0])
+    assert np.array_equal(np.concatenate([s.cols for s in split.subs]), g.edges[order, 1])
 
 
 # ---------------------------------------------------------------------------
