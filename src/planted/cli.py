@@ -79,14 +79,11 @@ def _add_weight_flags(sub):
 def _add_solver_flags(sub):
     sub.add_argument("--t-factor", type=float, default=10.0)
     sub.add_argument("--window", default="0.5,1.0", help="majority window as lo,hi fractions")
-    sub.add_argument("--mode", choices=["implicit_sparse", "dense_reference"], default="implicit_sparse")
 
 
 def _solver_config(args) -> SolverConfig:
     lo, hi = (float(x) for x in args.window.split(","))
-    return SolverConfig(
-        T_factor=args.t_factor, majority_window=(lo, hi), seed=args.seed, mode=args.mode
-    )
+    return SolverConfig(T_factor=args.t_factor, majority_window=(lo, hi), seed=args.seed)
 
 
 def _emit(args, text: str):
@@ -270,8 +267,8 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    data = files.read_sbm(args.input)
     config = _solver_config(args)
+    data = files.read_sbm(args.input)
     p = data.header.get("p")
     if p is not None:
         config = SolverConfig(**{**asdict(config), "p_override": float(p)})

@@ -177,6 +177,25 @@ class GoldreichInstance:
     tuple_vars: np.ndarray
     values: np.ndarray
 
+    def __post_init__(self):
+        tv = np.asarray(self.tuple_vars, dtype=np.int64)
+        if tv.ndim != 2:
+            raise ValueError("tuple_vars must be an (m, k) array")
+        values = np.asarray(self.values, dtype=np.int64)
+        if values.shape != (len(tv),) or not np.isin(values, (-1, 1)).all():
+            raise ValueError("values must hold one +1 or -1 per tuple")
+        table = np.asarray(self.predicate, dtype=np.int64)
+        if table.shape != (2 ** tv.shape[1],) or not np.isin(table, (-1, 1)).all():
+            raise ValueError("predicate must be a +/-1 table of length 2^k for k-wide tuples")
+        object.__setattr__(self, "tuple_vars", tv)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "predicate", table)
+        if self.sigma is not None:
+            s = np.asarray(self.sigma, dtype=np.int64)
+            if s.shape != (self.n,):
+                raise ValueError("sigma must have length n")
+            object.__setattr__(self, "sigma", s)
+
     @property
     def m(self) -> int:
         return self.tuple_vars.shape[0]

@@ -8,15 +8,12 @@ touches, and the centered products are computed implicitly:
         the full vector being yhat - q L everywhere;
     x' = (A - qJ) y   expands to  A yhat - q (sum yhat) - q L deg + q^2 L n2,
 
-so one iteration costs O(edges + support + n1) regardless of n2. The dense
-reference mode materializes the same sub-matrices and computes both products
-from them, with yhat = A^T x held over all of n2; both modes run the same
-loop, so the dense one is a differential test of the implicit products.
+so one iteration costs O(edges + support + n1) regardless of n2: no array
+the solver allocates has n2 entries.
 """
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
 
@@ -39,42 +36,14 @@ __all__ = [
     "spi_solve",
     "majority_vote_r1",
     "power_iteration_baseline",
-    "allocation_audit",
 ]
 
 # Any intermediate with norm below this aborts the solve.
 NORM_ABORT = 1e-12
 
-# Largest n2 the dense reference mode materializes (T dense n1 x n2 matrices).
-DENSE_MAX_N2 = 10_000
-
 
 class SolverError(RuntimeError):
     pass
-
-
-# ---------------------------------------------------------------------------
-# Allocation audit: a test hook recording the length of every dense array the
-# implicit path allocates, to prove no length-n2 vector is ever created.
-# ---------------------------------------------------------------------------
-
-_AUDIT_SINK: list | None = None
-
-
-@contextmanager
-def allocation_audit():
-    global _AUDIT_SINK
-    prev, sink = _AUDIT_SINK, []
-    _AUDIT_SINK = sink
-    try:
-        yield sink
-    finally:
-        _AUDIT_SINK = prev
-
-
-def _track(size: int):
-    if _AUDIT_SINK is not None:
-        _AUDIT_SINK.append(int(size))
 
 
 # ---------------------------------------------------------------------------
@@ -109,8 +78,6 @@ class SplitGraphs:
 def _make_sub(n1: int, rows: np.ndarray, cols: np.ndarray) -> SubGraph:
     support, col_rank = np.unique(cols, return_inverse=True)
     degrees = np.bincount(rows, minlength=n1).astype(np.float64)
-    for arr in (rows, cols, support, col_rank, degrees):
-        _track(arr.size)
     return SubGraph(rows, cols, support, col_rank.ravel(), degrees)
 
 
@@ -162,7 +129,6 @@ def _weighted_bincount(idx, weights, minlength):
 def apply_mt(sub: SubGraph, x: np.ndarray, q: float) -> tuple[SparseRightVec, float]:
     """(A - qJ)^T x without touching n2: returns (yhat, L)."""
     vals = _weighted_bincount(sub.col_rank, x[sub.rows], len(sub.support))
-    _track(vals.size)
     return SparseRightVec(sub.support, vals), float(x.sum())
 
 
@@ -189,9 +155,7 @@ def _lookup(yhat: SparseRightVec, cols: np.ndarray) -> np.ndarray:
     pos = np.searchsorted(yhat.support, cols)
     pos = np.minimum(pos, len(yhat.support) - 1)
     hit = yhat.support[pos] == cols
-    out = np.where(hit, yhat.values[pos], 0.0)
-    _track(out.size)
-    return out
+    return np.where(hit, yhat.values[pos], 0.0)
 
 
 def apply_m(
@@ -206,7 +170,6 @@ def apply_m(
     vals_at_edges = _lookup(yhat, sub.cols)
     n1 = len(sub.row_degrees)
     out = _weighted_bincount(sub.rows, vals_at_edges, n1)
-    _track(out.size)
     ssum = float(yhat.values.sum())
     out -= q * ssum
     out -= (q * L) * sub.row_degrees
@@ -229,7 +192,10 @@ class SolverConfig:
     majority_window: tuple[float, float] = (0.5, 1.0)
     seed: int = 0
     p_override: float | None = None
-    mode: str = "implicit_sparse"
+
+    def __post_init__(self):
+        if not (math.isfinite(self.T_factor) and self.T_factor > 0):
+            raise ValueError(f"T_factor must be finite and positive, got {self.T_factor}")
 
     def resolve_T(self, n1: int) -> int:
         T = max(2, math.ceil(self.T_factor * math.log(max(n1, 2))))
@@ -340,43 +306,18 @@ def spi_solve(
     else:
         x = np.asarray(x0, dtype=np.float64)
         x = x / np.linalg.norm(x)
-    _track(x.size)
-
-    # one operator pair per mode: (A - qJ)^T x as (yhat, L), then (A - qJ) y
-    if config.mode == "implicit_sparse":
-        def forward(t: int, x: np.ndarray) -> tuple[SparseRightVec, float]:
-            return apply_mt(split.subs[t], x, q)
-
-        def backward(t: int, yhat: SparseRightVec, L: float) -> np.ndarray:
-            return apply_m(split.subs[t], yhat, L, q, n2)
-    elif config.mode == "dense_reference":
-        if n2 > DENSE_MAX_N2:
-            raise ValueError(f"dense_reference mode limited to n2 <= {DENSE_MAX_N2}")
-        mats = []
-        for sub in split.subs:
-            a = np.zeros((n1, n2))
-            a[sub.rows, sub.cols] = 1.0
-            mats.append(a)
-        everywhere = np.arange(n2)
-
-        def forward(t: int, x: np.ndarray) -> tuple[SparseRightVec, float]:
-            return SparseRightVec(everywhere, mats[t].T @ x), float(x.sum())
-
-        def backward(t: int, yhat: SparseRightVec, L: float) -> np.ndarray:
-            y = yhat.values - q * L
-            return mats[t] @ y - q * y.sum()
-    else:
-        raise ValueError(f"unknown mode: {config.mode!r}")
 
     u_trace: list[float] = []
     v_trace: list[float] = []
     zs = np.empty((n_it, n1), dtype=np.int8)
-    _track(zs.size)
     vsum = float(v.sum()) if v is not None else 0.0
 
     for i in range(n_it):
-        ops += split.subs[2 * i].num_edges + split.subs[2 * i + 1].num_edges
-        step = _power_step(partial(forward, 2 * i), partial(backward, 2 * i + 1), x, q, n2)
+        first, second = split.subs[2 * i], split.subs[2 * i + 1]
+        ops += first.num_edges + second.num_edges
+        step = _power_step(
+            partial(apply_mt, first, q=q), partial(apply_m, second, q=q, n2_nominal=n2), x, q, n2
+        )
         if step is None:
             return failed(ops)
         x, yhat, L, ny = step
@@ -389,7 +330,6 @@ def spi_solve(
     window = config.window_slice(n_it)
     votes = zs[window].astype(np.int64).sum(axis=0)
     signs = np.where(votes >= 0, 1, -1).astype(np.int64)
-    _track(signs.size)
 
     ov = None
     if u is not None:

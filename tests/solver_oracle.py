@@ -1,0 +1,65 @@
+"""Reference subsampled power iteration: dense centered sub-matrices and a
+loop of its own. ``planted.solver.spi_solve`` once ran its loop over this
+operator pair as a ``dense_reference`` mode; tests now compare the implicit
+products and the whole solve against it. It splits the edges with the same
+``split_edges`` call and draws from the same ``SeedSequence(seed).spawn(2)``
+streams, so a seed gives both solvers the same sub-graphs and start vector.
+Every matrix is n1 x n2, so keep n2 small."""
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from planted.solver import NORM_ABORT, RecoveryResult, SubGraph, split_edges
+
+
+def dense_centered(sub: SubGraph, n1: int, n2: int, q: float) -> np.ndarray:
+    """A - qJ for the sub-graph's 0/1 adjacency matrix A."""
+    a = np.zeros((n1, n2))
+    a[sub.rows, sub.cols] = 1.0
+    return a - q
+
+
+def full_right(yhat, L: float, q: float, n2: int) -> np.ndarray:
+    """The length-n2 vector an implicit (yhat, L) pair stands for."""
+    y = np.full(n2, -q * L)
+    y[yhat.support] += yhat.values
+    return y
+
+
+def dense_spi_solve(graph, config, truth=None) -> RecoveryResult:
+    """``spi_solve`` with y = (A - qJ)^T x held over all of n2 and
+    x' = (A - qJ) y taken as dense matrix products."""
+    n1, n2, m = graph.n1, graph.n2, graph.num_edges
+    T = config.resolve_T(n1)
+    n_it = T // 2
+    p = config.p_override if config.p_override is not None else m / (n1 * n2)
+    split_ss, x0_ss = np.random.SeedSequence(config.seed).spawn(2)
+    split = split_edges(graph, T, split_ss, p=p)
+    mats = [dense_centered(sub, n1, n2, split.q) for sub in split.subs]
+    x = (np.random.default_rng(x0_ss).integers(0, 2, size=n1) * 2 - 1) / math.sqrt(n1)
+    u = None if truth is None else np.asarray(truth.u, dtype=np.float64)
+    v = None if truth is None or len(truth.v) != n2 else np.asarray(truth.v, dtype=np.float64)
+    u_trace, v_trace, signs = [], [], []
+    ops = 2 * m
+    for i in range(n_it):
+        ops += split.subs[2 * i].num_edges + split.subs[2 * i + 1].num_edges
+        y = mats[2 * i].T @ x
+        ny = np.linalg.norm(y)
+        x_new = mats[2 * i + 1] @ y
+        nx = np.linalg.norm(x_new)
+        if ny < NORM_ABORT or nx < NORM_ABORT * max(ny, 1.0):
+            return RecoveryResult(None, "degenerate", None, [], None if v is None else [],
+                                  0, m, T, ops)
+        x = x_new / nx
+        if v is not None:
+            v_trace.append(float(v @ y / ny))
+        if u is not None:
+            u_trace.append(float(u @ x))
+        signs.append(np.where(x >= 0, 1, -1))
+    votes = np.sum(signs[config.window_slice(n_it)], axis=0)
+    vote = np.where(votes >= 0, 1, -1).astype(np.int64)
+    ov = None if u is None else float(abs(vote @ u) / n1)
+    return RecoveryResult(vote, "ok", ov, u_trace, None if v is None else v_trace,
+                          n_it, m, T, ops)

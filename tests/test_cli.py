@@ -258,6 +258,8 @@ _GOLDREICH_HEAD = '{"type":"goldreich","n":4,"k":3,"m":2,"seed":0,"predicate":[1
          'line 3: clause ids must be a list of 3 integers, got ["0", 1, 2]'),
         (_GOLDREICH_HEAD, '{"vars":[0,1,2],"value":1}', '{"vars":[0,1,3],"value":true}',
          "line 3: value must be an integer, got true"),
+        (_GOLDREICH_HEAD, '{"vars":[0,1,2],"value":1}', '{"vars":[0,1,3],"value":0}',
+         "values must hold one +1 or -1 per tuple"),
         (_CSP_HEAD, '{"vars":[0,1,2],"signs":[1,-1,1]}', '{"sigma":[1,-1,1.0,1]}',
          "line 3: sigma must be a list of +1/-1 integers"),
         (_CSP_HEAD, '{"vars":[0,1,2],"signs":[1,-1,1]}', '{"sigma":[1,-1,1]}',
@@ -267,6 +269,7 @@ _GOLDREICH_HEAD = '{"type":"goldreich","n":4,"k":3,"m":2,"seed":0,"predicate":[1
     ],
     ids=["csp-float-id", "csp-bool-id", "csp-string-id", "csp-float-sign",
          "goldreich-float-id", "goldreich-bool-id", "goldreich-string-id", "goldreich-bool-value",
+         "goldreich-zero-value",
          "csp-float-sigma", "csp-short-sigma", "goldreich-bool-sigma"],
 )
 @pytest.mark.parametrize("command", ["solve-csp", "reduce"])
@@ -354,6 +357,48 @@ def test_format_flag_only_on_sweep(tmp_path):
     assert [r["multiplier"] for r in rows] == [2.0, 12.0]
     assert set(rows[0]) == {"multiplier", "trials", "exact_rate", "mean_overlap",
                             "mean_runtime_ms", "mean_edges"}
+
+
+def test_solve_rejects_mode_flag(tmp_path):
+    f = tmp_path / "sbm.jsonl"
+    assert _run("gen-sbm", "--n1", "10", "--n2", "10", "--delta", "1.8", "--p", "0.3",
+                "-o", str(f), "-q") == 0
+    assert _run("solve", "-i", str(f), "--mode", "implicit_sparse", "-q") == 1
+
+
+@pytest.mark.parametrize("t_factor", ["inf", "-inf", "nan", "0", "-1"])
+@pytest.mark.parametrize("command", ["solve", "solve-csp"])
+def test_bad_t_factor_exits_1(tmp_path, capsys, t_factor, command):
+    f = tmp_path / "in.jsonl"
+    if command == "solve":
+        _run("gen-sbm", "--n1", "10", "--n2", "10", "--delta", "1.8", "--p", "0.3", "-o", str(f), "-q")
+    else:
+        _run("gen-csp", "--n", "10", "--m", "50", "--preset", "noisy-xor", "-o", str(f), "-q")
+    capsys.readouterr()
+    assert _run(command, "-i", str(f), f"--t-factor={t_factor}", "-o", str(tmp_path / "r.json"), "-q") == 1
+    err = capsys.readouterr().err
+    assert "T_factor must be finite and positive" in err and "Traceback" not in err
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_reduce_solve_past_int64_right_side(tmp_path, capsys):
+    # Witness size 8: n2 = comb(2n, 7) > 2^63. The reduced file carries the
+    # exact n2, read_sbm's duplicate check packs id ranks since n1 * n2
+    # overflows int64, and the distinct tuples leave every right vertex with
+    # one edge, so consecutive sub-graphs share no support and the solve
+    # reports degenerate.
+    csp, red, out = tmp_path / "csp.jsonl", tmp_path / "red.jsonl", tmp_path / "r.json"
+    assert _run("gen-csp", "--n", "1000", "--k", "8", "--preset", "noisy-xor", "--eta", "0.8",
+                "--m", "20000", "--seed", "3", "-o", str(csp), "-q") == 0
+    assert _run("reduce", "-i", str(csp), "-o", str(red), "-q") == 0
+    data = files.read_sbm(red)
+    n2 = math.comb(2000, 7)
+    assert n2 > 2**63
+    assert data.header["n2"] == data.graph.n2 == data.reduced_meta["n2_nominal"] == n2
+    assert data.graph.n1 * data.graph.n2 > np.iinfo(np.int64).max
+    assert data.graph.num_edges == 20_000
+    assert _run("solve", "-i", str(red), "-o", str(out), "-q") == 2
+    assert json.loads(out.read_text())["status"] == "degenerate"
 
 
 def test_sweep_cli_malformed_toml_exits_1(tmp_path, capsys):

@@ -11,6 +11,7 @@ from scipy import stats
 from planted.instances import (
     BipartiteGraph,
     BlockModelParams,
+    GoldreichInstance,
     HiddenPartition,
     PlantingDistribution,
     constant_predicate,
@@ -335,6 +336,34 @@ def test_goldreich_rejects():
         sample_goldreich(parity_predicate(3), 2, 10, 0)
     with pytest.raises(ValueError):
         sample_goldreich(np.array([1, 2, 1, 1]), 8, 10, 0)
+
+
+_PARITY3 = parity_predicate(3)
+_TUPLES = np.array([[0, 1, 2], [1, 2, 3]])
+
+
+@pytest.mark.parametrize(
+    "predicate, sigma, tuple_vars, values, message",
+    [
+        (_PARITY3, None, _TUPLES, np.array([1]), "one \\+1 or -1 per tuple"),
+        (_PARITY3, None, _TUPLES, np.array([1, 0]), "one \\+1 or -1 per tuple"),
+        (parity_predicate(2), None, _TUPLES, np.array([1, -1]), "length 2\\^k"),  # width 2 on 3-wide tuples
+        (np.array([1, 2, 1, 1, 1, 1, 1, 1]), None, _TUPLES, np.array([1, -1]), "length 2\\^k"),
+        (_PARITY3, None, np.array([0, 1, 2]), np.array([1]), "\\(m, k\\) array"),
+        (_PARITY3, np.array([1, -1, 1]), _TUPLES, np.array([1, -1]), "sigma must have length n"),
+    ],
+    ids=["short-values", "zero-value", "narrow-predicate", "non-pm1-predicate", "1d-tuples", "short-sigma"],
+)
+def test_goldreich_instance_rejects_malformed_fields(predicate, sigma, tuple_vars, values, message):
+    with pytest.raises(ValueError, match=message):
+        GoldreichInstance(4, predicate, sigma, tuple_vars, values)
+
+
+def test_goldreich_instance_normalizes_to_int64():
+    inst = GoldreichInstance(4, [1, -1, -1, 1, -1, 1, 1, -1], [1, 1, -1, -1], [[0, 1, 2]], [-1])
+    for arr in (inst.predicate, inst.sigma, inst.tuple_vars, inst.values):
+        assert arr.dtype == np.int64
+    assert (inst.m, inst.k) == (1, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -16,26 +16,19 @@ from planted.instances import (
     sat_clause_weights,
 )
 from planted.solver import (
-    DENSE_MAX_N2,
     SolverConfig,
     SolverError,
-    allocation_audit,
     apply_m,
     apply_mt,
     majority_vote_r1,
     power_iteration_baseline,
+    right_dot,
     right_norm,
     spi_solve,
     split_edges,
     _make_sub,
 )
-
-
-def _random_graph(rng, n1, n2, p_edge):
-    mask = rng.random((n1, n2)) < p_edge
-    r, c = np.nonzero(mask)
-    edges = np.column_stack([r, c]).astype(np.int64)
-    return BipartiteGraph(n1, n2, edges), mask.astype(float)
+from solver_oracle import dense_centered, dense_spi_solve, full_right
 
 
 # ---------------------------------------------------------------------------
@@ -165,24 +158,34 @@ def test_apply_m_plugin_cases():
     assert np.allclose(out, expect)
 
 
-def test_implicit_matches_dense_oracle():
-    rng = np.random.default_rng(11)
-    for _ in range(200):
-        n1, n2 = rng.integers(2, 41, 2)
-        g, A = _random_graph(rng, n1, n2, rng.uniform(0.05, 0.6))
-        if g.num_edges == 0:
-            continue
-        sub = _make_sub(n1, g.edges[:, 0], g.edges[:, 1])
-        q = rng.uniform(0.0, 0.2)
-        x = rng.normal(size=n1)
-        yhat, L = apply_mt(sub, x, q)
-        y_ref = (A - q).T @ x
-        y_full = np.full(n2, -q * L)
-        y_full[yhat.support] += yhat.values
-        assert np.allclose(y_full, y_ref, atol=1e-12)
-        assert right_norm(yhat, L, q, n2) == pytest.approx(np.linalg.norm(y_ref))
-        x_ref = (A - q) @ y_ref
-        assert np.allclose(apply_m(sub, yhat, L, q, n2), x_ref, atol=1e-12)
+@st.composite
+def operator_cases(draw):
+    """(sub-graph, n1, n2, q, x, dense right vector): small random graphs,
+    the empty one and q = 0 included."""
+    n1, n2 = draw(st.integers(1, 8)), draw(st.integers(1, 12))
+    ids = st.tuples(st.integers(0, n1 - 1), st.integers(0, n2 - 1))
+    edges = np.array(draw(st.lists(ids, max_size=n1 * n2, unique=True)), dtype=np.int64).reshape(-1, 2)
+    sub = _make_sub(n1, edges[:, 0], edges[:, 1])
+    q = draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0)))
+    vals = st.floats(-4.0, 4.0, allow_nan=False)
+    x = np.array(draw(st.lists(vals, min_size=n1, max_size=n1)))
+    w = np.array(draw(st.lists(vals, min_size=n2, max_size=n2)))
+    return sub, n1, n2, q, x, w
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=operator_cases())
+def test_implicit_matches_dense_oracle(case):
+    sub, n1, n2, q, x, w = case
+    M = dense_centered(sub, n1, n2, q)
+    yhat, L = apply_mt(sub, x, q)
+    y = M.T @ x
+    assert np.array_equal(yhat.support, np.unique(sub.cols))
+    assert np.allclose(full_right(yhat, L, q, n2), y, atol=1e-9)
+    assert right_norm(yhat, L, q, n2) == pytest.approx(np.linalg.norm(y), abs=1e-9)
+    assert np.allclose(apply_m(sub, yhat, L, q, n2), M @ y, atol=1e-9)
+    assert right_dot(yhat, L, q, w) == pytest.approx(w @ y, abs=1e-9)
+    assert right_dot(yhat, L, q, w, float(w.sum())) == pytest.approx(w @ y, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -245,30 +248,32 @@ def test_spi_sign_symmetry():
 
 
 def test_dense_reference_matches_implicit():
+    # the whole solve against the oracle's own loop over dense sub-matrices
     for seed in range(3):
         params = BlockModelParams(50, 70, 1.6, 0.25, seed)
         g, part = sample_bipartite_block(params)
-        cfg = dict(seed=seed + 10, p_override=params.p)
-        imp = spi_solve(g, SolverConfig(**cfg), truth=part)
-        ref = spi_solve(g, SolverConfig(mode="dense_reference", **cfg), truth=part)
+        cfg = SolverConfig(seed=seed + 10, p_override=params.p)
+        imp = spi_solve(g, cfg, truth=part)
+        ref = dense_spi_solve(g, cfg, truth=part)
+        assert imp.status == ref.status == "ok"
+        assert (imp.iterations, imp.T, imp.ops_edge_touches) == (ref.iterations, ref.T, ref.ops_edge_touches)
         assert np.array_equal(imp.signs, ref.signs)
         assert np.allclose(imp.u_trace, ref.u_trace, atol=1e-9)
         assert np.allclose(imp.v_trace, ref.v_trace, atol=1e-9)
-    params = BlockModelParams(20, DENSE_MAX_N2 + 2, 1.6, 0.01, 0)  # n2 must be even
-    wide, _ = sample_bipartite_block(params)
-    with pytest.raises(ValueError, match="dense_reference mode limited"):
-        spi_solve(wide, SolverConfig(mode="dense_reference", p_override=params.p))
 
 
 def test_spi_lopsided_never_allocates_right_side():
+    # The same edges spread over n2 = 2^62 right vertices: an array with n2
+    # entries cannot be allocated ("array is too big"), so a solve that
+    # finishes has built nothing of size n2.
     n1, n2, delta = 64, 10_000, 1.8  # n2 > 100 * n1
     p = 25 * math.log(n1) / ((delta - 1) ** 2 * math.sqrt(n1 * n2))
     g, part = sample_bipartite_block(BlockModelParams(n1, n2, delta, p, 0))
-    with allocation_audit() as sizes:
-        res = spi_solve(g, SolverConfig(seed=1, p_override=p), truth=part)
+    res = spi_solve(g, SolverConfig(seed=1, p_override=p), truth=part)
     assert res.overlap == 1.0
-    assert max(sizes) < n2
-    assert max(sizes) <= max(g.num_edges, n1)
+    wide = BipartiteGraph(n1, 2**62, g.edges * np.array([1, 2**62 // n2]))
+    res = spi_solve(wide, SolverConfig(seed=1))
+    assert res.status == "ok" and res.iterations == res.T // 2
 
 
 def test_spi_recovers_lopsided_aspect_ratio_100():
@@ -299,8 +304,12 @@ def test_window_validation():
     g, _, params = _square_instance(0, n=100, C=5.0)
     with pytest.raises(ValueError):
         spi_solve(g, SolverConfig(majority_window=(0.9, 0.2), p_override=params.p))
-    with pytest.raises(ValueError):
-        spi_solve(g, SolverConfig(mode="bogus", p_override=params.p))
+
+
+@pytest.mark.parametrize("t_factor", [math.inf, -math.inf, math.nan, 0.0, -1.0])
+def test_t_factor_must_be_finite_and_positive(t_factor):
+    with pytest.raises(ValueError, match="T_factor must be finite and positive"):
+        SolverConfig(T_factor=t_factor)
 
 
 # ---------------------------------------------------------------------------
