@@ -75,14 +75,79 @@ class SplitGraphs:
     subs: list[SubGraph]
 
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def _run_starts(a: np.ndarray) -> np.ndarray:
+    """True at the first entry of every run of equal values."""
+    starts = np.ones(len(a), dtype=bool)
+    np.not_equal(a[1:], a[:-1], out=starts[1:])
+    return starts
+
+
+def _sub_graphs(n1: int, n2: int, edges: np.ndarray, key: np.ndarray, T: int) -> list[SubGraph]:
+    """Sub-graph t holds the edges whose entry in ``key`` is t, sorted by
+    (col, row).
+
+    ``key`` (int64 bucket ids) is overwritten with the packed keys
+    (bucket * n2 + col) * n1 + row, and one in-place sort orders every
+    sub-graph at once. Rows, cols, support and col_rank are views into
+    arrays shared by all sub-graphs. When the keys would overflow int64, the
+    right ids are first replaced by their ranks among the ids present.
+    """
+    counts = np.bincount(key, minlength=T)
+    cols, present = edges[:, 1], None
+    if T * n2 * n1 > _INT64_MAX:
+        present = np.sort(cols)
+        present = present[_run_starts(present)]
+        cols, n2 = np.searchsorted(present, cols), len(present)
+        if T * n2 * n1 > _INT64_MAX:
+            raise ValueError(f"{T} buckets x {n2} right x {n1} left ids overflow int64 keys")
+    degrees = np.bincount(key * n1 + edges[:, 0], minlength=T * n1).reshape(T, n1).astype(np.float64)
+    key *= n2
+    key += cols
+    key *= n1
+    key += edges[:, 0]
+    del cols
+    key.sort()
+    rows = key % n1
+    key //= n1
+    cols = np.remainder(key, n2, out=key)
+    del key
+
+    # one support entry per run of equal columns; adjacent sub-graphs whose
+    # edges meet in one column share its entry
+    new_col = _run_starts(cols)
+    support = np.compress(new_col, cols)  # faster than cols[new_col]
+    col_rank = new_col.astype(np.int64)
+    del new_col
+    np.cumsum(col_rank, out=col_rank)  # 1-based over all sub-graphs
+    if present is not None:
+        cols = present[cols]
+        support = present[support]
+
+    bounds = np.concatenate([[0], np.cumsum(counts)]).tolist()
+    subs = []
+    for t, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+        lo = hi = 0
+        rank = col_rank[a:b]
+        if b > a:
+            lo, hi = int(rank[0]) - 1, int(rank[-1])
+            rank -= lo + 1
+        subs.append(SubGraph(rows[a:b], cols[a:b], support[lo:hi], rank, degrees[t]))
+    return subs
+
+
 def _make_sub(n1: int, rows: np.ndarray, cols: np.ndarray) -> SubGraph:
-    support, col_rank = np.unique(cols, return_inverse=True)
-    degrees = np.bincount(rows, minlength=n1).astype(np.float64)
-    return SubGraph(rows, cols, support, col_rank.ravel(), degrees)
+    """One sub-graph holding all the given edges."""
+    edges = np.column_stack([rows, cols]).astype(np.int64, copy=False)
+    n2 = int(edges[:, 1].max()) + 1 if len(edges) else 1
+    return _sub_graphs(n1, n2, edges, np.zeros(len(edges), dtype=np.int64), 1)[0]
 
 
 def split_edges(graph: BipartiteGraph, T: int, seed, p: float | None = None) -> SplitGraphs:
     """Assign each edge to one of T sub-graphs uniformly and independently.
+    Within a sub-graph the edges are sorted by (col, row).
 
     The centering constant is q = p / T with p the given overall density or,
     when omitted, the observed density m / (n1 n2).
@@ -90,17 +155,10 @@ def split_edges(graph: BipartiteGraph, T: int, seed, p: float | None = None) -> 
     if T < 2:
         raise ValueError("need T >= 2")
     m = graph.num_edges
-    rng = np.random.default_rng(seed)
-    assignment = rng.integers(0, T, size=m)
-    # the narrowest unsigned copy keeps the stable order; numpy radix-sorts
-    # it when it fits in 8 or 16 bits
-    order = np.argsort(assignment.astype(np.min_scalar_type(T - 1)), kind="stable")
-    counts = np.bincount(assignment, minlength=T)
-    bounds = np.concatenate([[0], np.cumsum(counts)])
-    subs = []
-    for t in range(T):
-        sel = order[bounds[t] : bounds[t + 1]]
-        subs.append(_make_sub(graph.n1, graph.edges[sel, 0], graph.edges[sel, 1]))
+    # the bucket ids are passed without a reference kept here, so their
+    # buffer, reused for the keys, is freed once the sub-graphs are built
+    draw = np.random.default_rng(seed).integers
+    subs = _sub_graphs(graph.n1, graph.n2, graph.edges, draw(0, T, size=m), T)
     if p is None:
         p = m / (graph.n1 * graph.n2)
     return SplitGraphs(graph.n1, graph.n2, T, p / T, subs)
@@ -149,13 +207,15 @@ def right_dot(
     return float(yhat.values @ dense[yhat.support].astype(np.float64)) - q * L * dense_sum
 
 
-def _lookup(yhat: SparseRightVec, cols: np.ndarray) -> np.ndarray:
+def _lookup(yhat: SparseRightVec, sub: SubGraph) -> np.ndarray:
+    """yhat's value at each edge's right endpoint (0 off yhat's support),
+    looked up once per support vertex of ``sub`` and expanded to its edges."""
     if len(yhat.support) == 0:
-        return np.zeros(len(cols))
-    pos = np.searchsorted(yhat.support, cols)
-    pos = np.minimum(pos, len(yhat.support) - 1)
-    hit = yhat.support[pos] == cols
-    return np.where(hit, yhat.values[pos], 0.0)
+        return np.zeros(sub.num_edges)
+    pos = np.searchsorted(yhat.support, sub.support)
+    np.minimum(pos, len(yhat.support) - 1, out=pos)
+    hit = yhat.support[pos] == sub.support
+    return np.where(hit, yhat.values[pos], 0.0)[sub.col_rank]
 
 
 def apply_m(
@@ -167,7 +227,7 @@ def apply_m(
 
     Cost is linear in the sub-graph's edges plus the support of yhat plus n1.
     """
-    vals_at_edges = _lookup(yhat, sub.cols)
+    vals_at_edges = _lookup(yhat, sub)
     n1 = len(sub.row_degrees)
     out = _weighted_bincount(sub.rows, vals_at_edges, n1)
     ssum = float(yhat.values.sum())
@@ -251,11 +311,11 @@ def _power_step(forward, backward, x: np.ndarray, q: float, n2: int):
     when |y| or |x'| before normalization is below NORM_ABORT."""
     yhat, L = forward(x)
     ny = right_norm(yhat, L, q, n2)
-    if ny < NORM_ABORT:
+    if not ny >= NORM_ABORT:  # NaN-safe
         return None
     xu = backward(yhat, L)
     nx = float(np.linalg.norm(xu))
-    if nx < NORM_ABORT * max(ny, 1.0):
+    if not nx >= NORM_ABORT * max(ny, 1.0):
         return None
     return xu / nx, yhat, L, ny
 
@@ -273,7 +333,9 @@ def spi_solve(
     majority of the sign vectors over the configured window. When ``truth``
     is given, the per-iteration correlations with the hidden labels are
     recorded (the right-side trace only when the right labels cover all of
-    n2). A zero-norm intermediate aborts with status "degenerate".
+    n2). A zero-norm or NaN intermediate aborts with status "degenerate".
+    A given ``x0`` must hold n1 finite entries with a nonzero norm, else
+    ``ValueError``.
 
     Seed substreams: 0 = edge split, 1 = initial vector.
     """
@@ -292,20 +354,23 @@ def spi_solve(
         return RecoveryResult(None, "degenerate", None, [], None if v is None else [],
                               0, m, T, ops)
 
-    if m == 0:
-        return failed(0)
-
-    p = config.p_override if config.p_override is not None else m / (n1 * n2)
     split_ss, x0_ss = np.random.SeedSequence(config.seed).spawn(2)
-    split = split_edges(graph, T, split_ss, p=p)
-    q = split.q
-    ops = 2 * m  # split assignment + per-sub degree pre-computation
-
     if x0 is None:
         x = (np.random.default_rng(x0_ss).integers(0, 2, size=n1) * 2 - 1) / math.sqrt(n1)
     else:
         x = np.asarray(x0, dtype=np.float64)
-        x = x / np.linalg.norm(x)
+        norm = float(np.linalg.norm(x)) if x.shape == (n1,) else 0.0
+        if not 0.0 < norm < math.inf:  # also false for NaN or inf entries
+            raise ValueError(f"x0 must have shape ({n1},) and a finite nonzero norm")
+        x = x / norm
+
+    if m == 0:
+        return failed(0)
+
+    p = config.p_override if config.p_override is not None else m / (n1 * n2)
+    split = split_edges(graph, T, split_ss, p=p)
+    q = split.q
+    ops = 2 * m  # split assignment + per-sub degree pre-computation
 
     u_trace: list[float] = []
     v_trace: list[float] = []

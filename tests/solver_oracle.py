@@ -4,14 +4,15 @@ operator pair as a ``dense_reference`` mode; tests now compare the implicit
 products and the whole solve against it. It splits the edges with the same
 ``split_edges`` call and draws from the same ``SeedSequence(seed).spawn(2)``
 streams, so a seed gives both solvers the same sub-graphs and start vector.
-Every matrix is n1 x n2, so keep n2 small."""
+Every matrix is n1 x n2, so keep n2 small. Also here: ``apply_m`` as it
+was when it looked yhat up once per edge."""
 from __future__ import annotations
 
 import math
 
 import numpy as np
 
-from planted.solver import NORM_ABORT, RecoveryResult, SubGraph, split_edges
+from planted.solver import NORM_ABORT, RecoveryResult, SparseRightVec, SubGraph, split_edges
 
 
 def dense_centered(sub: SubGraph, n1: int, n2: int, q: float) -> np.ndarray:
@@ -26,6 +27,28 @@ def full_right(yhat, L: float, q: float, n2: int) -> np.ndarray:
     y = np.full(n2, -q * L)
     y[yhat.support] += yhat.values
     return y
+
+
+def _lookup_edgewise(yhat: SparseRightVec, cols: np.ndarray) -> np.ndarray:
+    """yhat's value at every edge's right endpoint, one search per edge."""
+    if len(yhat.support) == 0:
+        return np.zeros(len(cols))
+    pos = np.searchsorted(yhat.support, cols)
+    pos = np.minimum(pos, len(yhat.support) - 1)
+    hit = yhat.support[pos] == cols
+    return np.where(hit, yhat.values[pos], 0.0)
+
+
+def apply_m_edgewise(sub: SubGraph, yhat: SparseRightVec, L: float, q: float, n2: int) -> np.ndarray:
+    """``planted.solver.apply_m`` before it looked yhat up per support vertex:
+    the same four-term sum in the same order, so results must be equal."""
+    n1 = len(sub.row_degrees)
+    out = np.bincount(sub.rows, weights=_lookup_edgewise(yhat, sub.cols), minlength=n1)
+    out = out.astype(np.float64, copy=False)
+    out -= q * float(yhat.values.sum())
+    out -= (q * L) * sub.row_degrees
+    out += (q * q * L) * n2
+    return out
 
 
 def dense_spi_solve(graph, config, truth=None) -> RecoveryResult:

@@ -1,6 +1,7 @@
 """Solver tests: splitting, implicit products vs dense oracle, recovery,
 determinism, and the baselines."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from planted.instances import (
 from planted.solver import (
     SolverConfig,
     SolverError,
+    SparseRightVec,
+    SubGraph,
     apply_m,
     apply_mt,
     majority_vote_r1,
@@ -28,7 +31,7 @@ from planted.solver import (
     split_edges,
     _make_sub,
 )
-from solver_oracle import dense_centered, dense_spi_solve, full_right
+from solver_oracle import apply_m_edgewise, dense_centered, dense_spi_solve, full_right
 
 
 # ---------------------------------------------------------------------------
@@ -71,23 +74,39 @@ def test_split_determinism_and_support():
 
 
 def _split_edges_int64(graph, T, seed):
-    """split_edges as it was before it sorted a narrow unsigned copy of the
-    bucket assignment: kept as the oracle for the sub-graphs."""
+    """The sub-graphs built edge set by edge set: the bucket ids of
+    split_edges, each bucket's edges gathered, sorted by (col, row) and
+    ranked with np.unique. Kept as the oracle for the one-sort split."""
     assignment = np.random.default_rng(seed).integers(0, T, size=graph.num_edges)
     order = np.argsort(assignment, kind="stable")
     bounds = np.concatenate([[0], np.cumsum(np.bincount(assignment, minlength=T))])
-    return [_make_sub(graph.n1, graph.edges[order[a:b], 0], graph.edges[order[a:b], 1])
-            for a, b in zip(bounds[:-1], bounds[1:])]
+    subs = []
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        rows, cols = graph.edges[order[a:b], 0], graph.edges[order[a:b], 1]
+        by_col_row = np.lexsort((rows, cols))
+        rows, cols = rows[by_col_row], cols[by_col_row]
+        support, col_rank = np.unique(cols, return_inverse=True)
+        degrees = np.bincount(rows, minlength=graph.n1).astype(np.float64)
+        subs.append(SubGraph(rows, cols, support, col_rank.ravel(), degrees))
+    return subs
+
+
+def _assert_same_subs(got_subs, want_subs):
+    for got, want in zip(got_subs, want_subs, strict=True):
+        for name in ("rows", "cols", "support", "col_rank", "row_degrees"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
 
 
 @st.composite
 def split_cases(draw):
-    """(graph with distinct edges in any order, T, seed)."""
+    """(graph with distinct edges in any order, T, seed); the graph may be
+    empty and T may exceed its edge count, leaving buckets empty."""
     n1, n2 = (draw(st.integers(1, 12)) for _ in range(2))
     ids = st.tuples(st.integers(0, n1 - 1), st.integers(0, n2 - 1))
     edges = draw(st.lists(ids, max_size=n1 * n2, unique=True))
     graph = BipartiteGraph(n1, n2, np.array(edges, dtype=np.int64).reshape(-1, 2))
-    T = draw(st.one_of(st.integers(2, 40), st.integers(257, 600)))  # uint8 and uint16 keys
+    T = draw(st.one_of(st.integers(2, 40), st.integers(257, 600)))
     return graph, T, draw(st.integers(0, 2**32))
 
 
@@ -96,30 +115,56 @@ def split_cases(draw):
 def test_split_is_an_ordered_partition_matching_int64_sort(case):
     graph, T, seed = case
     position = {e: k for k, e in enumerate(map(tuple, graph.edges.tolist()))}
+    split = split_edges(graph, T, seed)
+    _assert_same_subs(split.subs, _split_edges_int64(graph, T, seed))
     taken = []
-    for sub, want in zip(split_edges(graph, T, seed).subs, _split_edges_int64(graph, T, seed), strict=True):
-        for name in ("rows", "cols", "support", "col_rank", "row_degrees"):
-            got, ref = getattr(sub, name), getattr(want, name)
-            assert got.dtype == ref.dtype and np.array_equal(got, ref), name
+    for sub in split.subs:
         assert np.array_equal(sub.support, np.unique(sub.cols))
         assert np.array_equal(sub.support[sub.col_rank], sub.cols)
-        pos = [position[e] for e in zip(sub.rows.tolist(), sub.cols.tolist())]
-        assert pos == sorted(pos)  # source order kept
-        taken += pos
+        taken += [position[e] for e in zip(sub.rows.tolist(), sub.cols.tolist())]
     assert sorted(taken) == list(range(graph.num_edges))  # a partition
 
 
 def test_split_past_the_uint16_limit_matches_int64_sort():
-    # ~6% of the edges fall in buckets past 2^16 - 1, so the keys are uint32
+    # more buckets than 16-bit ids hold, ~6% of the edges past 2^16 - 1
     T = 2**16 + 2**12
     g, _ = sample_bipartite_block(BlockModelParams(40, 40, 1.5, 0.5, 1))
     split = split_edges(g, T, seed=5)
     assignment = np.random.default_rng(5).integers(0, T, size=g.num_edges)
     assert (assignment >= 2**16).sum() > 20
-    order = np.argsort(assignment, kind="stable")
     assert [s.num_edges for s in split.subs] == np.bincount(assignment, minlength=T).tolist()
-    assert np.array_equal(np.concatenate([s.rows for s in split.subs]), g.edges[order, 0])
-    assert np.array_equal(np.concatenate([s.cols for s in split.subs]), g.edges[order, 1])
+    _assert_same_subs(split.subs, _split_edges_int64(g, T, 5))
+    for sub in split.subs:
+        assert np.array_equal(sub.support[sub.col_rank], sub.cols)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=split_cases())
+def test_split_past_int64_keys_ranks_the_right_ids(case):
+    # right ids spread over n2 = 2^62, so T * n2 * n1 > 2^63 - 1 and the
+    # split packs the ranks of the ids present instead
+    graph, T, seed = case
+    scale = 2**62 // graph.n2
+    wide = BipartiteGraph(graph.n1, 2**62, graph.edges * np.array([1, scale]))
+    want = [replace(sub, cols=sub.cols * scale, support=sub.support * scale)
+            for sub in split_edges(graph, T, seed).subs]
+    _assert_same_subs(split_edges(wide, T, seed).subs, want)
+
+
+@pytest.mark.parametrize("n2", [5, 2**62])
+def test_split_of_an_empty_graph(n2):
+    split = split_edges(BipartiteGraph(3, n2, np.empty((0, 2), dtype=np.int64)), 4, seed=0)
+    assert len(split.subs) == 4
+    for sub in split.subs:
+        assert sub.num_edges == 0 and len(sub.support) == 0
+        assert sub.col_rank.dtype == sub.support.dtype == np.int64
+        assert sub.row_degrees.tolist() == [0.0, 0.0, 0.0]
+
+
+def test_split_refuses_keys_past_int64_even_after_ranking():
+    graph = BipartiteGraph(2**62, 2**62, np.array([[0, 0], [1, 1]]))
+    with pytest.raises(ValueError, match="overflow int64"):
+        split_edges(graph, 2, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +188,6 @@ def test_apply_mt_trivial_cases():
 
 def test_apply_m_plugin_cases():
     sub = _make_sub(3, np.array([0, 0, 2]), np.array([1, 3, 3]))
-    from planted.solver import SparseRightVec
 
     # q = 0: plain adjacency sum over the support values
     yhat = SparseRightVec(np.array([1, 3]), np.array([2.0, 5.0]))
@@ -186,6 +230,42 @@ def test_implicit_matches_dense_oracle(case):
     assert np.allclose(apply_m(sub, yhat, L, q, n2), M @ y, atol=1e-9)
     assert right_dot(yhat, L, q, w) == pytest.approx(w @ y, abs=1e-9)
     assert right_dot(yhat, L, q, w, float(w.sum())) == pytest.approx(w @ y, abs=1e-9)
+
+
+@st.composite
+def lookup_cases(draw):
+    """(sub-graph, yhat, L, q, n2): yhat's support overlaps the sub-graph's,
+    misses it, is empty, or the sub-graph has a single column."""
+    kind = draw(st.sampled_from(["overlap", "disjoint", "empty", "single_column"]))
+    n1, n2 = draw(st.integers(1, 8)), draw(st.integers(2, 12))
+    if kind == "single_column":
+        rows = draw(st.lists(st.integers(0, n1 - 1), min_size=1, unique=True))
+        edges = [(r, draw(st.integers(0, n2 - 1))) for r in rows[:1]]
+        edges += [(r, edges[0][1]) for r in rows[1:]]
+    else:
+        ids = st.tuples(st.integers(0, n1 - 1), st.integers(0, n2 - 1))
+        edges = draw(st.lists(ids, max_size=n1 * n2, unique=True))
+    edges = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    sub = _make_sub(n1, edges[:, 0], edges[:, 1])
+    if kind == "empty":
+        ysupp = []
+    else:
+        ysupp = sorted(draw(st.sets(st.integers(0, n2 - 1), max_size=n2)))
+        if kind == "disjoint":
+            ysupp = sorted(set(ysupp) - set(sub.support.tolist()))
+    vals = st.floats(-4.0, 4.0, allow_nan=False)
+    yhat = SparseRightVec(np.array(ysupp, dtype=np.int64),
+                          np.array(draw(st.lists(vals, min_size=len(ysupp), max_size=len(ysupp)))))
+    return sub, yhat, draw(vals), draw(st.floats(0.0, 1.0)), n2
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=lookup_cases())
+def test_apply_m_support_lookup_equals_edgewise_lookup(case):
+    sub, yhat, L, q, n2 = case
+    got = apply_m(sub, yhat, L, q, n2)
+    assert got.dtype == np.float64
+    assert np.array_equal(got, apply_m_edgewise(sub, yhat, L, q, n2))
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +325,23 @@ def test_spi_sign_symmetry():
     r_neg = spi_solve(g, cfg, x0=-x0)
     assert np.array_equal(r_pos.signs, -r_neg.signs)
     assert np.allclose(r_pos.u_trace, [-t for t in r_neg.u_trace])
+
+
+@pytest.mark.parametrize("x0", [
+    np.zeros(40), np.ones(39), np.ones(41), np.ones((40, 1)),
+    np.r_[np.nan, np.ones(39)], np.r_[np.inf, np.ones(39)],
+], ids=["zero", "short", "long", "column", "nan", "inf"])
+def test_spi_rejects_a_bad_start_vector(x0):
+    g, _ = sample_bipartite_block(BlockModelParams(40, 40, 1.8, 0.3, 0))
+    with pytest.raises(ValueError, match="x0 must have shape"):
+        spi_solve(g, SolverConfig(seed=0), x0=x0)
+
+
+def test_spi_nan_iterate_is_degenerate():
+    # a NaN density makes every iterate NaN, which no norm check may pass
+    g, _ = sample_bipartite_block(BlockModelParams(40, 40, 1.8, 0.3, 0))
+    res = spi_solve(g, SolverConfig(seed=0, p_override=math.nan))
+    assert res.status == "degenerate" and res.signs is None
 
 
 def test_dense_reference_matches_implicit():
