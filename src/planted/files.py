@@ -20,7 +20,6 @@ from .instances import (
     HiddenPartition,
     PlantedCspInstance,
     PlantingDistribution,
-    _row_major_key,
 )
 from .reduction import ReducedInstance
 
@@ -193,6 +192,17 @@ def _labels(value, sizes, name: str, where: str) -> list:
     return value
 
 
+def _row_major_key(edges: np.ndarray, n1: int, n2: int) -> np.ndarray:
+    """One int64 per (row, col) edge, ordered as the edges are in row-major
+    (lexicographic) order: ``row * n2 + col``. When ``n1 * n2`` would
+    overflow int64, the ids' ranks (below m) are packed instead."""
+    rows, cols = edges[:, 0], edges[:, 1]
+    if n1 * n2 > np.iinfo(np.int64).max:
+        rows, cols = (np.unique(c, return_inverse=True)[1] for c in (rows, cols))
+        n2 = len(edges)
+    return rows * n2 + cols
+
+
 def _first_repeat(edges: np.ndarray, n1: int, n2: int) -> int | None:
     """File index of the first edge equal to an earlier one, or None."""
     key = _row_major_key(edges, n1, n2)
@@ -207,8 +217,9 @@ def read_sbm(path) -> SbmFile:
     """Read a block-model file. Runs of edge lines in the form ``write_sbm``
     writes are parsed in bulk; every other non-empty line is one JSON record.
     Raises ``ValueError`` naming the line for a malformed record, an edge id
-    that is not an integer in range, a repeated edge, or truth labels whose
-    count is not n1 (left) or 0 or n2 (right)."""
+    that is not an integer in range, a repeated edge, a header density
+    ``p`` that is not a number in [0, 1], or truth labels whose count is not
+    n1 (left) or 0 or n2 (right)."""
     header = truth = reduced_meta = None
     n1 = n2 = 0
     chunks = []  # (k, 2) int64 edge arrays in file order
@@ -255,6 +266,9 @@ def read_sbm(path) -> SbmFile:
                     n1, n2 = rec.get("n1"), rec.get("n2")
                     if not all(type(n) is int and n >= 1 for n in (n1, n2)):
                         raise ValueError(f"{where}: n1 and n2 must be positive integers")
+                    p = rec.get("p", 0.0)
+                    if not (type(p) in (int, float) and 0.0 <= p <= 1.0):
+                        raise ValueError(f"{where}: p must be a number in [0, 1], got {json.dumps(p)}")
                     header = rec
                 elif not isinstance(rec, dict):
                     raise ValueError(f"{where}: not a JSON object")

@@ -37,6 +37,13 @@ __all__ = [
 # Domain types
 # ---------------------------------------------------------------------------
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def _all_signs(a: np.ndarray) -> bool:
+    """True iff every entry is +1 or -1."""
+    return bool(((a == 1) | (a == -1)).all())
+
 
 @dataclass(frozen=True)
 class BipartiteGraph:
@@ -74,7 +81,7 @@ class HiddenPartition:
         u = np.asarray(self.u, dtype=np.int64)
         v = np.asarray(self.v, dtype=np.int64)
         for name, vec in (("u", u), ("v", v)):
-            if not np.isin(vec, (-1, 1)).all():
+            if not _all_signs(vec):
                 raise ValueError(f"{name} entries must be +/-1")
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)
@@ -97,6 +104,8 @@ class BlockModelParams:
             raise ValueError("delta*p and (2-delta)*p must be probabilities")
         if self.n1 < 1 or self.n2 < 1:
             raise ValueError("n1 and n2 must be at least 1")
+        if int(self.n1) * int(self.n2) > _INT64_MAX:
+            raise ValueError("n1 * n2 must not exceed the int64 maximum")
         if require_even and (self.n1 % 2 or self.n2 % 2):
             raise ValueError("n1 and n2 must be even to draw a balanced partition")
 
@@ -182,10 +191,10 @@ class GoldreichInstance:
         if tv.ndim != 2:
             raise ValueError("tuple_vars must be an (m, k) array")
         values = np.asarray(self.values, dtype=np.int64)
-        if values.shape != (len(tv),) or not np.isin(values, (-1, 1)).all():
+        if values.shape != (len(tv),) or not _all_signs(values):
             raise ValueError("values must hold one +1 or -1 per tuple")
         table = np.asarray(self.predicate, dtype=np.int64)
-        if table.shape != (2 ** tv.shape[1],) or not np.isin(table, (-1, 1)).all():
+        if table.shape != (2 ** tv.shape[1],) or not _all_signs(table):
             raise ValueError("predicate must be a +/-1 table of length 2^k for k-wide tuples")
         object.__setattr__(self, "tuple_vars", tv)
         object.__setattr__(self, "values", values)
@@ -255,8 +264,16 @@ def _pattern_table(k: int) -> np.ndarray:
 def pattern_index(z: np.ndarray) -> np.ndarray:
     """Table index of each +/-1 row of z (bit i set iff z_i = +1)."""
     z = np.asarray(z)
-    bits = (z > 0).astype(np.int64)
-    return bits @ (1 << np.arange(z.shape[-1], dtype=np.int64))
+    return _bit_index(z.shape[-1], lambda j: z[..., j] > 0, z.shape[:-1])[()]
+
+
+def _bit_index(k: int, bit, shape) -> np.ndarray:
+    """The int64 array sum_j bit(j) << j over j < k, where ``bit(j)`` is a
+    bool array of the given shape; built one column at a time."""
+    idx = np.zeros(shape, dtype=np.int64)
+    for j in range(k):
+        idx |= np.left_shift(bit(j), j, dtype=np.int64)
+    return idx
 
 
 # ---------------------------------------------------------------------------
@@ -278,14 +295,17 @@ def _bernoulli_indices(length: int, prob: float, rng: np.random.Generator) -> np
         n_draw = max(16, int(mean * 1.1 + 6.0 * math.sqrt(mean + 1.0)))
         # numpy saturates a huge gap at the int64 maximum, where the cumsum
         # would wrap; any gap past length lands outside just the same
-        gaps = np.minimum(rng.geometric(prob, size=n_draw), length + 1)
-        hits = pos + np.cumsum(gaps) - 1
-        inside = hits[hits < length]
+        hits = rng.geometric(prob, size=n_draw)
+        np.minimum(hits, length + 1, out=hits)
+        np.cumsum(hits, out=hits)
+        hits += pos - 1
+        # gaps are at least 1, so the hits strictly increase
+        inside = hits[: np.searchsorted(hits, length)]
         chunks.append(inside)
         if len(inside) < len(hits):
             break
         pos = int(hits[-1]) + 1
-    return np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
+    return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
 
 
 def _balanced_signs(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -317,35 +337,32 @@ def sample_bipartite_block(
             raise ValueError("partition lengths must match n1, n2")
 
     # Group rows/columns by label so each of the four probability blocks is a
-    # contiguous grid; sample each block as a flat Bernoulli process.
+    # contiguous grid; sample each block as a flat Bernoulli process and pack
+    # its edges into the row-major keys row * n2 + col (validate keeps
+    # n1 * n2 within int64).
     rng = np.random.default_rng(edge_ss)
+    n2 = params.n2
     left = [np.flatnonzero(partition.u == 1), np.flatnonzero(partition.u == -1)]
     right = [np.flatnonzero(partition.v == 1), np.flatnonzero(partition.v == -1)]
     p_same, p_cross = params.delta * params.p, (2.0 - params.delta) * params.p
-    parts = []
+    keys = []
     for li, rows in enumerate(left):
         for ri, cols in enumerate(right):
             prob = p_same if li == ri else p_cross
             flat = _bernoulli_indices(len(rows) * len(cols), prob, rng)
             r, c = np.divmod(flat, max(len(cols), 1))
-            parts.append(np.column_stack([rows[r], cols[c]]))
-    edges = np.vstack(parts) if parts else np.empty((0, 2), dtype=np.int64)
+            key = rows[r]
+            key *= n2
+            key += cols[c]
+            keys.append(key)
     # Each block is already in row-major order (flatnonzero gives ascending
-    # rows and columns), so a stable sort of the packed key only merges four
-    # sorted runs.
-    order = np.argsort(_row_major_key(edges, params.n1, params.n2), kind="stable")
-    return BipartiteGraph(params.n1, params.n2, edges[order]), partition
-
-
-def _row_major_key(edges: np.ndarray, n1: int, n2: int) -> np.ndarray:
-    """One int64 per (row, col) edge, ordered as the edges are in row-major
-    (lexicographic) order: ``row * n2 + col``. When ``n1 * n2`` would
-    overflow int64, the ids' ranks (below m) are packed instead."""
-    rows, cols = edges[:, 0], edges[:, 1]
-    if n1 * n2 > np.iinfo(np.int64).max:
-        rows, cols = (np.unique(c, return_inverse=True)[1] for c in (rows, cols))
-        n2 = len(edges)
-    return rows * n2 + cols
+    # rows and columns), so a stable sort of the distinct keys only merges
+    # four sorted runs.
+    key = np.concatenate(keys)
+    key.sort(kind="stable")
+    edges = np.empty((len(key), 2), dtype=np.int64)
+    np.divmod(key, n2, out=(edges[:, 0], edges[:, 1]))
+    return BipartiteGraph(params.n1, n2, edges), partition
 
 
 # ---------------------------------------------------------------------------
@@ -364,8 +381,10 @@ def _distinct_tuples(
     """
     if n >= 4 * k * k:
         cand = rng.integers(0, n, size=(batch, k))
-        srt = np.sort(cand, axis=1)
-        valid = (np.diff(srt, axis=1) > 0).all(axis=1)
+        valid = np.ones(batch, dtype=bool)
+        for a in range(k):
+            for b in range(a + 1, k):
+                valid &= cand[:, a] != cand[:, b]
         return cand, valid
     keys = rng.random((batch, n))
     cand = np.argsort(keys, axis=1, kind="stable")[:, :k].astype(np.int64)
@@ -397,15 +416,17 @@ def sample_planted_csp(
     out_vars = np.empty((m, k), dtype=np.int64)
     out_signs = np.empty((m, k), dtype=np.int64)
     got = 0
-    powers = 1 << np.arange(k, dtype=np.int64)
     while got < m:
         need = m - got
         batch = int(need / max(accept_rate, 1e-3) * 1.2) + 16
         row_cost = k if n >= 4 * k * k else n  # see _distinct_tuples
         batch = min(batch, max(4096, 30_000_000 // row_cost))
         cand, valid = _distinct_tuples(n, k, batch, rng)
-        signs = rng.integers(0, 2, size=(batch, k)) * 2 - 1
-        idx = ((sigma[cand] * signs) > 0).astype(np.int64) @ powers
+        signs = rng.integers(0, 2, size=(batch, k))
+        signs *= 2
+        signs -= 1
+        # the literal sigma_v * sign is true iff sigma_v == sign
+        idx = _bit_index(k, lambda j: sigma[cand[:, j]] == signs[:, j], batch)
         accept = valid & (rng.random(batch) * wmax < w[idx])
         rows = np.flatnonzero(accept)[:need]
         out_vars[got : got + len(rows)] = cand[rows]
@@ -424,7 +445,7 @@ def sample_goldreich(
     """
     table = np.asarray(predicate, dtype=np.int64)
     k = int(round(math.log2(len(table))))
-    if len(table) != 2**k or not np.isin(table, (-1, 1)).all():
+    if len(table) != 2**k or not _all_signs(table):
         raise ValueError("predicate must be a +/-1 table of length 2^k")
     if n < k:
         raise ValueError("need n >= k")

@@ -14,6 +14,7 @@ the solver allocates has n2 entries.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import partial
 
@@ -190,11 +191,21 @@ def apply_mt(sub: SubGraph, x: np.ndarray, q: float) -> tuple[SparseRightVec, fl
     return SparseRightVec(sub.support, vals), float(x.sum())
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """a . b summed in an order that does not depend on the BLAS thread
+    count, so a seed gives the same traces under any thread setting."""
+    return float(np.einsum("i,i->", a, b))
+
+
+def _norm(a: np.ndarray) -> float:
+    return math.sqrt(_dot(a, a))
+
+
 def right_norm(yhat: SparseRightVec, L: float, q: float, n2: int) -> float:
     """2-norm of the full vector yhat - q L 1."""
     on = yhat.values - q * L
     off = q * L
-    return math.sqrt(float(on @ on) + (n2 - len(yhat.values)) * off * off)
+    return math.sqrt(_dot(on, on) + (n2 - len(yhat.values)) * off * off)
 
 
 def right_dot(
@@ -204,7 +215,7 @@ def right_dot(
     support-sized slices of ``dense`` are materialized."""
     if dense_sum is None:
         dense_sum = float(dense.sum())
-    return float(yhat.values @ dense[yhat.support].astype(np.float64)) - q * L * dense_sum
+    return _dot(yhat.values, dense[yhat.support].astype(np.float64)) - q * L * dense_sum
 
 
 def _lookup(yhat: SparseRightVec, sub: SubGraph) -> np.ndarray:
@@ -256,6 +267,10 @@ class SolverConfig:
     def __post_init__(self):
         if not (math.isfinite(self.T_factor) and self.T_factor > 0):
             raise ValueError(f"T_factor must be finite and positive, got {self.T_factor}")
+        p = self.p_override
+        # NaN compares false and passes: the solve then reports "degenerate"
+        if p is not None and (isinstance(p, bool) or not isinstance(p, numbers.Real) or p < 0.0 or p > 1.0):
+            raise ValueError(f"p_override must be a number in [0, 1], got {p!r}")
 
     def resolve_T(self, n1: int) -> int:
         T = max(2, math.ceil(self.T_factor * math.log(max(n1, 2))))
@@ -314,7 +329,7 @@ def _power_step(forward, backward, x: np.ndarray, q: float, n2: int):
     if not ny >= NORM_ABORT:  # NaN-safe
         return None
     xu = backward(yhat, L)
-    nx = float(np.linalg.norm(xu))
+    nx = _norm(xu)
     if not nx >= NORM_ABORT * max(ny, 1.0):
         return None
     return xu / nx, yhat, L, ny
@@ -359,7 +374,7 @@ def spi_solve(
         x = (np.random.default_rng(x0_ss).integers(0, 2, size=n1) * 2 - 1) / math.sqrt(n1)
     else:
         x = np.asarray(x0, dtype=np.float64)
-        norm = float(np.linalg.norm(x)) if x.shape == (n1,) else 0.0
+        norm = _norm(x) if x.shape == (n1,) else 0.0
         if not 0.0 < norm < math.inf:  # also false for NaN or inf entries
             raise ValueError(f"x0 must have shape ({n1},) and a finite nonzero norm")
         x = x / norm
@@ -389,7 +404,7 @@ def spi_solve(
         if v is not None:
             v_trace.append(right_dot(yhat, L, q, v, vsum) / ny)
         if u is not None:
-            u_trace.append(float(u @ x))
+            u_trace.append(_dot(u, x))
         zs[i] = _signs_of(x)
 
     window = config.window_slice(n_it)

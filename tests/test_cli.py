@@ -184,6 +184,20 @@ def test_reduce_goldreich_then_solve_matches_in_memory(tmp_path, capsys):
 _SBM_HEAD = '{"type":"sbm","n1":3,"n2":4,"delta":1.8,"p":0.5,"seed":0}'
 
 
+@pytest.mark.parametrize("p", ["-0.5", "5.0", "true", '"0.5"', "null"],
+                         ids=["negative", "above-one", "bool", "string", "null"])
+def test_solve_rejects_header_density_outside_unit_interval(tmp_path, capsys, p):
+    f = tmp_path / "bad.jsonl"
+    f.write_text(_SBM_HEAD.replace('"p":0.5', f'"p":{p}') + '\n{"i":0,"j":1}\n')
+    message = f"line 1: p must be a number in [0, 1], got {p}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        files.read_sbm(f)
+    assert _run("solve", "-i", str(f), "-o", str(tmp_path / "r.json"), "-q") == 1
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not (tmp_path / "r.json").exists()
+
+
 @pytest.mark.parametrize(
     "lines, message",
     [

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+import instances_oracle
 from planted.instances import (
     BipartiteGraph,
     BlockModelParams,
@@ -25,8 +26,8 @@ from planted.instances import (
     sample_planted_csp,
     sat_clause_weights,
     uniform_weights,
-    _row_major_key,
 )
+from planted.files import _row_major_key
 
 
 # ---------------------------------------------------------------------------
@@ -364,6 +365,79 @@ def test_goldreich_instance_normalizes_to_int64():
     for arr in (inst.predicate, inst.sigma, inst.tuple_vars, inst.values):
         assert arr.dtype == np.int64
     assert (inst.m, inst.k) == (1, 3)
+
+
+# ---------------------------------------------------------------------------
+# Against the reference samplers: bit-equal arrays, same dtypes
+# ---------------------------------------------------------------------------
+
+
+def _assert_same(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+_ALTERNATING = HiddenPartition([1, -1, 1, -1, 1], [-1, 1, 1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=block_model_cases())
+@example(case=(BlockModelParams(6, 8, 1.8, 0.0, 1), None))  # p = 0
+@example(case=(BlockModelParams(6, 8, 1.8, 1 / 1.8, 2), None))  # same-side blocks full
+@example(case=(BlockModelParams(6, 8, 0.0, 0.5, 3), None))  # crossing blocks full
+@example(case=(BlockModelParams(5, 3, 1.5, 1 / 1.5, 4), _ALTERNATING))  # odd sizes
+@example(case=(BlockModelParams(1, 7, 1.8, 0.4, 5), HiddenPartition([-1], [1] * 7)))  # n1 = 1
+def test_sbm_matches_reference_sampler(case):
+    (g, part), (g_ref, part_ref) = sample_bipartite_block(*case), instances_oracle.sample_bipartite_block(*case)
+    _assert_same(g.edges, g_ref.edges)
+    _assert_same(part.u, part_ref.u)
+    _assert_same(part.v, part_ref.v)
+
+
+@st.composite
+def csp_cases(draw):
+    """(k, n, m, seed) with n on either side of _distinct_tuples' 4 k^2 cut."""
+    k = draw(st.integers(1, 6))
+    n = draw(st.one_of(st.integers(k, max(k, 4 * k * k - 1)), st.integers(4 * k * k, 4 * k * k + 40)))
+    return k, n, draw(st.integers(0, 40)), draw(st.integers(0, 2**63))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=csp_cases(), law=st.sampled_from(["uniform", "sat", "xor"]), eta=st.floats(-1.0, 1.0))
+def test_csp_matches_reference_sampler(case, law, eta):
+    k, n, m, seed = case
+    q = {"uniform": uniform_weights(k), "sat": sat_clause_weights(k), "xor": noisy_xor_weights(k, eta)}[law]
+    got, want = sample_planted_csp(q, n, m, seed), instances_oracle.sample_planted_csp(q, n, m, seed)
+    for name in ("sigma", "clause_vars", "clause_signs"):
+        _assert_same(getattr(got, name), getattr(want, name))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=csp_cases(), data=st.data())
+def test_goldreich_matches_reference_sampler(case, data):
+    k, n, m, seed = case
+    table = np.array(data.draw(st.lists(st.sampled_from([-1, 1]), min_size=2**k, max_size=2**k)))
+    got, want = sample_goldreich(table, n, m, seed), instances_oracle.sample_goldreich(table, n, m, seed)
+    for name in ("predicate", "sigma", "tuple_vars", "values"):
+        _assert_same(getattr(got, name), getattr(want, name))
+
+
+@settings(max_examples=100, deadline=None)
+@given(shape=st.lists(st.integers(1, 5), min_size=1, max_size=3), seed=st.integers(0, 2**32))
+def test_pattern_index_matches_reference(shape, seed):
+    z = np.random.default_rng(seed).integers(0, 2, size=shape) * 2 - 1
+    got, want = pattern_index(z), instances_oracle.pattern_index(z)
+    assert type(got) is type(want)
+    _assert_same(np.asarray(got), np.asarray(want))
+
+
+def test_block_params_reject_sizes_past_int64():
+    top = np.iinfo(np.int64).max  # 7 divides 2^63 - 1
+    BlockModelParams(7, top // 7, 1.8, 0.0, 0).validate(require_even=False)
+    with pytest.raises(ValueError, match="int64"):
+        BlockModelParams(7, top // 7 + 1, 1.8, 0.0, 0).validate(require_even=False)
+    with pytest.raises(ValueError, match="int64"):
+        sample_bipartite_block(BlockModelParams(2**32, 2**32, 1.8, 0.0, 0))
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from reduction_oracle import build_reduced_oracle, goldreich_to_bipartite_oracle
 from scipy import stats
@@ -21,6 +21,7 @@ from planted.instances import (
     noisy_xor_weights,
     overlap,
     parity_predicate,
+    _pattern_table,
     pattern_index,
     sample_goldreich,
     sample_planted_csp,
@@ -108,6 +109,54 @@ def test_same_side_fraction_even_r():
     frac = _same_side_fraction(inst, report)
     se = math.sqrt(0.75 * 0.25 / inst.m)
     assert abs(frac - report.delta / 2) < 3 * se
+
+
+@st.composite
+def witness_tables(draw):
+    """A k <= 5 weight table with a witness: any table; a flip-symmetric one
+    (w(z) = w(-z)), which has no odd coefficient, so r >= 2; or a noisy
+    parity 1 + eta chi_S, whose witness is S."""
+    k = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(["any", "flip", "parity"]))
+    if kind == "parity":
+        subset = draw(st.lists(st.integers(0, k - 1), min_size=1, unique=True))
+        w = 1.0 + draw(st.floats(-1.0, 1.0)) * _pattern_table(k)[:, subset].prod(axis=1)
+    else:
+        w = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=2**k, max_size=2**k)))
+    if kind == "flip":
+        w = w + w[::-1]  # index 2^k - 1 - i is the pattern -z
+    assume(w.sum() > 0)
+    q = PlantingDistribution(k, w)
+    report = distribution_complexity(q)
+    assume(report.identifiable)
+    return q, report
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=witness_tables(), seed=st.integers(0, 2**32))
+@example(case=(noisy_xor_weights(3, 0.5), distribution_complexity(noisy_xor_weights(3, 0.5))), seed=0)
+@example(case=(sat_clause_weights(4), distribution_complexity(sat_clause_weights(4))), seed=1)
+def test_same_side_law_is_exact(case, seed):
+    """delta / 2 is exactly the weight of the patterns whose product over the
+    witness is +1, and a reduced clause lands on a same-side edge iff its
+    literal values have that product."""
+    q, report = case
+    z = _pattern_table(q.k)
+    chi = z[:, list(report.subset)].prod(axis=1)
+    assert abs(q.normalized()[chi == 1].sum() - report.delta / 2) < 1e-12
+    if report.r < 2:
+        return  # witness size 1 goes to the majority vote, not the reduction
+    inst = sample_planted_csp(q, 3 * q.k, 60, seed)
+    red = csp_to_bipartite(inst, report)
+    positions = sorted(report.subset)
+    codes = literal_codes(inst.clause_vars[:, positions], inst.clause_signs[:, positions])
+    tuple_id = {tuple(row): i for i, row in enumerate(red.indexer.materialized().tolist())}
+    edges = [(left, tuple_id[tuple(sorted(tail))]) for left, *tail in codes.tolist()]
+    assert set(edges) == set(map(tuple, red.graph.edges.tolist()))
+    prod = (inst.sigma[inst.clause_vars] * inst.clause_signs)[:, positions].prod(axis=1)
+    u, v = red.truth.u, red.truth.v
+    for (left, right), chi_c in zip(edges, prod):
+        assert (u[left] == v[right]) == (chi_c == 1)
 
 
 def test_projections_below_witness_are_uniform():

@@ -1,7 +1,12 @@
 """Solver tests: splitting, implicit products vs dense oracle, recovery,
 determinism, and the baselines."""
+import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -342,6 +347,38 @@ def test_spi_nan_iterate_is_degenerate():
     g, _ = sample_bipartite_block(BlockModelParams(40, 40, 1.8, 0.3, 0))
     res = spi_solve(g, SolverConfig(seed=0, p_override=math.nan))
     assert res.status == "degenerate" and res.signs is None
+
+
+@pytest.mark.parametrize("p", [-0.5, 5.0, math.inf, -math.inf, True, "0.5"])
+def test_solver_config_rejects_density_outside_unit_interval(p):
+    with pytest.raises(ValueError, match="p_override must be a number in"):
+        SolverConfig(p_override=p)
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+_THREADED_SOLVE = """
+import json, math
+from planted.instances import BlockModelParams, sample_bipartite_block
+from planted.solver import SolverConfig, spi_solve
+n1, n2 = 100, 100_000
+g, truth = sample_bipartite_block(BlockModelParams(n1, n2, 1.8, 25 * math.log(n1) / (0.64 * math.sqrt(n1 * n2)), 4))
+print(json.dumps(spi_solve(g, SolverConfig(seed=4), truth=truth).to_dict()))
+"""
+
+
+def test_traces_do_not_depend_on_blas_threads():
+    # ~12k support vertices per sub-graph: enough for OpenBLAS to split a dot
+    # product over two threads, whose partial sums then add in another order
+    out = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-c", _THREADED_SOLVE], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        out.append(json.loads(proc.stdout))
+    assert out[0]["status"] == "ok" and len(out[0]["V_trace"]) == out[0]["iterations"]
+    assert out[0] == out[1]
 
 
 def test_dense_reference_matches_implicit():
