@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import json
 import math
-import re
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -49,22 +48,27 @@ def _write_lines(path, records):
             fh.write("\n")
 
 
+def _loads(line: str, where: str) -> dict:
+    """The JSON object on a line. Raises ``ValueError`` naming the line for
+    one that is not a JSON object."""
+    try:
+        rec = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{where}: {exc.msg}") from None
+    if not isinstance(rec, dict):
+        raise ValueError(f"{where}: not a JSON object")
+    return rec
+
+
 def _records(path):
     """(position, record) for each non-empty line. Raises ``ValueError``
     naming the line for one that is not a JSON object."""
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
-            if not line:
-                continue
-            where = f"{path}, line {lineno}"
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{where}: {exc.msg}") from None
-            if not isinstance(rec, dict):
-                raise ValueError(f"{where}: not a JSON object")
-            yield where, rec
+            if line:
+                where = f"{path}, line {lineno}"
+                yield where, _loads(line, where)
 
 
 def read_header(path) -> dict:
@@ -107,15 +111,18 @@ class GoldreichFile:
 # ---------------------------------------------------------------------------
 
 
-# Edges formatted per string by write_sbm (about 1 MB of text).
+# Edges formatted per byte buffer by write_sbm (about 1 MB of text).
 _WRITE_CHUNK = 1 << 16
 # Size hint, in characters, of the whole-line blocks read_sbm parses.
 _READ_BLOCK = 1 << 20
 
-# A run of edge lines exactly as write_sbm writes them. Ids of at most 18
-# digits fit int64; longer ones and every other line go through json.
-_EDGE_RUN = re.compile(r'(?:\{"i":(?:0|[1-9][0-9]{0,17}),"j":(?:0|[1-9][0-9]{0,17})\}\n)*')
-_EDGE_PUNCT = str.maketrans('{}":ij,', " " * 7)
+# The non-digit bytes of an edge line exactly as write_sbm writes it,
+# {"i":<i>,"j":<j>}\n. Ids of at most 18 digits fit int64; read_sbm parses
+# such lines in bulk and sends longer ids and every other line through json.
+_EDGE_LINE = np.frombuffer(b'{"i":,"j":}\n', dtype=np.uint8)
+_MAX_BULK_DIGITS = 18
+# 10, 100, ..., 10^18: an id v >= 0 has 1 + (number of these <= v) digits.
+_POW10 = 10 ** np.arange(1, 19, dtype=np.int64)
 
 
 def _sbm_head(header, truth_u=None, truth_v=None, reduced_meta=None):
@@ -149,13 +156,35 @@ def write_sbm(
     }
     tu = truth.u if truth is not None else None
     tv = truth.v if truth is not None and include_truth_v else None
-    with open(path, "w") as fh:
+    with open(path, "wb") as fh:
         for rec in _sbm_head(header, tu, tv, reduced_meta):
-            fh.write(_dumps(rec))
-            fh.write("\n")
+            fh.write(_dumps(rec).encode() + b"\n")
         edges = graph.edges
         for s in range(0, len(edges), _WRITE_CHUNK):
-            fh.write("".join([f'{{"i":{i},"j":{j}}}\n' for i, j in edges[s : s + _WRITE_CHUNK].tolist()]))
+            fh.write(_edge_lines(edges[s : s + _WRITE_CHUNK]))
+
+
+def _edge_lines(edges: np.ndarray) -> np.ndarray:
+    """The canonical lines of a nonempty (k, 2) array of nonnegative ids, as
+    one uint8 buffer."""
+    digits = np.searchsorted(_POW10, edges, side="right") + 1
+    width = int(digits.max())
+    # row c holds byte c of every line, each line padded to the widest id as
+    # {"i":<width>,"j":<width>}\n with both ids right-aligned; the rows are
+    # transposed back into lines, without the padding, at the end
+    text = np.empty((2 * width + 12, len(edges)), dtype=np.uint8)
+    keep = np.ones(text.shape, dtype=bool)
+    for side in range(2):
+        at = side * (width + 5)
+        text[at : at + 5] = _EDGE_LINE[5 * side : 5 * side + 5, None]
+        values = edges[:, side]
+        for k in range(width):  # from the last digit backwards
+            quot = values // 10
+            text[at + 4 + width - k] = values - quot * 10 + 48
+            keep[at + 4 + width - k] = digits[:, side] > k
+            values = quot
+    text[-2:] = _EDGE_LINE[10:, None]
+    return text.T[keep.T]
 
 
 def write_reduced(path, reduced: ReducedInstance, seed: int):
@@ -213,19 +242,74 @@ def _first_repeat(edges: np.ndarray, n1: int, n2: int) -> int | None:
     return int(order[1:][key[order[1:]] == key[order[:-1]]].min())
 
 
+def _canonical_edges(buf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The canonical edge lines of ``buf``, uint8 bytes of whole lines that
+    end in a line break: their indices among its lines, in order, and their
+    (k, 2) int64 ids. A line is canonical when its non-digit bytes are
+    exactly those of ``_EDGE_LINE``, it starts at its '{', and both ids have
+    1 to 18 digits with no leading zero."""
+    width = len(_EDGE_LINE)
+    at = np.flatnonzero(buf - 48 > 9)  # non-digit bytes; uint8 wraps below '0'
+    punct = buf[at]
+    if len(punct) % width == 0 and (punct.reshape(-1, width) == _EDGE_LINE).all():
+        at = at.reshape(-1, width)
+        lines = np.arange(len(at))
+        starts = np.concatenate(([0], at[:-1, -1] + 1))
+    else:
+        breaks = np.flatnonzero(punct == 10)  # index into `at` of each line break
+        lines = np.flatnonzero(np.diff(breaks, prepend=-1) == width)
+        idx = breaks[lines, None] + np.arange(1 - width, 1)
+        keep = (punct[idx] == _EDGE_LINE).all(axis=1)
+        lines, idx = lines[keep], idx[keep]
+        starts = np.where(lines > 0, at[breaks[lines - 1]] + 1, 0)
+        at = at[idx]
+    first = at[:, 4:10:5] + 1  # first digit of i and of j
+    last = at[:, 5:11:5] - 1
+    digits = last - first + 1
+    # the line is as long as its template and digit runs: no byte before '{'
+    # and no digit between other template bytes
+    ok = at[:, -1] - starts == width - 1 + digits.sum(axis=1)
+    ok &= ((digits >= 1) & (digits <= _MAX_BULK_DIGITS) & ((digits == 1) | (buf[first] != 48))).all(axis=1)
+    if not ok.all():
+        lines, first, last, digits = lines[ok], first[ok], last[ok], digits[ok]
+    ids = np.zeros(first.shape, dtype=np.int64)
+    for k in range(digits.max(initial=0)):  # Horner's rule, one digit column at a time
+        ids = np.where(k < digits, ids * 10 + (buf[np.minimum(first + k, last)] - 48), ids)
+    return lines, ids
+
+
+def _sbm_header(line: str, where: str, path) -> dict:
+    try:
+        rec = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{where}: {exc.msg}") from None
+    if not isinstance(rec, dict) or rec.get("type") != "sbm":
+        raise ValueError(f"{path}: not an SBM instance file")
+    if not all(type(rec.get(n)) is int and rec[n] >= 1 for n in ("n1", "n2")):
+        raise ValueError(f"{where}: n1 and n2 must be positive integers")
+    # n2 may pass int64: a reduced file's n2 = comb(2n, r-1) does at witness size 8
+    if rec["n1"] > np.iinfo(np.int64).max:
+        raise ValueError(f"{where}: n1 must be below 2^63, got {rec['n1']}")
+    p = rec.get("p", 0.0)
+    if not (type(p) in (int, float) and 0.0 <= p <= 1.0):
+        raise ValueError(f"{where}: p must be a number in [0, 1], got {json.dumps(p)}")
+    return rec
+
+
 def read_sbm(path) -> SbmFile:
-    """Read a block-model file. Runs of edge lines in the form ``write_sbm``
-    writes are parsed in bulk; every other non-empty line is one JSON record.
-    Raises ``ValueError`` naming the line for a malformed record, an edge id
-    that is not an integer in range, a repeated edge, a header density
-    ``p`` that is not a number in [0, 1], or truth labels whose count is not
-    n1 (left) or 0 or n2 (right)."""
+    """Read a block-model file. Canonical edge lines, in the form
+    ``write_sbm`` writes, are parsed in bulk; every other non-empty line is
+    one JSON record. Raises ``ValueError`` naming the line for a malformed
+    record, an edge record without both ids or with an id that is not an
+    integer in range, a repeated edge, a second ``truth_u`` record, a header
+    ``n1`` or ``n2`` that is not a positive integer, an ``n1`` past int64, a
+    header density ``p`` that is not a number in [0, 1], or truth labels
+    whose count is not n1 (left) or 0 or n2 (right)."""
     header = truth = reduced_meta = None
-    n1 = n2 = 0
     chunks = []  # (k, 2) int64 edge arrays in file order
     pending = []  # edges from single records, not yet in chunks
     starts = []  # (index of an edge, its line): one per run or single record
-    n_edges, lineno = 0, 1
+    n_edges = lineno = 0
 
     def flush():
         if pending:
@@ -233,53 +317,53 @@ def read_sbm(path) -> SbmFile:
             pending.clear()
 
     with open(path) as fh:
+        for line in fh:
+            lineno += 1
+            if line.strip():
+                header = _sbm_header(line, f"{path}, line {lineno}", path)
+                break
+        if header is None:
+            raise ValueError(f"{path}: not an SBM instance file")
+        n1, n2 = header["n1"], header["n2"]
+        # text-mode blocks: universal newlines turn \r\n and a lone \r into
+        # the \n that separates lines in the encoded bytes
         for lines in iter(lambda: fh.readlines(_READ_BLOCK), []):
-            text, pos = "".join(lines), 0
-            while pos < len(text):
-                end = pos if header is None else _EDGE_RUN.match(text, pos).end()
-                if end > pos:
-                    ids = text[pos:end].translate(_EDGE_PUNCT).split()
-                    run = np.array(ids, dtype=np.int64).reshape(-1, 2)
-                    bad = np.flatnonzero((run[:, 0] >= n1) | (run[:, 1] >= n2))
-                    if len(bad):
-                        raise ValueError(f"{path}, line {lineno + bad[0]}: edge id out of range")
+            text = "".join(lines)
+            if not text.endswith("\n"):  # the last line of a file without a final break
+                text += "\n"
+            canon, ids = _canonical_edges(np.frombuffer(text.encode(), dtype=np.uint8))
+            bad = np.flatnonzero((ids[:, 0] >= n1) | (ids[:, 1] >= n2))
+            bad = bad[0] if len(bad) else len(ids)
+            others = np.ones(len(lines), dtype=bool)
+            others[canon] = False
+            others = np.flatnonzero(others)
+            run_ends = np.searchsorted(canon, others)
+            # each other line, after the run of canonical lines before it
+            done = 0
+            for k, end in zip([*others.tolist(), len(lines)], [*run_ends.tolist(), len(canon)]):
+                if end > done:
+                    if bad < end:
+                        raise ValueError(f"{path}, line {lineno + 1 + int(canon[bad])}: edge id out of range")
                     flush()
-                    chunks.append(run)
-                    starts.append((n_edges, lineno))
-                    n_edges += len(run)
-                    lineno += len(run)
-                    if end == len(text):
-                        break
-                nl = text.find("\n", end) + 1 or len(text)
-                line, pos = text[end:nl].strip(), nl
+                    chunks.append(ids[done:end])
+                    starts.append((n_edges, lineno + 1 + int(canon[done])))
+                    n_edges += end - done
+                    done = end
+                line = lines[k].strip() if k < len(lines) else ""
                 if not line:
-                    lineno += 1
                     continue
-                where = f"{path}, line {lineno}"
-                try:
-                    rec = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise ValueError(f"{where}: {exc.msg}") from None
-                if header is None:
-                    if not isinstance(rec, dict) or rec.get("type") != "sbm":
-                        raise ValueError(f"{path}: not an SBM instance file")
-                    n1, n2 = rec.get("n1"), rec.get("n2")
-                    if not all(type(n) is int and n >= 1 for n in (n1, n2)):
-                        raise ValueError(f"{where}: n1 and n2 must be positive integers")
-                    p = rec.get("p", 0.0)
-                    if not (type(p) in (int, float) and 0.0 <= p <= 1.0):
-                        raise ValueError(f"{where}: p must be a number in [0, 1], got {json.dumps(p)}")
-                    header = rec
-                elif not isinstance(rec, dict):
-                    raise ValueError(f"{where}: not a JSON object")
-                elif "i" in rec:
-                    i, j = rec["i"], rec.get("j")
+                where = f"{path}, line {lineno + 1 + k}"
+                rec = _loads(line, where)
+                if "i" in rec or "j" in rec:
+                    i, j = rec.get("i"), rec.get("j")
                     if not (type(i) is int and 0 <= i < n1 and type(j) is int and 0 <= j < n2):
                         raise ValueError(f"{where}: edge ids must be integers in range, got {line}")
-                    starts.append((n_edges, lineno))
+                    starts.append((n_edges, lineno + 1 + k))
                     pending.append((i, j))
                     n_edges += 1
                 elif "truth_u" in rec:
+                    if truth is not None:
+                        raise ValueError(f"{where}: a second truth_u record")
                     # empty v marks "left labels only" (reduced files); the
                     # solver skips the right-side trace whenever len(v) != n2
                     tu = _labels(rec["truth_u"], (n1,), "truth_u", where)
@@ -288,9 +372,7 @@ def read_sbm(path) -> SbmFile:
                     truth = HiddenPartition(np.array(tu, dtype=np.int64), np.array(tv, dtype=np.int64))
                 elif rec.get("meta") == "reduced":
                     reduced_meta = {k: v for k, v in rec.items() if k != "meta"}
-                lineno += 1
-    if header is None:
-        raise ValueError(f"{path}: not an SBM instance file")
+            lineno += len(lines)
     flush()
     edges = np.concatenate(chunks) if chunks else np.empty((0, 2), dtype=np.int64)
     k = _first_repeat(edges, n1, n2)

@@ -1,8 +1,8 @@
 """Reference block-model file I/O: the one-``json.dumps``/``json.loads``-per-
-record ``write_sbm`` and ``read_sbm`` that ``planted.files`` used before its
-chunked edge writer and regex edge reader. Tests compare the production I/O
-against them; they have the signatures of ``planted.files.write_sbm`` and
-``planted.files.read_sbm``."""
+record ``write_sbm`` and ``read_sbm`` that ``planted.files`` used before it
+formatted and parsed canonical edge lines in bulk, as numpy byte buffers.
+Tests compare the production I/O against them; they have the signatures of
+``planted.files.write_sbm`` and ``planted.files.read_sbm``."""
 from __future__ import annotations
 
 import json

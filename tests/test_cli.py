@@ -198,23 +198,40 @@ def test_solve_rejects_header_density_outside_unit_interval(tmp_path, capsys, p)
     assert not (tmp_path / "r.json").exists()
 
 
+_INT64_PAST = 2**63  # one past the int64 maximum
+_BIG_HEAD = _SBM_HEAD.replace('"n2":4', f'"n2":{2**62}')
+
+
 @pytest.mark.parametrize(
-    "lines, message",
+    "head, lines, message",
     [
-        (['{"i":0.5,"j":1}'], "line 2: edge ids must be integers"),
-        (['{"i":0,"j":1}', '{"i":true,"j":1}'], "line 3: edge ids must be integers"),
-        (['{"i":"1","j":1}'], "line 2: edge ids must be integers"),
-        (['{"i":0,"j":1}', '{"i":2,"j":3}', "", '{"j":1,"i":0}'], "line 5: duplicate edge (0, 1)"),
-        (['{"i":0,"j":1}', '{"i":2,"j":3}', '{"i":0,"j":1}'], "line 4: duplicate edge (0, 1)"),
-        (['{"truth_u":[1,-1]}', '{"i":0,"j":1}'], "line 2: truth_u has 2 labels, expected 3"),
-        (['{"truth_u":[1,-1,1],"truth_v":[1,1]}'], "line 2: truth_v has 2 labels, expected 0 or 4"),
+        (_SBM_HEAD, ['{"i":0.5,"j":1}'], "line 2: edge ids must be integers"),
+        (_SBM_HEAD, ['{"i":0,"j":1}', '{"i":true,"j":1}'], "line 3: edge ids must be integers"),
+        (_SBM_HEAD, ['{"i":"1","j":1}'], "line 2: edge ids must be integers"),
+        (_SBM_HEAD, ['{"i":0,"j":1}', '{"i":2,"j":3}', "", '{"j":1,"i":0}'], "line 5: duplicate edge (0, 1)"),
+        (_SBM_HEAD, ['{"i":0,"j":1}', '{"i":2,"j":3}', '{"i":0,"j":1}'], "line 4: duplicate edge (0, 1)"),
+        (_SBM_HEAD, ['{"truth_u":[1,-1]}', '{"i":0,"j":1}'], "line 2: truth_u has 2 labels, expected 3"),
+        (_SBM_HEAD, ['{"truth_u":[1,-1,1],"truth_v":[1,1]}'], "line 2: truth_v has 2 labels, expected 0 or 4"),
+        (_SBM_HEAD, ['{"i":0,"j":0}', '{"j":1}'], 'line 3: edge ids must be integers in range, got {"j":1}'),
+        (_SBM_HEAD, ['{"truth_u":[1,-1,1]}', '{"i":0,"j":1}', '{"truth_u":[1,1,1]}'],
+         "line 4: a second truth_u record"),
+        (_SBM_HEAD.replace('"n1":3', f'"n1":{_INT64_PAST}'), ['{"i":0,"j":1}'],
+         f"line 1: n1 must be below 2^63, got {_INT64_PAST}"),
+        (_BIG_HEAD, ['{"i":0,"j":1}', f'{{"i":0,"j":{_INT64_PAST}}}'],
+         "line 3: edge ids must be integers in range"),
+        (_SBM_HEAD, ['{"i":0,"j":1}', '{"i":01,"j":1}'], "line 3: Expecting ',' delimiter"),
+        (_SBM_HEAD, ['{"i":0,"j":1}', '{"i":,"j":1}'], "line 3: Expecting value"),
+        (_SBM_HEAD, ['{"i":0,"j":1}', '{"i":1,"j2":2}'], "line 3: edge ids must be integers in range"),
+        (_SBM_HEAD, ['{"i":0,"j":1}', '7{"i":1,"j":2}'], "line 3: Extra data"),
+        (_SBM_HEAD, ['{"i":0,"j":1}', '{"i":2,"j":3}', '{"i":1,"j":4}'], "line 4: edge id out of range"),
     ],
     ids=["float-id", "bool-id", "string-id", "duplicate-mixed", "duplicate-canonical",
-         "short-truth-u", "short-truth-v"],
+         "short-truth-u", "short-truth-v", "edge-without-i", "second-truth-u", "n1-past-int64",
+         "id-past-int64", "leading-zero-id", "empty-id", "digit-in-key", "digit-before-brace", "canonical-out-of-range"],
 )
-def test_solve_rejects_malformed_sbm_file(tmp_path, capsys, lines, message):
+def test_solve_rejects_malformed_sbm_file(tmp_path, capsys, head, lines, message):
     f = tmp_path / "bad.jsonl"
-    f.write_text("\n".join([_SBM_HEAD, *lines]) + "\n")
+    f.write_text("\n".join([head, *lines]) + "\n")
     with pytest.raises(ValueError, match=re.escape(message)):
         files.read_sbm(f)
     assert _run("solve", "-i", str(f), "-o", str(tmp_path / "r.json"), "-q") == 1

@@ -71,12 +71,20 @@ def _assert_same_file(got, want):
 _EMPTY = (BipartiteGraph(3, 5, np.empty((0, 2), dtype=np.int64)), None, True, None, 7, 50)
 _ONE_PAST_CHUNK = (BipartiteGraph(4, 4, np.array([(i, j) for i in range(4) for j in range(4)][:15])),
                    HiddenPartition([1, -1, 1, -1], [1, 1, -1, -1]), True, _META, 7, 50)
+# ids of 18 digits, the widest the bulk reader parses, and of 19, the first it
+# leaves to json
+_WIDEST_BULK = (BipartiteGraph(10**18, 10**18, np.array([(10**18 - 1, 0), (7, 10**18 - 1)])),
+                None, True, None, 7, 50)
+_FIRST_JSON = (BipartiteGraph(10**18 + 1, 10**18 + 1, np.array([(10**18, 10**18 - 1), (5, 10**18)])),
+               None, True, None, 7, 50)
 
 
 @settings(max_examples=150, deadline=None)
 @given(case=sbm_cases(), data=st.data())
 @example(case=_EMPTY, data=None)
 @example(case=_ONE_PAST_CHUNK, data=None)
+@example(case=_WIDEST_BULK, data=None)
+@example(case=_FIRST_JSON, data=None)
 def test_sbm_io_matches_per_record_oracle(tmp_path_factory, case, data):
     graph, truth, include_truth_v, meta, chunk, block = case
     tmp = tmp_path_factory.mktemp("sbm")
