@@ -272,7 +272,10 @@ def _cmd_solve(args) -> int:
     p = data.header.get("p")
     if p is not None:
         config = SolverConfig(**{**asdict(config), "p_override": float(p)})
-    res = spi_solve(data.graph, config, truth=data.truth)
+    try:
+        res = spi_solve(data.graph, config, truth=data.truth)
+    except (ValueError, MemoryError) as exc:  # e.g. numpy refusing vectors of n1 entries
+        raise ValueError(f"{args.input}: cannot solve with n1 = {data.graph.n1}: {exc}") from None
     _emit(args, json.dumps(res.to_dict()))
     return 0 if res.ok else 2
 

@@ -7,8 +7,6 @@ fixed so identical inputs serialize byte-identically.
 from __future__ import annotations
 
 import json
-import math
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,6 +83,13 @@ def _int_row(value, k: int, name: str, where: str) -> list:
     return value
 
 
+def _check_sizes(header: dict, names: tuple, where: str):
+    """Raises ``ValueError`` naming the header's line unless each of its
+    ``names`` is a positive integer."""
+    if not all(type(header.get(n)) is int and header[n] >= 1 for n in names):
+        raise ValueError(f"{where}: {' and '.join(names)} must be positive integers")
+
+
 @dataclass
 class SbmFile:
     graph: BipartiteGraph
@@ -113,7 +118,7 @@ class GoldreichFile:
 
 # Edges formatted per byte buffer by write_sbm (about 1 MB of text).
 _WRITE_CHUNK = 1 << 16
-# Size hint, in characters, of the whole-line blocks read_sbm parses.
+# Characters read_sbm reads per block, before it completes the block's last line.
 _READ_BLOCK = 1 << 20
 
 # The non-digit bytes of an edge line exactly as write_sbm writes it,
@@ -285,8 +290,7 @@ def _sbm_header(line: str, where: str, path) -> dict:
         raise ValueError(f"{where}: {exc.msg}") from None
     if not isinstance(rec, dict) or rec.get("type") != "sbm":
         raise ValueError(f"{path}: not an SBM instance file")
-    if not all(type(rec.get(n)) is int and rec[n] >= 1 for n in ("n1", "n2")):
-        raise ValueError(f"{where}: n1 and n2 must be positive integers")
+    _check_sizes(rec, ("n1", "n2"), where)
     # n2 may pass int64: a reduced file's n2 = comb(2n, r-1) does at witness size 8
     if rec["n1"] > np.iinfo(np.int64).max:
         raise ValueError(f"{where}: n1 must be below 2^63, got {rec['n1']}")
@@ -301,21 +305,14 @@ def read_sbm(path) -> SbmFile:
     ``write_sbm`` writes, are parsed in bulk; every other non-empty line is
     one JSON record. Raises ``ValueError`` naming the line for a malformed
     record, an edge record without both ids or with an id that is not an
-    integer in range, a repeated edge, a second ``truth_u`` record, a header
-    ``n1`` or ``n2`` that is not a positive integer, an ``n1`` past int64, a
-    header density ``p`` that is not a number in [0, 1], or truth labels
-    whose count is not n1 (left) or 0 or n2 (right)."""
+    integer in range (or past int64), a repeated edge, a second ``truth_u``
+    record, a header ``n1`` or ``n2`` that is not a positive integer, an
+    ``n1`` past int64, a header density ``p`` that is not a number in
+    [0, 1], or truth labels whose count is not n1 (left) or 0 or n2
+    (right)."""
     header = truth = reduced_meta = None
-    chunks = []  # (k, 2) int64 edge arrays in file order
-    pending = []  # edges from single records, not yet in chunks
-    starts = []  # (index of an edge, its line): one per run or single record
-    n_edges = lineno = 0
-
-    def flush():
-        if pending:
-            chunks.append(np.array(pending, dtype=np.int64))
-            pending.clear()
-
+    chunks, chunk_lines = [], []  # (k, 2) int64 edges in file order, and the line of each
+    lineno = 0
     with open(path) as fh:
         for line in fh:
             lineno += 1
@@ -325,42 +322,33 @@ def read_sbm(path) -> SbmFile:
         if header is None:
             raise ValueError(f"{path}: not an SBM instance file")
         n1, n2 = header["n1"], header["n2"]
-        # text-mode blocks: universal newlines turn \r\n and a lone \r into
-        # the \n that separates lines in the encoded bytes
-        for lines in iter(lambda: fh.readlines(_READ_BLOCK), []):
-            text = "".join(lines)
-            if not text.endswith("\n"):  # the last line of a file without a final break
-                text += "\n"
-            canon, ids = _canonical_edges(np.frombuffer(text.encode(), dtype=np.uint8))
+        j_end = min(n2, 2**63)  # an edge array holds no id past int64, whatever n2 allows
+        # blocks of whole lines in text mode: universal newlines turn \r\n and
+        # a lone \r into the \n that ends each line of the encoded bytes
+        for text in iter(lambda: fh.read(_READ_BLOCK) + fh.readline(), ""):
+            raw = (text if text.endswith("\n") else text + "\n").encode()
+            buf = np.frombuffer(raw, dtype=np.uint8)
+            breaks = np.concatenate(([-1], np.flatnonzero(buf == 10)))  # line k ends at breaks[k + 1]
+            canon, ids = _canonical_edges(buf)
+            other = np.ones(len(breaks) - 1, dtype=bool)
+            other[canon] = False
             bad = np.flatnonzero((ids[:, 0] >= n1) | (ids[:, 1] >= n2))
-            bad = bad[0] if len(bad) else len(ids)
-            others = np.ones(len(lines), dtype=bool)
-            others[canon] = False
-            others = np.flatnonzero(others)
-            run_ends = np.searchsorted(canon, others)
-            # each other line, after the run of canonical lines before it
-            done = 0
-            for k, end in zip([*others.tolist(), len(lines)], [*run_ends.tolist(), len(canon)]):
-                if end > done:
-                    if bad < end:
-                        raise ValueError(f"{path}, line {lineno + 1 + int(canon[bad])}: edge id out of range")
-                    flush()
-                    chunks.append(ids[done:end])
-                    starts.append((n_edges, lineno + 1 + int(canon[done])))
-                    n_edges += end - done
-                    done = end
-                line = lines[k].strip() if k < len(lines) else ""
+            # the other lines are decoded in file order up to the first
+            # out-of-range canonical line, so the first error is the one raised
+            stop = int(canon[bad[0]]) if len(bad) else len(other)
+            rec_lines, rec_edges = [], []
+            for k in np.flatnonzero(other[:stop]).tolist():
+                line = raw[breaks[k] + 1 : breaks[k + 1]].decode().strip()
                 if not line:
                     continue
                 where = f"{path}, line {lineno + 1 + k}"
                 rec = _loads(line, where)
                 if "i" in rec or "j" in rec:
                     i, j = rec.get("i"), rec.get("j")
-                    if not (type(i) is int and 0 <= i < n1 and type(j) is int and 0 <= j < n2):
+                    if not (type(i) is int and 0 <= i < n1 and type(j) is int and 0 <= j < j_end):
                         raise ValueError(f"{where}: edge ids must be integers in range, got {line}")
-                    starts.append((n_edges, lineno + 1 + k))
-                    pending.append((i, j))
-                    n_edges += 1
+                    rec_lines.append(k)
+                    rec_edges.append((i, j))
                 elif "truth_u" in rec:
                     if truth is not None:
                         raise ValueError(f"{where}: a second truth_u record")
@@ -372,14 +360,21 @@ def read_sbm(path) -> SbmFile:
                     truth = HiddenPartition(np.array(tu, dtype=np.int64), np.array(tv, dtype=np.int64))
                 elif rec.get("meta") == "reduced":
                     reduced_meta = {k: v for k, v in rec.items() if k != "meta"}
-            lineno += len(lines)
-    flush()
+            if len(bad):
+                raise ValueError(f"{path}, line {lineno + 1 + stop}: edge id out of range")
+            if rec_edges:  # merge the records' edges into file order
+                canon = np.concatenate((canon, rec_lines))
+                order = np.argsort(canon, kind="stable")
+                canon = canon[order]
+                ids = np.concatenate((ids, np.array(rec_edges, dtype=np.int64)))[order]
+            chunks.append(ids)
+            chunk_lines.append(canon + (lineno + 1))
+            lineno += len(other)
     edges = np.concatenate(chunks) if chunks else np.empty((0, 2), dtype=np.int64)
     k = _first_repeat(edges, n1, n2)
     if k is not None:
-        edge_at, line_at = starts[bisect_right(starts, (k, math.inf)) - 1]
         i, j = edges[k]
-        raise ValueError(f"{path}, line {line_at + k - edge_at}: duplicate edge ({i}, {j})")
+        raise ValueError(f"{path}, line {np.concatenate(chunk_lines)[k]}: duplicate edge ({i}, {j})")
     return SbmFile(BipartiteGraph(n1, n2, edges), header, truth, reduced_meta)
 
 
@@ -410,12 +405,14 @@ def write_csp(path, instance: PlantedCspInstance, weights: PlantingDistribution,
 
 def read_csp(path) -> CspFile:
     """Read a planted-CSP file. Raises ``ValueError`` naming the line for a
-    record that is not a JSON object or a clause whose variable ids or signs
-    are not k integers; range checks are left to the reduction."""
+    header ``n`` or ``k`` that is not a positive integer, a record that is
+    not a JSON object or a clause whose variable ids or signs are not k
+    integers; range checks are left to the reduction."""
     records = _records(path)
-    _, header = next(records, (None, {}))
+    where, header = next(records, (None, {}))
     if header.get("type") != "csp":
         raise ValueError(f"{path}: not a CSP instance file")
+    _check_sizes(header, ("n", "k"), where)
     sigma = None
     cvars, csigns = [], []
     k = header["k"]
@@ -464,9 +461,10 @@ def read_goldreich(path) -> GoldreichFile:
     """Read a predicate-constraint file, with the checks of ``read_csp``; a
     constraint's value must be one integer."""
     records = _records(path)
-    _, header = next(records, (None, {}))
+    where, header = next(records, (None, {}))
     if header.get("type") != "goldreich":
         raise ValueError(f"{path}: not a predicate-constraint instance file")
+    _check_sizes(header, ("n", "k"), where)
     sigma = None
     tvars, values = [], []
     k = header["k"]

@@ -224,10 +224,13 @@ _BIG_HEAD = _SBM_HEAD.replace('"n2":4', f'"n2":{2**62}')
         (_SBM_HEAD, ['{"i":0,"j":1}', '{"i":1,"j2":2}'], "line 3: edge ids must be integers in range"),
         (_SBM_HEAD, ['{"i":0,"j":1}', '7{"i":1,"j":2}'], "line 3: Extra data"),
         (_SBM_HEAD, ['{"i":0,"j":1}', '{"i":2,"j":3}', '{"i":1,"j":4}'], "line 4: edge id out of range"),
+        (_SBM_HEAD.replace('"n2":4', f'"n2":{2**64}'), [f'{{"i":1,"j":{_INT64_PAST + 5}}}'],
+         "line 2: edge ids must be integers in range"),
     ],
     ids=["float-id", "bool-id", "string-id", "duplicate-mixed", "duplicate-canonical",
          "short-truth-u", "short-truth-v", "edge-without-i", "second-truth-u", "n1-past-int64",
-         "id-past-int64", "leading-zero-id", "empty-id", "digit-in-key", "digit-before-brace", "canonical-out-of-range"],
+         "id-past-int64", "leading-zero-id", "empty-id", "digit-in-key", "digit-before-brace", "canonical-out-of-range",
+         "id-past-int64-below-n2"],
 )
 def test_solve_rejects_malformed_sbm_file(tmp_path, capsys, head, lines, message):
     f = tmp_path / "bad.jsonl"
@@ -237,6 +240,17 @@ def test_solve_rejects_malformed_sbm_file(tmp_path, capsys, head, lines, message
     assert _run("solve", "-i", str(f), "-o", str(tmp_path / "r.json"), "-q") == 1
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_solve_names_the_file_when_n1_cannot_be_allocated(tmp_path, capsys):
+    # numpy refuses vectors of 2^62 float64 entries without allocating anything
+    n1 = 2**62
+    f = tmp_path / "huge.jsonl"
+    f.write_text(_SBM_HEAD.replace('"n1":3', f'"n1":{n1}') + '\n{"i":0,"j":1}\n{"i":1,"j":2}\n')
+    assert _run("solve", "-i", str(f), "-o", str(tmp_path / "r.json"), "-q") == 1
+    err = capsys.readouterr().err
+    assert f"{f}: cannot solve with n1 = {n1}: " in err and "Traceback" not in err
     assert not (tmp_path / "r.json").exists()
 
 
@@ -307,6 +321,27 @@ _GOLDREICH_HEAD = '{"type":"goldreich","n":4,"k":3,"m":2,"seed":0,"predicate":[1
 def test_malformed_clause_ids_exit_1(tmp_path, capsys, head, clause, bad, message, command):
     f = tmp_path / "bad.jsonl"
     f.write_text("\n".join([head, clause, bad]) + "\n")
+    reader = files.read_csp if head is _CSP_HEAD else files.read_goldreich
+    with pytest.raises(ValueError, match=re.escape(message)):
+        reader(f)
+    assert _run(command, "-i", str(f), "-o", str(tmp_path / "out"), "-q") == 1
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "old, new, clauses",
+    [('"k":3', '"k":"3"', 0), ('"n":4', '"n":"4"', 1), ('"k":3,', "", 0), ('"n":4', '"n":0', 1)],
+    ids=["string-k", "string-n", "missing-k", "zero-n"],
+)
+@pytest.mark.parametrize("head", [_CSP_HEAD, _GOLDREICH_HEAD], ids=["csp", "goldreich"])
+@pytest.mark.parametrize("command", ["solve-csp", "reduce"])
+def test_bad_header_sizes_exit_1(tmp_path, capsys, old, new, clauses, head, command):
+    clause = '{"vars":[0,1,2],"signs":[1,-1,1]}' if head is _CSP_HEAD else '{"vars":[0,1,2],"value":1}'
+    f = tmp_path / "bad.jsonl"
+    f.write_text("\n".join([head.replace(old, new), *[clause] * clauses]) + "\n")
+    message = "line 1: n and k must be positive integers"
     reader = files.read_csp if head is _CSP_HEAD else files.read_goldreich
     with pytest.raises(ValueError, match=re.escape(message)):
         reader(f)

@@ -1,6 +1,7 @@
 """Block-model file I/O against the per-record reference in files_oracle:
 byte-identical writes, and the same ``SbmFile`` from the reader on the
 canonical file and on valid variants of it."""
+import re
 from unittest import mock
 
 import numpy as np
@@ -110,4 +111,20 @@ def test_duplicate_check_does_not_wrap_on_huge_sizes(tmp_path):
     assert files.read_sbm(f).graph.edges.tolist() == [[0, 0], [4, 0]]
     f.write_text(head + '{"i":4,"j":0}\n{"i":0,"j":0}\n{"i":4,"j":0}\n')
     with pytest.raises(ValueError, match=r"line 4: duplicate edge \(4, 0\)"):
+        files.read_sbm(f)
+
+
+@pytest.mark.parametrize("block", [files._READ_BLOCK, 20, 1], ids=["one-block", "two-lines-a-block", "line-a-block"])
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        (['{"i":0,"j":1}', '{"i":2,"j":4}', '{"j":2,"i":1}', '{"i":1,"j":}'], "line 3: edge id out of range"),
+        (['{"i":0,"j":1}', '{"i":1,"j":}', '{"j":2,"i":1}', '{"i":2,"j":4}'], "line 3: Expecting value"),
+    ],
+    ids=["out-of-range-first", "malformed-first"],
+)
+def test_first_error_in_file_order_is_reported(tmp_path, lines, message, block):
+    f = tmp_path / "bad.jsonl"
+    f.write_text("\n".join(['{"type":"sbm","n1":3,"n2":4,"delta":1.8,"p":0.5,"seed":0}', *lines]) + "\n")
+    with mock.patch.object(files, "_READ_BLOCK", block), pytest.raises(ValueError, match=re.escape(message)):
         files.read_sbm(f)
