@@ -11,7 +11,7 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -82,7 +82,10 @@ def _add_solver_flags(sub):
 
 
 def _solver_config(args) -> SolverConfig:
-    lo, hi = (float(x) for x in args.window.split(","))
+    try:
+        lo, hi = (float(x) for x in args.window.split(","))
+    except ValueError:
+        raise UsageError(f"--window must be two fractions lo,hi, got {args.window!r}") from None
     return SolverConfig(T_factor=args.t_factor, majority_window=(lo, hi), seed=args.seed)
 
 
@@ -100,9 +103,10 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="planted", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, **kw):
+    def add(name, seed=True, **kw):
         sub = subs.add_parser(name, **kw)
-        sub.add_argument("--seed", type=int, default=0)
+        if seed:
+            sub.add_argument("--seed", type=int, default=0)
         sub.add_argument("--output", "-o", default=None)
         sub.add_argument("--quiet", "-q", action="store_true")
         return sub
@@ -124,7 +128,7 @@ def _build_parser() -> _Parser:
     g.add_argument("--m", type=int, required=True)
     g.add_argument("--predicate", required=True, help="comma-separated +/-1 table of length 2^k")
 
-    g = add("analyze-q", help="lowest-degree witness of a weight table")
+    g = add("analyze-q", seed=False, help="lowest-degree witness of a weight table")
     _add_weight_flags(g)
 
     g = add("reduce", help="CSP or predicate-constraint file -> block-model instance file")
@@ -142,7 +146,7 @@ def _build_parser() -> _Parser:
     g.add_argument("--epsilon", type=float, default=0.5)
     _add_solver_flags(g)
 
-    g = add("sweep", help="density sweep from a TOML/JSON spec to CSV")
+    g = add("sweep", seed=False, help="density sweep from a TOML/JSON spec to CSV")
     g.add_argument("--config", "-c")
     g.add_argument("--timing", choices=["none", "wall"], default="none")
     g.add_argument("--format", choices=["json", "csv"], default=None)
@@ -181,8 +185,14 @@ _SWEEP_DEFAULTS = {
 
 
 def _sweep_spec_from_config(cfg: dict) -> SweepSpec:
+    if not (isinstance(cfg, dict) and isinstance(cfg.get("solver", {}), dict)):
+        raise ValueError("sweep config: the config and its [solver] must be tables")
+    unknown = [k for k in cfg if k not in _SWEEP_DEFAULTS]
+    unknown += [f"solver.{k}" for k in cfg.get("solver", {}) if k not in _SWEEP_DEFAULTS["solver"]]
+    if unknown:
+        raise ValueError(f"sweep config: unknown key {unknown[0]!r}")
     merged = {**_SWEEP_DEFAULTS, **cfg}
-    solver_cfg = {**_SWEEP_DEFAULTS["solver"], **merged.get("solver", {})}
+    solver_cfg = {**_SWEEP_DEFAULTS["solver"], **merged["solver"]}
     solver = SolverConfig(
         T_factor=float(solver_cfg["T_factor"]),
         majority_window=tuple(solver_cfg["majority_window"]),
@@ -249,14 +259,13 @@ def _cmd_analyze_q(args) -> int:
 
 def _cmd_reduce(args) -> int:
     common = dict(thinning=args.thinning, epsilon=args.epsilon, seed=args.seed)
+    data = files.read_constraints(args.input)
     try:
-        if files.read_header(args.input).get("type") == "goldreich":
-            instance = files.read_goldreich(args.input).instance
-            report = predicate_lowest_degree(instance.predicate)
-            reduced = goldreich_to_bipartite(instance, report, **common)
+        if isinstance(data, files.GoldreichFile):
+            report = predicate_lowest_degree(data.instance.predicate)
+            reduced = goldreich_to_bipartite(data.instance, report, **common)
         else:
-            csp = files.read_csp(args.input)
-            reduced = csp_to_bipartite(csp.instance, distribution_complexity(csp.weights), **common)
+            reduced = csp_to_bipartite(data.instance, distribution_complexity(data.weights), **common)
     except ReductionError as exc:
         print(f"cannot reduce: {exc}", file=sys.stderr)
         return 2
@@ -284,13 +293,12 @@ def _cmd_solve_csp(args) -> int:
     common = dict(
         seed=args.seed, thinning=args.thinning, epsilon=args.epsilon, config=_solver_config(args)
     )
+    data = files.read_constraints(args.input)
     try:
-        if files.read_header(args.input).get("type") == "goldreich":
-            instance = files.read_goldreich(args.input).instance
-            assignment, report = solve_goldreich_end_to_end(instance, **common)
+        if isinstance(data, files.GoldreichFile):
+            assignment, report = solve_goldreich_end_to_end(data.instance, **common)
         else:
-            csp = files.read_csp(args.input)
-            assignment, report = solve_csp_end_to_end(csp.instance, csp.weights, **common)
+            assignment, report = solve_csp_end_to_end(data.instance, data.weights, **common)
     except ReductionError as exc:
         print(f"cannot reduce: {exc}", file=sys.stderr)
         return 2
@@ -308,12 +316,14 @@ def _cmd_sweep(args) -> int:
         raise UsageError("sweep requires --config (or --print-config)")
     spec = _sweep_spec_from_config(_load_sweep_config(args.config))
     rows = run_sweep(spec)
+    if args.timing != "wall":  # wall-clock times differ between reruns
+        rows = [replace(r, mean_runtime_ms=0.0) for r in rows]
     out = args.output or "sweep.csv"
     if args.format == "json":
         with open(out, "w") as fh:
             json.dump([asdict(r) for r in rows], fh)
     else:
-        write_sweep_csv(rows, out, include_timing=args.timing == "wall")
+        write_sweep_csv(rows, out)
     if not args.quiet:
         print(f"wrote {out} ({len(rows)} rows)")
     return 0

@@ -24,9 +24,9 @@ __all__ = [
     "SbmFile",
     "CspFile",
     "GoldreichFile",
-    "read_header",
     "write_sbm",
     "read_sbm",
+    "read_constraints",
     "write_csp",
     "read_csp",
     "write_goldreich",
@@ -67,12 +67,6 @@ def _records(path):
             if line:
                 where = f"{path}, line {lineno}"
                 yield where, _loads(line, where)
-
-
-def read_header(path) -> dict:
-    """The header record of an instance file; empty for an empty file.
-    Raises ``ValueError`` when the first record is not a JSON object."""
-    return next((rec for _, rec in _records(path)), {})
 
 
 def _int_row(value, k: int, name: str, where: str) -> list:
@@ -379,109 +373,91 @@ def read_sbm(path) -> SbmFile:
 
 
 # ---------------------------------------------------------------------------
-# CSP files
+# Constraint files: planted CSP ("csp") and predicate constraints ("goldreich")
 # ---------------------------------------------------------------------------
+
+
+# Per file type: what the file holds, its header's table, and the field each
+# constraint record carries besides "vars".
+_CONSTRAINT_KINDS = {
+    "csp": ("CSP", "weights", "signs"),
+    "goldreich": ("predicate-constraint", "predicate", "value"),
+}
+
+
+def _write_constraints(path, kind: str, instance, seed: int, table, tuple_vars, values):
+    _, table_name, field = _CONSTRAINT_KINDS[kind]
+    header = {"type": kind, "n": instance.n, "k": instance.k, "m": instance.m, "seed": seed}
+
+    def records():
+        yield {**header, table_name: table.tolist()}
+        if instance.sigma is not None:
+            yield {"sigma": instance.sigma.tolist()}
+        for vs, value in zip(tuple_vars.tolist(), values.tolist()):
+            yield {"vars": vs, field: value}
+
+    _write_lines(path, records())
 
 
 def write_csp(path, instance: PlantedCspInstance, weights: PlantingDistribution, seed: int):
-    header = {
-        "type": "csp",
-        "n": instance.n,
-        "k": instance.k,
-        "m": instance.m,
-        "seed": seed,
-        "weights": [float(w) for w in weights.weights],
-    }
-
-    def records():
-        yield header
-        if instance.sigma is not None:
-            yield {"sigma": [int(s) for s in instance.sigma]}
-        for vs, ss in zip(instance.clause_vars, instance.clause_signs):
-            yield {"vars": [int(v) for v in vs], "signs": [int(s) for s in ss]}
-
-    _write_lines(path, records())
-
-
-def read_csp(path) -> CspFile:
-    """Read a planted-CSP file. Raises ``ValueError`` naming the line for a
-    header ``n`` or ``k`` that is not a positive integer, a record that is
-    not a JSON object or a clause whose variable ids or signs are not k
-    integers; range checks are left to the reduction."""
-    records = _records(path)
-    where, header = next(records, (None, {}))
-    if header.get("type") != "csp":
-        raise ValueError(f"{path}: not a CSP instance file")
-    _check_sizes(header, ("n", "k"), where)
-    sigma = None
-    cvars, csigns = [], []
-    k = header["k"]
-    for where, rec in records:
-        if "vars" in rec:
-            cvars.append(_int_row(rec["vars"], k, "clause ids", where))
-            csigns.append(_int_row(rec.get("signs"), k, "clause signs", where))
-        elif "sigma" in rec:
-            sigma = np.array(_labels(rec["sigma"], (header["n"],), "sigma", where), dtype=np.int64)
-    instance = PlantedCspInstance(
-        header["n"],
-        sigma,
-        np.array(cvars, dtype=np.int64).reshape(-1, k),
-        np.array(csigns, dtype=np.int64).reshape(-1, k),
+    _write_constraints(
+        path, "csp", instance, seed, weights.weights, instance.clause_vars, instance.clause_signs
     )
-    weights = PlantingDistribution(k, np.array(header["weights"], dtype=np.float64))
-    return CspFile(instance, weights, header)
-
-
-# ---------------------------------------------------------------------------
-# Predicate-constraint files
-# ---------------------------------------------------------------------------
 
 
 def write_goldreich(path, instance: GoldreichInstance, seed: int):
-    header = {
-        "type": "goldreich",
-        "n": instance.n,
-        "k": instance.k,
-        "m": instance.m,
-        "seed": seed,
-        "predicate": [int(v) for v in instance.predicate],
-    }
+    _write_constraints(
+        path, "goldreich", instance, seed, instance.predicate, instance.tuple_vars, instance.values
+    )
 
-    def records():
-        yield header
-        if instance.sigma is not None:
-            yield {"sigma": [int(s) for s in instance.sigma]}
-        for vs, val in zip(instance.tuple_vars, instance.values):
-            yield {"vars": [int(v) for v in vs], "value": int(val)}
 
-    _write_lines(path, records())
+def read_constraints(path) -> CspFile | GoldreichFile:
+    """Read a planted-CSP file (header ``type`` "csp") as a ``CspFile`` or a
+    predicate-constraint file ("goldreich") as a ``GoldreichFile``. Raises
+    ``ValueError`` naming the line for a record that is not a JSON object, a
+    header ``n`` or ``k`` that is not a positive integer, a header table
+    (``weights`` or ``predicate``) that is missing or not a list, or a
+    constraint whose variable ids or signs are not k integers or whose value
+    is not one integer; range checks are left to the reduction."""
+    return _read_constraints(path, tuple(_CONSTRAINT_KINDS))
+
+
+def read_csp(path) -> CspFile:
+    return _read_constraints(path, ("csp",))
 
 
 def read_goldreich(path) -> GoldreichFile:
-    """Read a predicate-constraint file, with the checks of ``read_csp``; a
-    constraint's value must be one integer."""
+    return _read_constraints(path, ("goldreich",))
+
+
+def _read_constraints(path, kinds: tuple) -> CspFile | GoldreichFile:
     records = _records(path)
     where, header = next(records, (None, {}))
-    if header.get("type") != "goldreich":
-        raise ValueError(f"{path}: not a predicate-constraint instance file")
+    kind = header.get("type")
+    if kind not in kinds:
+        names = " or ".join(_CONSTRAINT_KINDS[t][0] for t in kinds)
+        raise ValueError(f"{path}: not a {names} instance file")
+    _, table_name, field = _CONSTRAINT_KINDS[kind]
     _check_sizes(header, ("n", "k"), where)
-    sigma = None
-    tvars, values = [], []
-    k = header["k"]
+    table = header.get(table_name)
+    if not isinstance(table, list):
+        raise ValueError(f"{where}: the header needs a {table_name} list")
+    n, k = header["n"], header["k"]
+    sigma, cvars, values = None, [], []
     for where, rec in records:
         if "vars" in rec:
-            value = rec.get("value")
-            if type(value) is not int:
+            cvars.append(_int_row(rec["vars"], k, "clause ids", where))
+            value = rec.get(field)
+            if field == "signs":
+                value = _int_row(value, k, "clause signs", where)
+            elif type(value) is not int:
                 raise ValueError(f"{where}: value must be an integer, got {json.dumps(value)}")
-            tvars.append(_int_row(rec["vars"], k, "clause ids", where))
             values.append(value)
         elif "sigma" in rec:
-            sigma = np.array(_labels(rec["sigma"], (header["n"],), "sigma", where), dtype=np.int64)
-    instance = GoldreichInstance(
-        header["n"],
-        np.array(header["predicate"], dtype=np.int64),
-        sigma,
-        np.array(tvars, dtype=np.int64).reshape(-1, k),
-        np.array(values, dtype=np.int64),
-    )
-    return GoldreichFile(instance, header)
+            sigma = np.array(_labels(rec["sigma"], (n,), "sigma", where), dtype=np.int64)
+    cvars = np.array(cvars, dtype=np.int64).reshape(-1, k)
+    values = np.array(values, dtype=np.int64)
+    if kind == "csp":
+        instance = PlantedCspInstance(n, sigma, cvars, values.reshape(-1, k))
+        return CspFile(instance, PlantingDistribution(k, np.array(table, dtype=np.float64)), header)
+    return GoldreichFile(GoldreichInstance(n, np.array(table, dtype=np.int64), sigma, cvars, values), header)

@@ -211,6 +211,10 @@ class SweepSpec:
             raise ValueError("multipliers must be positive")
         if self.trials < 1:
             raise ValueError("need trials >= 1")
+        if self.family == "csp" and self.weights is None:
+            raise ValueError("family 'csp' needs weights")
+        if self.family == "goldreich" and not self.predicate:
+            raise ValueError("family 'goldreich' needs a predicate")
 
 
 @dataclass(frozen=True)

@@ -267,6 +267,9 @@ class SolverConfig:
     def __post_init__(self):
         if not (math.isfinite(self.T_factor) and self.T_factor > 0):
             raise ValueError(f"T_factor must be finite and positive, got {self.T_factor}")
+        w = self.majority_window
+        if not (len(w) == 2 and all(isinstance(x, numbers.Real) for x in w) and 0.0 <= w[0] < w[1] <= 1.0):
+            raise ValueError(f"majority_window must satisfy 0 <= lo < hi <= 1, got {w}")
         p = self.p_override
         # NaN compares false and passes: the solve then reports "degenerate"
         if p is not None and (isinstance(p, bool) or not isinstance(p, numbers.Real) or p < 0.0 or p > 1.0):
@@ -278,8 +281,6 @@ class SolverConfig:
 
     def window_slice(self, n_iterates: int) -> slice:
         lo, hi = self.majority_window
-        if not (0.0 <= lo < hi <= 1.0):
-            raise ValueError("majority_window must satisfy 0 <= lo < hi <= 1")
         start = int(math.floor(lo * n_iterates))
         stop = max(start + 1, int(math.ceil(hi * n_iterates)))
         return slice(start, min(stop, n_iterates))
@@ -358,7 +359,6 @@ def spi_solve(
     n1, n2, m = graph.n1, graph.n2, graph.num_edges
     T = config.resolve_T(n1)
     n_it = T // 2
-    config.window_slice(n_it)  # validate the window up front
     u = v = None
     if truth is not None:
         u = np.asarray(truth.u, dtype=np.float64)

@@ -1,4 +1,5 @@
 """CLI tests: determinism, round-trips, exit codes, file formats."""
+import builtins
 import gc
 import json
 import math
@@ -330,18 +331,23 @@ def test_malformed_clause_ids_exit_1(tmp_path, capsys, head, clause, bad, messag
     assert not (tmp_path / "out").exists()
 
 
+_SIZES = "line 1: n and k must be positive integers"
+_TABLE = "line 1: the header needs a {table} list"
+
+
 @pytest.mark.parametrize(
-    "old, new, clauses",
-    [('"k":3', '"k":"3"', 0), ('"n":4', '"n":"4"', 1), ('"k":3,', "", 0), ('"n":4', '"n":0', 1)],
-    ids=["string-k", "string-n", "missing-k", "zero-n"],
+    "old, new, clauses, message",
+    [('"k":3', '"k":"3"', 0, _SIZES), ('"n":4', '"n":"4"', 1, _SIZES), ('"k":3,', "", 0, _SIZES),
+     ('"n":4', '"n":0', 1, _SIZES), (r',"\w+":\[.*\]', "", 1, _TABLE), (r'\[.*\]', '"1,-1"', 0, _TABLE)],
+    ids=["string-k", "string-n", "missing-k", "zero-n", "missing-table", "string-table"],
 )
 @pytest.mark.parametrize("head", [_CSP_HEAD, _GOLDREICH_HEAD], ids=["csp", "goldreich"])
 @pytest.mark.parametrize("command", ["solve-csp", "reduce"])
-def test_bad_header_sizes_exit_1(tmp_path, capsys, old, new, clauses, head, command):
+def test_bad_header_sizes_exit_1(tmp_path, capsys, old, new, clauses, message, head, command):
     clause = '{"vars":[0,1,2],"signs":[1,-1,1]}' if head is _CSP_HEAD else '{"vars":[0,1,2],"value":1}'
     f = tmp_path / "bad.jsonl"
-    f.write_text("\n".join([head.replace(old, new), *[clause] * clauses]) + "\n")
-    message = "line 1: n and k must be positive integers"
+    f.write_text("\n".join([re.sub(old, new, head), *[clause] * clauses]) + "\n")
+    message = message.format(table="weights" if head is _CSP_HEAD else "predicate")
     reader = files.read_csp if head is _CSP_HEAD else files.read_goldreich
     with pytest.raises(ValueError, match=re.escape(message)):
         reader(f)
@@ -349,6 +355,26 @@ def test_bad_header_sizes_exit_1(tmp_path, capsys, old, new, clauses, head, comm
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kind", ["csp", "goldreich"])
+@pytest.mark.parametrize("command", ["reduce", "solve-csp"])
+def test_constraint_commands_open_their_input_once(tmp_path, monkeypatch, kind, command):
+    f = tmp_path / "in.jsonl"
+    gen = ["gen-csp", "--k", "2", "--preset", "noisy-xor", "--eta", "0.8"]
+    if kind == "goldreich":
+        gen = ["gen-goldreich", "--predicate=1,-1,-1,1"]
+    assert _run(*gen, "--n", "20", "--m", "2000", "-o", str(f), "-q") == 0
+    opened, real_open = [], builtins.open
+
+    def recording_open(file, *args, **kwargs):
+        opened.append(str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", recording_open)
+    assert _run(command, "-i", str(f), "-o", str(tmp_path / "out"), "-q") in (0, 2)
+    monkeypatch.undo()
+    assert opened.count(str(f)) == 1
 
 
 def test_gen_goldreich_solve_csp_matches_in_memory(tmp_path, capsys):
@@ -425,6 +451,24 @@ def test_format_flag_only_on_sweep(tmp_path):
                             "mean_runtime_ms", "mean_edges"}
 
 
+@pytest.mark.parametrize("argv", [["analyze-q", "--preset", "sat"], ["sweep", "--print-config"]],
+                         ids=["analyze-q", "sweep"])
+def test_seed_flag_rejected_where_nothing_reads_it(capsys, argv):
+    assert _run(*argv, "--seed", "99") == 1
+    assert "unrecognized arguments: --seed 99" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("window, message", [("0.9,0.2", "majority_window must satisfy 0 <= lo < hi <= 1"),
+                                             ("0.9", "--window must be two fractions lo,hi, got '0.9'")],
+                         ids=["reversed", "one-value"])
+@pytest.mark.parametrize("command", ["solve", "solve-csp"])
+def test_bad_window_exits_1_before_reading_the_input(tmp_path, capsys, window, message, command):
+    # the input does not exist: reading it would exit 3
+    assert _run(command, "-i", str(tmp_path / "missing.jsonl"), f"--window={window}", "-q") == 1
+    err = capsys.readouterr().err
+    assert message in err and "n1" not in err and "Traceback" not in err
+
+
 def test_solve_rejects_mode_flag(tmp_path):
     f = tmp_path / "sbm.jsonl"
     assert _run("gen-sbm", "--n1", "10", "--n2", "10", "--delta", "1.8", "--p", "0.3",
@@ -488,6 +532,37 @@ def test_sweep_closes_its_config_file(tmp_path, monkeypatch):
         assert _run("sweep", "-c", str(cfg), "-o", str(tmp_path / "s.csv"), "-q") == 0
         gc.collect()
     assert [u.exc_value for u in unraisable] == []
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [('family = "csp"\n', "family 'csp' needs weights"),
+     ('family = "goldreich"\n', "family 'goldreich' needs a predicate"),
+     ("trails = 1\n", "sweep config: unknown key 'trails'"),
+     ("[solver]\nT_fator = 3.0\n", "sweep config: unknown key 'solver.T_fator'"),
+     ("solver = 3\n", "sweep config: the config and its [solver] must be tables")],
+    ids=["csp-without-weights", "goldreich-without-predicate", "unknown-key", "unknown-solver-key",
+         "solver-not-a-table"],
+)
+def test_sweep_config_errors_exit_1(tmp_path, capsys, text, message):
+    cfg = tmp_path / "sweep.toml"
+    cfg.write_text("multipliers = [4.0]\ntrials = 1\nn = 20\nn1 = 32\nn2 = 32\n" + text)
+    assert _run("sweep", "-c", str(cfg), "-o", str(tmp_path / "s.csv"), "-q") == 1
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not (tmp_path / "s.csv").exists()
+
+
+def test_sweep_json_runtime_zeroed_unless_timed(tmp_path):
+    cfg = tmp_path / "sweep.toml"
+    cfg.write_text('family = "sbm"\nmultipliers = [2.0, 12.0]\ntrials = 2\nn1 = 64\nn2 = 64\n')
+    a, b, wall = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "wall.json"
+    for out in (a, b):
+        assert _run("sweep", "-c", str(cfg), "-o", str(out), "--format", "json", "-q") == 0
+    assert a.read_bytes() == b.read_bytes()
+    assert [r["mean_runtime_ms"] for r in json.loads(a.read_text())] == [0.0, 0.0]
+    assert _run("sweep", "-c", str(cfg), "-o", str(wall), "--format", "json", "--timing", "wall", "-q") == 0
+    assert all(r["mean_runtime_ms"] > 0 for r in json.loads(wall.read_text()))
 
 
 def test_sweep_print_config(capsys):

@@ -1,6 +1,9 @@
 """Block-model file I/O against the per-record reference in files_oracle:
 byte-identical writes, and the same ``SbmFile`` from the reader on the
-canonical file and on valid variants of it."""
+canonical file and on valid variants of it. Constraint files against pinned
+bytes."""
+import dataclasses
+import json
 import re
 from unittest import mock
 
@@ -11,7 +14,13 @@ from hypothesis import strategies as st
 
 import files_oracle
 from planted import files
-from planted.instances import BipartiteGraph, HiddenPartition
+from planted.instances import (
+    BipartiteGraph,
+    GoldreichInstance,
+    HiddenPartition,
+    PlantedCspInstance,
+    PlantingDistribution,
+)
 
 _META = {"delta": 2.0, "p_equiv": 0.0014124293785310734, "n2_nominal": 1770, "indexer_size": 215}
 _BIG = 2**62  # ids of 19 digits: past the bulk edge pattern, still int64
@@ -128,3 +137,49 @@ def test_first_error_in_file_order_is_reported(tmp_path, lines, message, block):
     f.write_text("\n".join(['{"type":"sbm","n1":3,"n2":4,"delta":1.8,"p":0.5,"seed":0}', *lines]) + "\n")
     with mock.patch.object(files, "_READ_BLOCK", block), pytest.raises(ValueError, match=re.escape(message)):
         files.read_sbm(f)
+
+
+_CSP = PlantedCspInstance(4, np.array([1, -1, 1, -1]), np.array([[0, 1, 2], [3, 1, 0]]),
+                          np.array([[1, -1, 1], [-1, -1, 1]]))
+_CSP_WEIGHTS = PlantingDistribution(3, np.array([1, 1, 1, 1, 1, 1, 1, 2]))
+_GOLDREICH = GoldreichInstance(4, np.array([1, -1, -1, 1]), None, np.array([[0, 1], [2, 3]]), np.array([1, -1]))
+
+
+@pytest.mark.parametrize(
+    "write, text, reader, other_reader, message",
+    [
+        (lambda f: files.write_csp(f, _CSP, _CSP_WEIGHTS, seed=7),
+         '{"type":"csp","n":4,"k":3,"m":2,"seed":7,"weights":[1.0,1.0,1.0,1.0,1.0,1.0,1.0,2.0]}\n'
+         '{"sigma":[1,-1,1,-1]}\n'
+         '{"vars":[0,1,2],"signs":[1,-1,1]}\n'
+         '{"vars":[3,1,0],"signs":[-1,-1,1]}\n',
+         files.read_csp, files.read_goldreich, "not a predicate-constraint instance file"),
+        (lambda f: files.write_goldreich(f, _GOLDREICH, seed=3),
+         '{"type":"goldreich","n":4,"k":2,"m":2,"seed":3,"predicate":[1,-1,-1,1]}\n'
+         '{"vars":[0,1],"value":1}\n'
+         '{"vars":[2,3],"value":-1}\n',
+         files.read_goldreich, files.read_csp, "not a CSP instance file"),
+    ],
+    ids=["csp", "goldreich"],
+)
+def test_constraint_file_bytes_and_roundtrip(tmp_path, write, text, reader, other_reader, message):
+    f = tmp_path / "c.jsonl"
+    write(f)
+    assert f.read_text() == text
+    data = files.read_constraints(f)
+    assert type(data) is type(reader(f))
+    assert data.header == json.loads(text.splitlines()[0])
+    want = _CSP if isinstance(data, files.CspFile) else _GOLDREICH
+    for field in dataclasses.fields(want):
+        assert np.array_equal(getattr(data.instance, field.name), getattr(want, field.name)), field.name
+    if want is _CSP:
+        assert np.array_equal(data.weights.weights, _CSP_WEIGHTS.weights)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        other_reader(f)
+
+
+def test_read_constraints_rejects_other_files(tmp_path):
+    f = tmp_path / "sbm.jsonl"
+    f.write_text('{"type":"sbm","n1":1,"n2":1,"delta":1.8,"p":0.5,"seed":0}\n')
+    with pytest.raises(ValueError, match="not a CSP or predicate-constraint instance file"):
+        files.read_constraints(f)

@@ -179,6 +179,13 @@ def test_sweep_goldreich_family():
     assert rows[1].mean_overlap > rows[0].mean_overlap
 
 
+@pytest.mark.parametrize("family, message", [("csp", "family 'csp' needs weights"),
+                                             ("goldreich", "family 'goldreich' needs a predicate")])
+def test_sweep_spec_requires_the_family_table(family, message):
+    with pytest.raises(ValueError, match=message):
+        run_sweep(SweepSpec(family=family, multipliers=(1.0,), trials=1, n=20))
+
+
 def test_sweep_workers_match_sequential(tmp_path):
     spec = _sbm_spec(multipliers=(4.0, 12.0), trials=4)
     seq = run_sweep(spec)
