@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 
@@ -27,6 +28,7 @@ from .harness import (
 from .instances import (
     BlockModelParams,
     PlantingDistribution,
+    _number_list,
     noisy_xor_weights,
     sample_bipartite_block,
     sample_goldreich,
@@ -55,11 +57,14 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _weight_table(vals) -> PlantingDistribution:
+    """A table of 2^k weights, k read from its length."""
+    return PlantingDistribution(round(math.log2(len(vals))), vals)
+
+
 def _weights_from_args(args) -> PlantingDistribution:
     if args.weights is not None:
-        vals = np.array([float(w) for w in args.weights.split(",")])
-        k = int(round(np.log2(len(vals))))
-        return PlantingDistribution(k, vals)
+        return _weight_table([float(w) for w in args.weights.split(",")])
     if args.preset == "uniform":
         return uniform_weights(args.k)
     if args.preset == "noisy-xor":
@@ -168,53 +173,29 @@ def _load_sweep_config(path) -> dict:
     return tomllib.loads(text)
 
 
-_SWEEP_DEFAULTS = {
-    "family": "sbm",
-    "multipliers": [0.5, 1, 2, 4, 8, 16, 24, 32],
-    "trials": 5,
-    "seed": 0,
-    "n1": 500,
-    "n2": 500,
-    "delta": 1.8,
-    "n": 100,
-    "weights": [],
-    "predicate": [],
-    "workers": 1,
-    "solver": {"T_factor": 10.0, "majority_window": [0.5, 1.0]},
-}
+def _tuples(table: dict) -> dict:
+    return {k: tuple(v) if isinstance(v, list) else v for k, v in table.items()}
 
 
 def _sweep_spec_from_config(cfg: dict) -> SweepSpec:
+    """The ``SweepSpec`` of a parsed config. Lists become tuples, ``weights``
+    a ``PlantingDistribution`` (an empty list: none) and ``[solver]`` a
+    ``SolverConfig``; every other value passes as read, for
+    ``SweepSpec.validate`` to check."""
     if not (isinstance(cfg, dict) and isinstance(cfg.get("solver", {}), dict)):
         raise ValueError("sweep config: the config and its [solver] must be tables")
-    unknown = [k for k in cfg if k not in _SWEEP_DEFAULTS]
-    unknown += [f"solver.{k}" for k in cfg.get("solver", {}) if k not in _SWEEP_DEFAULTS["solver"]]
+    keys = [f.name for f in fields(SweepSpec)]
+    unknown = [k for k in cfg if k not in keys]
+    unknown += [f"solver.{k}" for k in cfg.get("solver", {}) if k not in SweepSpec.SOLVER_KEYS]
     if unknown:
         raise ValueError(f"sweep config: unknown key {unknown[0]!r}")
-    merged = {**_SWEEP_DEFAULTS, **cfg}
-    solver_cfg = {**_SWEEP_DEFAULTS["solver"], **merged["solver"]}
-    solver = SolverConfig(
-        T_factor=float(solver_cfg["T_factor"]),
-        majority_window=tuple(solver_cfg["majority_window"]),
-    )
-    weights = None
-    if merged["weights"]:
-        vals = np.array(merged["weights"], dtype=np.float64)
-        weights = PlantingDistribution(int(round(np.log2(len(vals)))), vals)
-    return SweepSpec(
-        family=merged["family"],
-        multipliers=tuple(float(m) for m in merged["multipliers"]),
-        trials=int(merged["trials"]),
-        seed=int(merged["seed"]),
-        n1=int(merged["n1"]),
-        n2=int(merged["n2"]),
-        delta=float(merged["delta"]),
-        n=int(merged["n"]),
-        weights=weights,
-        predicate=tuple(int(v) for v in merged["predicate"]),
-        solver=solver,
-        workers=int(merged["workers"]),
-    )
+    spec = _tuples(cfg)
+    spec["solver"] = SolverConfig(**_tuples(cfg.get("solver", {})))
+    if spec.get("weights") is not None:
+        if not _number_list(spec["weights"]):
+            raise ValueError(f"weights must be a list of numbers, got {cfg['weights']!r}")
+        spec["weights"] = _weight_table(spec["weights"]) if spec["weights"] else None
+    return SweepSpec(**spec)
 
 
 def _cmd_gen_sbm(args) -> int:
@@ -310,7 +291,9 @@ def _cmd_solve_csp(args) -> int:
 
 def _cmd_sweep(args) -> int:
     if args.print_config:
-        print(json.dumps(_SWEEP_DEFAULTS, indent=2))
+        cfg = asdict(SweepSpec())
+        cfg["solver"] = {k: cfg["solver"][k] for k in SweepSpec.SOLVER_KEYS}
+        print(json.dumps(cfg, indent=2))
         return 0
     if not args.config:
         raise UsageError("sweep requires --config (or --print-config)")

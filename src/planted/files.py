@@ -17,6 +17,7 @@ from .instances import (
     HiddenPartition,
     PlantedCspInstance,
     PlantingDistribution,
+    _number_list,
 )
 from .reduction import ReducedInstance
 
@@ -416,9 +417,10 @@ def read_constraints(path) -> CspFile | GoldreichFile:
     predicate-constraint file ("goldreich") as a ``GoldreichFile``. Raises
     ``ValueError`` naming the line for a record that is not a JSON object, a
     header ``n`` or ``k`` that is not a positive integer, a header table
-    (``weights`` or ``predicate``) that is missing or not a list, or a
-    constraint whose variable ids or signs are not k integers or whose value
-    is not one integer; range checks are left to the reduction."""
+    (``weights`` or ``predicate``) that is missing or not a list of JSON
+    numbers (integers for ``predicate``), or a constraint whose variable ids
+    or signs are not k integers or whose value is not one integer; range
+    checks are left to the reduction."""
     return _read_constraints(path, tuple(_CONSTRAINT_KINDS))
 
 
@@ -440,8 +442,10 @@ def _read_constraints(path, kinds: tuple) -> CspFile | GoldreichFile:
     _, table_name, field = _CONSTRAINT_KINDS[kind]
     _check_sizes(header, ("n", "k"), where)
     table = header.get(table_name)
-    if not isinstance(table, list):
-        raise ValueError(f"{where}: the header needs a {table_name} list")
+    integer = kind == "goldreich"
+    if not _number_list(table, integer):
+        entries = "integers" if integer else "numbers"
+        raise ValueError(f"{where}: the header needs a {table_name} list of {entries}")
     n, k = header["n"], header["k"]
     sigma, cvars, values = None, [], []
     for where, rec in records:

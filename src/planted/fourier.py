@@ -18,6 +18,7 @@ __all__ = [
     "fourier_coefficient",
     "all_coefficients",
     "distribution_complexity",
+    "distribution_witnesses",
     "predicate_lowest_degree",
     "ZERO_TOL",
 ]
@@ -94,29 +95,37 @@ def fourier_coefficient(q_dist: PlantingDistribution, subset) -> float:
     return float(all_coefficients(q_dist.normalized(), k)[mask])
 
 
-def _scan(coefs: np.ndarray, k: int, tol: float) -> tuple[int, tuple[int, ...], float] | None:
-    """First subset, by size then lexicographic order, with |coef| > tol."""
+def _lowest_degree(coefs: np.ndarray, k: int, tol: float) -> list[tuple[tuple[int, ...], float]]:
+    """Every subset of the smallest size with |coef| > tol, with its
+    coefficient, in lexicographic order; empty when there is none."""
     for size in range(1, k + 1):
+        hits = []
         for subset in combinations(range(k), size):
             c = coefs[sum(1 << i for i in subset)]
             if abs(c) > tol:
-                return size, subset, float(c)
-    return None
+                hits.append((subset, float(c)))
+        if hits:
+            return hits
+    return []
+
+
+def distribution_witnesses(q_dist: PlantingDistribution, tol: float = ZERO_TOL) -> list[FourierReport]:
+    """Every smallest witness subset of the planting table, in lexicographic
+    order, each with the bias it induces; empty for the flat table."""
+    k = q_dist.k
+    coefs = all_coefficients(q_dist.normalized(), k)
+    return [FourierReport(len(s), s, c, 1.0 + 2**k * c) for s, c in _lowest_degree(coefs, k, tol)]
 
 
 def distribution_complexity(q_dist: PlantingDistribution, tol: float = ZERO_TOL) -> FourierReport:
-    """Smallest witness subset of the planting table and the bias it induces.
+    """Smallest witness subset of the planting table and the bias it induces:
+    the first of ``distribution_witnesses``.
 
     The flat table has every non-trivial coefficient zero and is reported
     with r = None (the planted assignment is unidentifiable).
     """
-    k = q_dist.k
-    coefs = all_coefficients(q_dist.normalized(), k)
-    hit = _scan(coefs, k, tol)
-    if hit is None:
-        return FourierReport(None, (), 0.0, None)
-    r, subset, c = hit
-    return FourierReport(r, subset, c, 1.0 + 2**k * c)
+    witnesses = distribution_witnesses(q_dist, tol)
+    return witnesses[0] if witnesses else FourierReport(None, (), 0.0, None)
 
 
 def predicate_lowest_degree(predicate: np.ndarray, tol: float = ZERO_TOL) -> FourierReport:
@@ -134,8 +143,8 @@ def predicate_lowest_degree(predicate: np.ndarray, tol: float = ZERO_TOL) -> Fou
     coefs = all_coefficients(table, k)
     if abs(abs(coefs[0]) - 1.0) < tol:
         return FourierReport(0, (), float(coefs[0]), None)
-    hit = _scan(coefs, k, tol)
-    if hit is None:  # unreachable for +/-1 tables (Parseval), kept for safety
+    hits = _lowest_degree(coefs, k, tol)
+    if not hits:  # unreachable for +/-1 tables (Parseval), kept for safety
         return FourierReport(None, (), 0.0, None)
-    r, subset, c = hit
-    return FourierReport(r, subset, c, 1.0 + c)
+    subset, c = hits[0]
+    return FourierReport(len(subset), subset, c, 1.0 + c)

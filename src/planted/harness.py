@@ -13,16 +13,18 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from itertools import combinations
+from typing import ClassVar
 
 import numpy as np
 
-from .fourier import ZERO_TOL, FourierReport, all_coefficients, distribution_complexity, predicate_lowest_degree
+from .fourier import FourierReport, distribution_complexity, distribution_witnesses, predicate_lowest_degree
 from .instances import (
     BlockModelParams,
     GoldreichInstance,
     PlantedCspInstance,
     PlantingDistribution,
+    _is_number,
+    _number_list,
     overlap,
     sample_bipartite_block,
     sample_goldreich,
@@ -133,14 +135,7 @@ def solve_csp_end_to_end(
     whose witness is ambiguous).
     """
     report = distribution_complexity(weights)
-    candidates = [report]
-    if try_all_witnesses and report.identifiable and report.r > 1:
-        coefs = all_coefficients(weights.normalized(), weights.k)
-        candidates = []
-        for subset in combinations(range(weights.k), report.r):
-            c = coefs[sum(1 << i for i in subset)]
-            if abs(c) > ZERO_TOL:
-                candidates.append(FourierReport(report.r, subset, float(c), 1.0 + 2**weights.k * c))
+    candidates = distribution_witnesses(weights) if try_all_witnesses else [report]
     return _solve_clauses(
         instance, report, candidates, seed, thinning, epsilon, config or SolverConfig()
     )
@@ -182,7 +177,9 @@ def threshold_density(n1: int, n2: int, delta: float) -> float:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One experiment grid. ``family`` selects the instance kind:
+    """One experiment grid, and the schema of a sweep config: each field is
+    a config key, and its default is the key's default. ``family`` selects
+    the instance kind:
 
     * "sbm": params n1, n2, delta; density p = multiplier * p0.
     * "csp": params n, weights (PlantingDistribution); the clause count is
@@ -191,26 +188,44 @@ class SweepSpec:
     * "goldreich": params n, predicate; as for "csp".
     """
 
-    family: str
-    multipliers: tuple[float, ...]
-    trials: int
+    # The [solver] keys a sweep config may set; the sweep sets the solver's
+    # seed and, for "sbm", its density per trial.
+    SOLVER_KEYS: ClassVar[tuple[str, ...]] = ("T_factor", "majority_window")
+
+    family: str = "sbm"
+    multipliers: tuple[float, ...] = (0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 24.0, 32.0)
+    trials: int = 5
     seed: int = 0
-    n1: int = 0
-    n2: int = 0
-    delta: float = 0.0
-    n: int = 0
+    n1: int = 500
+    n2: int = 500
+    delta: float = 1.8
+    n: int = 100
     weights: PlantingDistribution | None = None
     predicate: tuple[int, ...] = ()
     solver: SolverConfig = field(default_factory=SolverConfig)
     workers: int = 1
 
     def validate(self):
+        """Raises ``ValueError`` naming the first field of the wrong type or
+        out of range. A bool is not a number and a float is not an integer."""
         if self.family not in ("sbm", "csp", "goldreich"):
             raise ValueError(f"unknown family: {self.family!r}")
-        if not self.multipliers or any(m <= 0 for m in self.multipliers):
-            raise ValueError("multipliers must be positive")
-        if self.trials < 1:
-            raise ValueError("need trials >= 1")
+        if not (_number_list(self.multipliers) and self.multipliers and min(self.multipliers) > 0):
+            raise ValueError(
+                f"multipliers must be a non-empty list of positive numbers, got {self.multipliers!r}"
+            )
+        for name, low in (("trials", 1), ("seed", 0), ("n1", 1), ("n2", 1), ("n", 1), ("workers", 1)):
+            value = getattr(self, name)
+            if not (_is_number(value, integer=True) and value >= low):
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        if not (_is_number(self.delta) and 0.0 <= self.delta <= 2.0 and self.delta != 1.0):
+            raise ValueError(f"delta must lie in [0, 2] and differ from 1, got {self.delta!r}")
+        if not (self.weights is None or isinstance(self.weights, PlantingDistribution)):
+            raise ValueError(f"weights must be a PlantingDistribution, got {self.weights!r}")
+        if not _number_list(self.predicate, integer=True):
+            raise ValueError(f"predicate must be a list of integers, got {self.predicate!r}")
+        if not isinstance(self.solver, SolverConfig):
+            raise ValueError(f"solver must be a SolverConfig, got {self.solver!r}")
         if self.family == "csp" and self.weights is None:
             raise ValueError("family 'csp' needs weights")
         if self.family == "goldreich" and not self.predicate:

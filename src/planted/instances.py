@@ -9,6 +9,8 @@ the same seed always reproduces the same instance byte for byte.
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +45,20 @@ _INT64_MAX = int(np.iinfo(np.int64).max)
 def _all_signs(a: np.ndarray) -> bool:
     """True iff every entry is +1 or -1."""
     return bool(((a == 1) | (a == -1)).all())
+
+
+def _is_number(x, integer: bool = False) -> bool:
+    """True for a finite real number, or with ``integer`` for an int that
+    fits int64; a bool is neither."""
+    kind, bound = (numbers.Integral, _INT64_MAX) if integer else (numbers.Real, sys.float_info.max)
+    return isinstance(x, kind) and not isinstance(x, bool) and abs(x) <= bound
+
+
+def _number_list(value, integer: bool = False) -> bool:
+    """True for a list or tuple whose entries all pass ``_is_number``: the
+    check for number tables read from JSON or TOML, where ``true``, ``null``
+    and ``"1"`` are not numbers and ``1.5`` is not an integer."""
+    return isinstance(value, (list, tuple)) and all(_is_number(x, integer) for x in value)
 
 
 @dataclass(frozen=True)
@@ -98,8 +114,8 @@ class BlockModelParams:
     def validate(self, require_even: bool = True):
         if not (0.0 <= self.delta <= 2.0) or self.delta == 1.0:
             raise ValueError("delta must lie in [0, 2] and differ from 1")
-        if self.p < 0.0:
-            raise ValueError("p must be nonnegative")
+        if not (math.isfinite(self.p) and self.p >= 0.0):
+            raise ValueError(f"p must be finite and nonnegative, got {self.p}")
         if self.delta * self.p > 1.0 or (2.0 - self.delta) * self.p > 1.0:
             raise ValueError("delta*p and (2-delta)*p must be probabilities")
         if self.n1 < 1 or self.n2 < 1:
@@ -128,6 +144,8 @@ class PlantingDistribution:
         w = np.asarray(self.weights, dtype=np.float64)
         if w.shape != (2**self.k,):
             raise ValueError(f"weights must have length 2^k = {2**self.k}")
+        if not np.isfinite(w).all():
+            raise ValueError("weights must be finite")
         if (w < 0).any():
             raise ValueError("weights must be nonnegative")
         if w.sum() <= 0:
@@ -406,6 +424,8 @@ def sample_planted_csp(
     k = q_dist.k
     if n < k:
         raise ValueError("need n >= k")
+    if m < 0:
+        raise ValueError(f"m must be nonnegative, got {m}")
     w = q_dist.weights
     wmax = float(w.max())
     sig_ss, clause_ss = np.random.SeedSequence(seed).spawn(2)
@@ -449,6 +469,8 @@ def sample_goldreich(
         raise ValueError("predicate must be a +/-1 table of length 2^k")
     if n < k:
         raise ValueError("need n >= k")
+    if m < 0:
+        raise ValueError(f"m must be nonnegative, got {m}")
     sig_ss, tup_ss = np.random.SeedSequence(seed).spawn(2)
     sigma = np.random.default_rng(sig_ss).integers(0, 2, size=n) * 2 - 1
     rng = np.random.default_rng(tup_ss)

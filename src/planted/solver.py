@@ -20,7 +20,7 @@ from functools import partial
 
 import numpy as np
 
-from .instances import BipartiteGraph, PlantedCspInstance
+from .instances import BipartiteGraph, PlantedCspInstance, _is_number, _number_list
 from .reduction import _check_restricted
 
 __all__ = [
@@ -265,11 +265,11 @@ class SolverConfig:
     p_override: float | None = None
 
     def __post_init__(self):
-        if not (math.isfinite(self.T_factor) and self.T_factor > 0):
-            raise ValueError(f"T_factor must be finite and positive, got {self.T_factor}")
+        if not (_is_number(self.T_factor) and self.T_factor > 0):
+            raise ValueError(f"T_factor must be finite and positive, got {self.T_factor!r}")
         w = self.majority_window
-        if not (len(w) == 2 and all(isinstance(x, numbers.Real) for x in w) and 0.0 <= w[0] < w[1] <= 1.0):
-            raise ValueError(f"majority_window must satisfy 0 <= lo < hi <= 1, got {w}")
+        if not (_number_list(w) and len(w) == 2 and 0.0 <= w[0] < w[1] <= 1.0):
+            raise ValueError(f"majority_window must satisfy 0 <= lo < hi <= 1, got {w!r}")
         p = self.p_override
         # NaN compares false and passes: the solve then reports "degenerate"
         if p is not None and (isinstance(p, bool) or not isinstance(p, numbers.Real) or p < 0.0 or p > 1.0):

@@ -16,9 +16,9 @@ except ModuleNotFoundError:  # Python < 3.11
     import tomli as tomllib
 
 from planted import files
-from planted.cli import main
+from planted.cli import _sweep_spec_from_config, main
 from planted.fourier import distribution_complexity
-from planted.harness import solve_goldreich_end_to_end
+from planted.harness import SweepSpec, solve_goldreich_end_to_end
 from planted.instances import (
     noisy_xor_weights,
     parity_predicate,
@@ -338,8 +338,11 @@ _TABLE = "line 1: the header needs a {table} list"
 @pytest.mark.parametrize(
     "old, new, clauses, message",
     [('"k":3', '"k":"3"', 0, _SIZES), ('"n":4', '"n":"4"', 1, _SIZES), ('"k":3,', "", 0, _SIZES),
-     ('"n":4', '"n":0', 1, _SIZES), (r',"\w+":\[.*\]', "", 1, _TABLE), (r'\[.*\]', '"1,-1"', 0, _TABLE)],
-    ids=["string-k", "string-n", "missing-k", "zero-n", "missing-table", "string-table"],
+     ('"n":4', '"n":0', 1, _SIZES), (r',"\w+":\[.*\]', "", 1, _TABLE), (r'\[.*\]', '"1,-1"', 0, _TABLE),
+     (r"\[1,", "[null,", 1, _TABLE), (r"\[1,", "[true,", 1, _TABLE), (r"\[1,", '["1",', 1, _TABLE),
+     (r"\[1,", "[NaN,", 1, _TABLE)],
+    ids=["string-k", "string-n", "missing-k", "zero-n", "missing-table", "string-table", "null-entry",
+         "bool-entry", "string-entry", "nan-entry"],
 )
 @pytest.mark.parametrize("head", [_CSP_HEAD, _GOLDREICH_HEAD], ids=["csp", "goldreich"])
 @pytest.mark.parametrize("command", ["solve-csp", "reduce"])
@@ -352,6 +355,38 @@ def test_bad_header_sizes_exit_1(tmp_path, capsys, old, new, clauses, message, h
     with pytest.raises(ValueError, match=re.escape(message)):
         reader(f)
     assert _run(command, "-i", str(f), "-o", str(tmp_path / "out"), "-q") == 1
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["solve-csp", "reduce"])
+def test_fractional_predicate_entry_exits_1(tmp_path, capsys, command):
+    f = tmp_path / "bad.jsonl"
+    f.write_text(_GOLDREICH_HEAD.replace("[1,", "[1.5,") + '\n{"vars":[0,1,2],"value":1}\n')
+    message = "line 1: the header needs a predicate list of integers"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        files.read_goldreich(f)
+    assert _run(command, "-i", str(f), "-o", str(tmp_path / "out"), "-q") == 1
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [(["gen-sbm", "--n1", "10", "--n2", "10", "--delta", "1.8", "--p", "nan"], "p must be finite"),
+     (["gen-sbm", "--n1", "10", "--n2", "10", "--delta", "1.8", "--p", "inf"], "p must be finite"),
+     (["gen-sbm", "--n1", "10", "--n2", "10", "--delta", "nan", "--p", "0.1"], "delta must lie in [0, 2]"),
+     (["gen-csp", "--n", "10", "--m", "-5", "--preset", "noisy-xor"], "m must be nonnegative, got -5"),
+     (["gen-goldreich", "--n", "10", "--m", "-3", "--predicate", "1,-1,-1,1"], "m must be nonnegative, got -3"),
+     (["gen-csp", "--n", "10", "--m", "5", "--weights", "inf,1,1,1"], "weights must be finite"),
+     (["analyze-q", "--weights", "nan,1,1,1"], "weights must be finite")],
+    ids=["nan-p", "inf-p", "nan-delta", "negative-csp-m", "negative-goldreich-m", "inf-weight",
+         "nan-weight"],
+)
+def test_bad_generator_parameters_exit_1(tmp_path, capsys, argv, message):
+    assert _run(*argv, "-o", str(tmp_path / "out"), "-q") == 1
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
@@ -534,19 +569,37 @@ def test_sweep_closes_its_config_file(tmp_path, monkeypatch):
     assert [u.exc_value for u in unraisable] == []
 
 
+_SWEEP_BASE = {"multipliers": "[4.0]", "trials": "1", "n": "20", "n1": "32", "n2": "32"}
+
+
 @pytest.mark.parametrize(
     "text, message",
     [('family = "csp"\n', "family 'csp' needs weights"),
      ('family = "goldreich"\n', "family 'goldreich' needs a predicate"),
      ("trails = 1\n", "sweep config: unknown key 'trails'"),
      ("[solver]\nT_fator = 3.0\n", "sweep config: unknown key 'solver.T_fator'"),
-     ("solver = 3\n", "sweep config: the config and its [solver] must be tables")],
+     ("solver = 3\n", "sweep config: the config and its [solver] must be tables"),
+     ("multipliers = 3\n", "multipliers must be a non-empty list of positive numbers, got 3"),
+     ("[solver]\nmajority_window = 0.5\n", "majority_window must satisfy 0 <= lo < hi <= 1, got 0.5"),
+     ("trials = true\n", "trials must be an integer >= 1, got True"),
+     ("trials = 1.9\n", "trials must be an integer >= 1, got 1.9"),
+     ('seed = "7"\n', "seed must be an integer >= 0, got '7'"),
+     ('family = "goldreich"\npredicate = [1.5, -1, -1, 1]\n', "predicate must be a list of integers"),
+     ("n1 = 0\n", "n1 must be an integer >= 1, got 0"),
+     ("delta = 1.0\n", "delta must lie in [0, 2] and differ from 1, got 1.0"),
+     ('[solver]\nT_factor = "3"\n', "T_factor must be finite and positive, got '3'"),
+     ('family = "csp"\nweights = [true, 1, 1, 1]\n',
+      "weights must be a list of numbers, got [True, 1, 1, 1]")],
     ids=["csp-without-weights", "goldreich-without-predicate", "unknown-key", "unknown-solver-key",
-         "solver-not-a-table"],
+         "solver-not-a-table", "multipliers-not-a-list", "window-not-a-list", "bool-trials",
+         "float-trials", "string-seed", "float-predicate", "zero-n1", "delta-one", "string-t-factor",
+         "bool-weight"],
 )
 def test_sweep_config_errors_exit_1(tmp_path, capsys, text, message):
     cfg = tmp_path / "sweep.toml"
-    cfg.write_text("multipliers = [4.0]\ntrials = 1\nn = 20\nn1 = 32\nn2 = 32\n" + text)
+    # a case's own top-level keys replace the base's (TOML refuses a key twice)
+    base = [f"{k} = {v}\n" for k, v in _SWEEP_BASE.items() if not re.search(rf"^{k} =", text, re.M)]
+    cfg.write_text("".join(base) + text)
     assert _run("sweep", "-c", str(cfg), "-o", str(tmp_path / "s.csv"), "-q") == 1
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
@@ -569,6 +622,11 @@ def test_sweep_print_config(capsys):
     assert _run("sweep", "--print-config") == 0
     cfg = json.loads(capsys.readouterr().out)
     assert "multipliers" in cfg and "family" in cfg
+
+
+def test_sweep_print_config_reads_back_as_the_default_spec(capsys):
+    assert _run("sweep", "--print-config") == 0
+    assert _sweep_spec_from_config(json.loads(capsys.readouterr().out)) == SweepSpec()
 
 
 def test_sweep_requires_config():

@@ -6,8 +6,11 @@ import pytest
 from fourier_oracle import _FWHT_MIN_K, _coefficients_direct
 
 from planted.fourier import (
+    ZERO_TOL,
+    FourierReport,
     all_coefficients,
     distribution_complexity,
+    distribution_witnesses,
     fourier_coefficient,
     predicate_lowest_degree,
     _coefficients_fwht,
@@ -144,3 +147,23 @@ def test_predicate_rejects_bad_table():
         predicate_lowest_degree(np.array([1, 0, -1, 1]))
     with pytest.raises(ValueError):
         predicate_lowest_degree(np.ones(5))
+
+
+def test_distribution_witnesses_lists_every_minimal_subset():
+    # w = 1 + a z0 z1 + b z1 z2: two witnesses of size 2, no singleton
+    k, a, b = 3, 0.3, 0.2
+    z = np.array([[1 if idx >> i & 1 else -1 for i in range(k)] for idx in range(2**k)])
+    q = PlantingDistribution(k, 1.0 + a * z[:, 0] * z[:, 1] + b * z[:, 1] * z[:, 2])
+    report = distribution_complexity(q)
+    # the enumeration solve_csp_end_to_end(try_all_witnesses=True) used to make itself
+    coefs = all_coefficients(q.normalized(), k)
+    old = []
+    for subset in itertools.combinations(range(k), report.r):
+        c = coefs[sum(1 << i for i in subset)]
+        if abs(c) > ZERO_TOL:
+            old.append(FourierReport(report.r, subset, float(c), 1.0 + 2**k * c))
+    witnesses = distribution_witnesses(q)
+    assert [w.subset for w in witnesses] == [(0, 1), (1, 2)]
+    assert witnesses == old
+    assert witnesses[0] == report
+    assert distribution_witnesses(uniform_weights(3)) == []

@@ -441,13 +441,13 @@ def test_window_validation():
 
 
 @pytest.mark.parametrize("window", [(0.9, 0.2), (0.5, 0.5), (-0.1, 0.5), (0.5, 1.1), (math.nan, 1.0), (0.5,),
-                                    (0.1, 0.5, 1.0), ("0", 1.0)])
+                                    (0.1, 0.5, 1.0), ("0", 1.0), 0.5, None, (False, True)])
 def test_window_checked_when_the_config_is_made(window):
     with pytest.raises(ValueError, match="majority_window must satisfy 0 <= lo < hi <= 1"):
         SolverConfig(majority_window=window)
 
 
-@pytest.mark.parametrize("t_factor", [math.inf, -math.inf, math.nan, 0.0, -1.0])
+@pytest.mark.parametrize("t_factor", [math.inf, -math.inf, math.nan, 0.0, -1.0, "3", True, None])
 def test_t_factor_must_be_finite_and_positive(t_factor):
     with pytest.raises(ValueError, match="T_factor must be finite and positive"):
         SolverConfig(T_factor=t_factor)
