@@ -74,6 +74,20 @@ def _weights_from_args(args) -> PlantingDistribution:
     raise UsageError("provide --weights or --preset")
 
 
+def _seed(text: str) -> int:
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {seed}")
+    return seed
+
+
+def _epsilon(text: str) -> float:
+    epsilon = float(text)
+    if not 0.0 <= epsilon <= 1.0:  # NaN fails the test too
+        raise argparse.ArgumentTypeError(f"must be a number in [0, 1], got {text}")
+    return epsilon
+
+
 def _add_weight_flags(sub):
     sub.add_argument("--weights", help="comma-separated 2^k weight table")
     sub.add_argument("--preset", choices=["uniform", "noisy-xor", "sat"])
@@ -111,7 +125,7 @@ def _build_parser() -> _Parser:
     def add(name, seed=True, **kw):
         sub = subs.add_parser(name, **kw)
         if seed:
-            sub.add_argument("--seed", type=int, default=0)
+            sub.add_argument("--seed", type=_seed, default=0)
         sub.add_argument("--output", "-o", default=None)
         sub.add_argument("--quiet", "-q", action="store_true")
         return sub
@@ -139,7 +153,7 @@ def _build_parser() -> _Parser:
     g = add("reduce", help="CSP or predicate-constraint file -> block-model instance file")
     g.add_argument("--input", "-i", required=True)
     g.add_argument("--thinning", choices=["dedup", "poisson"], default="dedup")
-    g.add_argument("--epsilon", type=float, default=0.5)
+    g.add_argument("--epsilon", type=_epsilon, default=0.5)
 
     g = add("solve", help="recover the left partition of a block-model file")
     g.add_argument("--input", "-i", required=True)
@@ -148,7 +162,7 @@ def _build_parser() -> _Parser:
     g = add("solve-csp", help="end-to-end recovery from a CSP or predicate-constraint file")
     g.add_argument("--input", "-i", required=True)
     g.add_argument("--thinning", choices=["dedup", "poisson"], default="dedup")
-    g.add_argument("--epsilon", type=float, default=0.5)
+    g.add_argument("--epsilon", type=_epsilon, default=0.5)
     _add_solver_flags(g)
 
     g = add("sweep", seed=False, help="density sweep from a TOML/JSON spec to CSV")

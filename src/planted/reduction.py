@@ -21,6 +21,7 @@ probability delta/2):
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -300,8 +301,11 @@ def csp_to_bipartite(
 
     ``thinning="dedup"`` keeps every constraint and drops duplicate edges;
     ``"poisson"`` first keeps a Poisson((1-epsilon) m) prefix, which makes
-    edges independent at the cost of discarding constraints.
+    edges independent at the cost of discarding constraints. ``epsilon``
+    must lie in [0, 1] whatever the mode (``ValueError`` otherwise).
     """
+    if not (isinstance(epsilon, numbers.Real) and 0.0 <= epsilon <= 1.0):  # NaN fails too
+        raise ValueError(f"epsilon must be a number in [0, 1], got {epsilon!r}")
     if not report.identifiable:
         raise ReductionError("planting law has no usable witness subset")
     if report.r == 1:

@@ -86,17 +86,28 @@ def _run_starts(a: np.ndarray) -> np.ndarray:
     return starts
 
 
+def _key_dtype(n1: int, n2: int, T: int) -> type:
+    """uint32 when every packed key (bucket * n2 + col) * n1 + row of T
+    buckets fits in 32 bits, else int64; decided in Python ints."""
+    return np.uint32 if T * n2 * n1 <= 2**32 else np.int64
+
+
 def _sub_graphs(n1: int, n2: int, edges: np.ndarray, key: np.ndarray, T: int) -> list[SubGraph]:
     """Sub-graph t holds the edges whose entry in ``key`` is t, sorted by
     (col, row).
 
-    ``key`` (int64 bucket ids) is overwritten with the packed keys
-    (bucket * n2 + col) * n1 + row, and one in-place sort orders every
-    sub-graph at once. Rows, cols, support and col_rank are views into
-    arrays shared by all sub-graphs. When the keys would overflow int64, the
-    right ids are first replaced by their ranks among the ids present.
+    Each edge is packed into the key (bucket * n2 + col) * n1 + row, and one
+    sort orders every sub-graph at once. The keys are uint32 when all of
+    them fit, T * n2 * n1 <= 2^32, which halves the bytes the sort moves;
+    otherwise they are int64 and overwrite ``key`` (int64 bucket ids). The
+    bucket bounds are searched in the sorted keys, the rows and columns are
+    decoded straight into int64 arrays, and the row degrees of each
+    sub-graph are counted over its decoded rows. Rows, cols, support and
+    col_rank are views into arrays shared by all sub-graphs. When the keys
+    would overflow int64, the right ids are first replaced by their ranks
+    among the ids present.
     """
-    counts = np.bincount(key, minlength=T)
+    m = len(key)
     cols, present = edges[:, 1], None
     if T * n2 * n1 > _INT64_MAX:
         present = np.sort(cols)
@@ -104,16 +115,20 @@ def _sub_graphs(n1: int, n2: int, edges: np.ndarray, key: np.ndarray, T: int) ->
         cols, n2 = np.searchsorted(present, cols), len(present)
         if T * n2 * n1 > _INT64_MAX:
             raise ValueError(f"{T} buckets x {n2} right x {n1} left ids overflow int64 keys")
-    degrees = np.bincount(key * n1 + edges[:, 0], minlength=T * n1).reshape(T, n1).astype(np.float64)
+    key = key.astype(_key_dtype(n1, n2, T), copy=False)
     key *= n2
-    key += cols
+    np.add(key, cols, out=key, casting="unsafe")
     key *= n1
-    key += edges[:, 0]
+    np.add(key, edges[:, 0], out=key, casting="unsafe")
     del cols
     key.sort()
-    rows = key % n1
-    key //= n1
-    cols = np.remainder(key, n2, out=key)
+    # bucket t starts at the first key >= t * n2 * n1; the needles stop short
+    # of T * n2 * n1, which may not fit the key dtype
+    starts = np.searchsorted(key, np.arange(1, T, dtype=key.dtype) * (n2 * n1))
+    bounds = [0, *starts.tolist(), m]
+    rows = np.remainder(key, n1, out=np.empty(m, dtype=np.int64))
+    np.floor_divide(key, n1, out=key)
+    cols = np.remainder(key, n2, out=key if key.dtype == np.int64 else np.empty(m, dtype=np.int64))
     del key
 
     # one support entry per run of equal columns; adjacent sub-graphs whose
@@ -127,9 +142,10 @@ def _sub_graphs(n1: int, n2: int, edges: np.ndarray, key: np.ndarray, T: int) ->
         cols = present[cols]
         support = present[support]
 
-    bounds = np.concatenate([[0], np.cumsum(counts)]).tolist()
+    degrees = np.empty((T, n1))
     subs = []
     for t, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+        degrees[t] = np.bincount(rows[a:b], minlength=n1)
         lo = hi = 0
         rank = col_rank[a:b]
         if b > a:
@@ -157,7 +173,8 @@ def split_edges(graph: BipartiteGraph, T: int, seed, p: float | None = None) -> 
         raise ValueError("need T >= 2")
     m = graph.num_edges
     # the bucket ids are passed without a reference kept here, so their
-    # buffer, reused for the keys, is freed once the sub-graphs are built
+    # buffer is freed as soon as uint32 keys replace them, or reused for
+    # int64 keys
     draw = np.random.default_rng(seed).integers
     subs = _sub_graphs(graph.n1, graph.n2, graph.edges, draw(0, T, size=m), T)
     if p is None:

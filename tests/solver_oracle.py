@@ -5,14 +5,77 @@ products and the whole solve against it. It splits the edges with the same
 ``split_edges`` call and draws from the same ``SeedSequence(seed).spawn(2)``
 streams, so a seed gives both solvers the same sub-graphs and start vector.
 Every matrix is n1 x n2, so keep n2 small. Also here: ``apply_m`` as it
-was when it looked yhat up once per edge."""
+was when it looked yhat up once per edge, and ``split_edges`` as it was
+when every key was int64 and the bucket counts and row degrees came from
+bincounts over the keys."""
 from __future__ import annotations
 
 import math
 
 import numpy as np
 
-from planted.solver import NORM_ABORT, RecoveryResult, SparseRightVec, SubGraph, split_edges
+from planted.instances import BipartiteGraph
+from planted.solver import (
+    _INT64_MAX,
+    NORM_ABORT,
+    RecoveryResult,
+    SparseRightVec,
+    SubGraph,
+    _run_starts,
+    split_edges,
+)
+
+
+def _sub_graphs_int64(n1: int, n2: int, edges: np.ndarray, key: np.ndarray, T: int) -> list[SubGraph]:
+    """``planted.solver._sub_graphs`` with int64 keys at every size: bucket
+    sizes from ``bincount(key)``, row degrees from one ``bincount`` over
+    ``key * n1 + row``, and the columns decoded in the keys' buffer."""
+    counts = np.bincount(key, minlength=T)
+    cols, present = edges[:, 1], None
+    if T * n2 * n1 > _INT64_MAX:
+        present = np.sort(cols)
+        present = present[_run_starts(present)]
+        cols, n2 = np.searchsorted(present, cols), len(present)
+        if T * n2 * n1 > _INT64_MAX:
+            raise ValueError(f"{T} buckets x {n2} right x {n1} left ids overflow int64 keys")
+    degrees = np.bincount(key * n1 + edges[:, 0], minlength=T * n1).reshape(T, n1).astype(np.float64)
+    key *= n2
+    key += cols
+    key *= n1
+    key += edges[:, 0]
+    del cols
+    key.sort()
+    rows = key % n1
+    key //= n1
+    cols = np.remainder(key, n2, out=key)
+    del key
+
+    new_col = _run_starts(cols)
+    support = np.compress(new_col, cols)
+    col_rank = new_col.astype(np.int64)
+    del new_col
+    np.cumsum(col_rank, out=col_rank)
+    if present is not None:
+        cols = present[cols]
+        support = present[support]
+
+    bounds = np.concatenate([[0], np.cumsum(counts)]).tolist()
+    subs = []
+    for t, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+        lo = hi = 0
+        rank = col_rank[a:b]
+        if b > a:
+            lo, hi = int(rank[0]) - 1, int(rank[-1])
+            rank -= lo + 1
+        subs.append(SubGraph(rows[a:b], cols[a:b], support[lo:hi], rank, degrees[t]))
+    return subs
+
+
+def split_subs_int64(graph: BipartiteGraph, T: int, seed) -> list[SubGraph]:
+    """The sub-graphs of ``split_edges(graph, T, seed)`` from the int64 split,
+    with the same bucket draw."""
+    draw = np.random.default_rng(seed).integers
+    return _sub_graphs_int64(graph.n1, graph.n2, graph.edges, draw(0, T, size=graph.num_edges), T)
 
 
 def dense_centered(sub: SubGraph, n1: int, n2: int, q: float) -> np.ndarray:

@@ -526,6 +526,45 @@ def test_bad_t_factor_exits_1(tmp_path, capsys, t_factor, command):
     assert not (tmp_path / "r.json").exists()
 
 
+def _inputs(tmp_path):
+    sbm, csp = tmp_path / "sbm.jsonl", tmp_path / "csp.jsonl"
+    _run("gen-sbm", "--n1", "10", "--n2", "10", "--delta", "1.8", "--p", "0.3", "-o", str(sbm), "-q")
+    _run("gen-csp", "--n", "30", "--m", "2000", "--preset", "noisy-xor", "--k", "2", "-o", str(csp), "-q")
+    return sbm, csp
+
+
+_GEN_ARGS = {
+    "gen-sbm": ["--n1", "10", "--n2", "10", "--delta", "1.8", "--p", "0.3"],
+    "gen-csp": ["--n", "10", "--m", "50", "--preset", "noisy-xor"],
+    "gen-goldreich": ["--n", "10", "--m", "50", "--predicate=1,-1,-1,1"],
+}
+
+
+@pytest.mark.parametrize("command", ["gen-sbm", "gen-csp", "gen-goldreich", "reduce", "solve", "solve-csp"])
+def test_negative_seed_exits_1_naming_the_flag(tmp_path, capsys, command):
+    sbm, csp = _inputs(tmp_path)
+    args = _GEN_ARGS.get(command) or ["-i", str(sbm if command == "solve" else csp)]
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert _run(command, *args, "--seed", "-1", "-o", str(out), "-q") == 1
+    err = capsys.readouterr().err
+    assert "argument --seed: must be a non-negative integer, got -1" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("epsilon", ["2", "nan", "-3", "inf"])
+@pytest.mark.parametrize("command", ["reduce", "solve-csp"])
+def test_epsilon_outside_unit_interval_exits_1_naming_the_flag(tmp_path, capsys, epsilon, command):
+    _, csp = _inputs(tmp_path)
+    capsys.readouterr()
+    out = tmp_path / "out"
+    argv = ["-i", str(csp), "--thinning", "poisson", f"--epsilon={epsilon}", "-o", str(out), "-q"]
+    assert _run(command, *argv) == 1
+    err = capsys.readouterr().err
+    assert f"argument --epsilon: must be a number in [0, 1], got {epsilon}" in err
+    assert not out.exists()
+
+
 def test_reduce_solve_past_int64_right_side(tmp_path, capsys):
     # Witness size 8: n2 = comb(2n, 7) > 2^63. The reduced file carries the
     # exact n2, read_sbm's duplicate check packs id ranks since n1 * n2

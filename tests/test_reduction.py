@@ -264,6 +264,25 @@ def test_reduction_rejects():
         _small_reduced(thinning="bogus")
 
 
+@pytest.mark.parametrize("epsilon", [2.0, float("nan"), -3.0, float("inf"), -1e-9])
+@pytest.mark.parametrize("thinning", ["poisson", "dedup"])
+def test_reduction_rejects_epsilon_outside_unit_interval(epsilon, thinning):
+    with pytest.raises(ValueError, match="epsilon must be a number in \\[0, 1\\]") as raised:
+        _small_reduced(thinning=thinning, epsilon=epsilon)
+    assert not isinstance(raised.value, ReductionError)
+    pred = parity_predicate(3)
+    inst = sample_goldreich(pred, 12, 400, seed=0)
+    with pytest.raises(ValueError, match="epsilon"):
+        goldreich_to_bipartite(inst, predicate_lowest_degree(pred), thinning=thinning, epsilon=epsilon)
+
+
+def test_poisson_thinning_accepts_the_ends_of_the_unit_interval():
+    _, _, red = _small_reduced(thinning="poisson", epsilon=0.0)
+    assert red.graph.num_edges > 0
+    with pytest.raises(ReductionError, match="kept no constraints"):  # a Poisson(0) prefix
+        _small_reduced(thinning="poisson", epsilon=1.0)
+
+
 def test_random_left_literal_mode():
     inst, report, red = _small_reduced(left_literal="random")
     assert red.graph.num_edges > 0

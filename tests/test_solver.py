@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -34,9 +35,16 @@ from planted.solver import (
     right_norm,
     spi_solve,
     split_edges,
+    _key_dtype,
     _make_sub,
 )
-from solver_oracle import apply_m_edgewise, dense_centered, dense_spi_solve, full_right
+from solver_oracle import (
+    apply_m_edgewise,
+    dense_centered,
+    dense_spi_solve,
+    full_right,
+    split_subs_int64,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +178,57 @@ def test_split_refuses_keys_past_int64_even_after_ranking():
     graph = BipartiteGraph(2**62, 2**62, np.array([[0, 0], [1, 1]]))
     with pytest.raises(ValueError, match="overflow int64"):
         split_edges(graph, 2, seed=0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=split_cases())
+def test_split_matches_the_int64_split_bit_for_bit(case):
+    # T reaches 600 over at most 144 edges, so many cases have empty buckets
+    graph, T, seed = case
+    _assert_same_subs(split_edges(graph, T, seed).subs, split_subs_int64(graph, T, seed))
+
+
+@settings(max_examples=50, deadline=None)
+@given(case=split_cases())
+def test_split_with_ranked_right_ids_matches_the_int64_split(case):
+    graph, T, seed = case
+    wide = BipartiteGraph(graph.n1, 2**62, graph.edges * np.array([1, 2**62 // graph.n2]))
+    _assert_same_subs(split_edges(wide, T, seed).subs, split_subs_int64(wide, T, seed))
+
+
+@pytest.mark.parametrize("n2, dtype", [(2048, np.uint32), (2049, np.int64)])
+def test_split_at_the_32_bit_key_boundary_matches_the_int64_split(n2, dtype):
+    # T * n2 * n1 = 2^32 exactly: the last edge, (n1 - 1, n2 - 1) in bucket
+    # T - 1, packs into the largest uint32 key; one more column needs int64
+    n1, T = 65536, 32
+    assert _key_dtype(n1, n2, T) is dtype
+    rng = np.random.default_rng(8)
+    keys = np.unique(rng.integers(0, n1 * n2, size=3000))
+    inner = np.column_stack([keys // n2, keys % n2])
+    corners = [[n1 - 1, 0], [0, n2 - 1], [n1 - 1, n2 - 1]]
+    inner = inner[~np.isin(keys, [r * n2 + c for r, c in corners])]
+    graph = BipartiteGraph(n1, n2, np.concatenate([inner, corners]))
+    m = graph.num_edges
+    seed = next(s for s in range(1000) if np.random.default_rng(s).integers(0, T, size=m)[-1] == T - 1)
+    split = split_edges(graph, T, seed)
+    _assert_same_subs(split.subs, split_subs_int64(graph, T, seed))
+    last = split.subs[T - 1]
+    assert (last.rows[-1], last.cols[-1]) == (n1 - 1, n2 - 1)
+
+
+def test_split_traced_peak_is_no_higher_than_the_int64_split():
+    g, _ = sample_bipartite_block(BlockModelParams(2000, 2000, 2.0, 0.075, 4))  # ~300k edges
+    T = SolverConfig().resolve_T(g.n1)
+    assert _key_dtype(g.n1, g.n2, T) is np.uint32
+    peaks = []
+    for split in (lambda: split_edges(g, T, 5), lambda: split_subs_int64(g, T, 5)):
+        tracemalloc.start()
+        try:
+            split()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= peaks[1]
 
 
 # ---------------------------------------------------------------------------
