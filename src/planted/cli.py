@@ -349,7 +349,7 @@ def main(argv=None) -> int:
         return 1
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, MemoryError) as exc:  # e.g. a 2^k weight preset numpy cannot allocate
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -281,16 +281,18 @@ def _pattern_table(k: int) -> np.ndarray:
 
 def pattern_index(z: np.ndarray) -> np.ndarray:
     """Table index of each +/-1 row of z (bit i set iff z_i = +1)."""
-    z = np.asarray(z)
-    return _bit_index(z.shape[-1], lambda j: z[..., j] > 0, z.shape[:-1])[()]
+    return _bit_index(np.asarray(z) > 0).astype(np.int64)[()]
 
 
-def _bit_index(k: int, bit, shape) -> np.ndarray:
-    """The int64 array sum_j bit(j) << j over j < k, where ``bit(j)`` is a
-    bool array of the given shape; built one column at a time."""
-    idx = np.zeros(shape, dtype=np.int64)
+def _bit_index(bits: np.ndarray) -> np.ndarray:
+    """sum_j bits[..., j] << j over the last axis of a bool array, in the
+    narrowest unsigned dtype that holds k bits (uint8 for k <= 8); built by
+    OR-ing one byte column at a time."""
+    k = bits.shape[-1]
+    columns = bits.view(np.uint8)
+    idx = np.zeros(bits.shape[:-1], dtype=np.min_scalar_type((1 << k) - 1))
     for j in range(k):
-        idx |= np.left_shift(bit(j), j, dtype=np.int64)
+        idx |= np.left_shift(columns[..., j], j, dtype=idx.dtype)
     return idx
 
 
@@ -388,25 +390,44 @@ def sample_bipartite_block(
 # ---------------------------------------------------------------------------
 
 
-def _distinct_tuples(
-    n: int, k: int, batch: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Propose `batch` ordered k-tuples; returns (tuples, valid mask).
+def _propose_tuples(n: int, k: int, batch: int, rng: np.random.Generator) -> np.ndarray:
+    """Propose `batch` ordered k-tuples of variables, uniform once the rows
+    with a repeat (`_distinct_rows`) are dropped.
 
     For n well above k, i.i.d. draws filtered for repeats are cheapest; for
     cramped n every proposal is made distinct by taking the first k entries
-    of a random permutation. Both give uniform ordered distinct tuples.
+    of a random permutation. The i.i.d. draws are int32 when n <= 2^31:
+    numpy draws a range that fits 32 bits from the same 32-bit stream
+    whatever the output dtype, so the values and the generator state match
+    the int64 draws.
     """
     if n >= 4 * k * k:
-        cand = rng.integers(0, n, size=(batch, k))
-        valid = np.ones(batch, dtype=bool)
-        for a in range(k):
-            for b in range(a + 1, k):
-                valid &= cand[:, a] != cand[:, b]
-        return cand, valid
+        return rng.integers(0, n, size=(batch, k), dtype=np.int32 if n <= 2**31 else np.int64)
     keys = rng.random((batch, n))
-    cand = np.argsort(keys, axis=1, kind="stable")[:, :k].astype(np.int64)
-    return cand, np.ones(batch, dtype=bool)
+    return np.argsort(keys, axis=1, kind="stable")[:, :k].astype(np.int64)
+
+
+def _distinct_rows(cand: np.ndarray) -> np.ndarray:
+    """Mask of the rows of `cand` with no repeated entry, from k(k-1)/2
+    whole-column compares."""
+    valid = np.ones(len(cand), dtype=bool)
+    for a in range(cand.shape[1]):
+        for b in range(a + 1, cand.shape[1]):
+            valid &= cand[:, a] != cand[:, b]
+    return valid
+
+
+def _keep_first(mask: np.ndarray, need: int) -> int:
+    """Clear every True of ``mask`` after its first ``need``; return how many
+    stay."""
+    hits = int(np.count_nonzero(mask))
+    if hits <= need:
+        return hits
+    mask[np.flatnonzero(mask)[need]:] = False
+    return need
+
+
+_CHUNK_ROWS = 1 << 15  # proposal rows per step of sample_planted_csp's acceptance pass
 
 
 def sample_planted_csp(
@@ -433,25 +454,38 @@ def sample_planted_csp(
     rng = np.random.default_rng(clause_ss)
 
     accept_rate = float(w.mean()) / wmax
+    bit = (sigma > 0).astype(np.int8)
     out_vars = np.empty((m, k), dtype=np.int64)
     out_signs = np.empty((m, k), dtype=np.int64)
     got = 0
     while got < m:
         need = m - got
         batch = int(need / max(accept_rate, 1e-3) * 1.2) + 16
-        row_cost = k if n >= 4 * k * k else n  # see _distinct_tuples
+        row_cost = k if n >= 4 * k * k else n  # see _propose_tuples
         batch = min(batch, max(4096, 30_000_000 // row_cost))
-        cand, valid = _distinct_tuples(n, k, batch, rng)
-        signs = rng.integers(0, 2, size=(batch, k))
-        signs *= 2
-        signs -= 1
-        # the literal sigma_v * sign is true iff sigma_v == sign
-        idx = _bit_index(k, lambda j: sigma[cand[:, j]] == signs[:, j], batch)
-        accept = valid & (rng.random(batch) * wmax < w[idx])
-        rows = np.flatnonzero(accept)[:need]
-        out_vars[got : got + len(rows)] = cand[rows]
-        out_signs[got : got + len(rows)] = signs[rows]
-        got += len(rows)
+        cand = _propose_tuples(n, k, batch, rng)
+        signs = rng.integers(0, 2, size=(batch, k), dtype=np.int32)  # 1 = positive
+        draw = rng.random(batch)
+        draw *= wmax
+        # The rest works on cache-sized chunks of rows and stops at the
+        # need-th accepted row; rows past it are drawn but never looked at.
+        for a in range(0, batch, _CHUNK_ROWS):
+            rows = slice(a, a + _CHUNK_ROWS)
+            c, s = cand[rows], signs[rows]
+            # the literal sigma_v * (2 * sign - 1) is true iff bit(sigma_v) == sign;
+            # the ids are in range, and take skips the index conversion and
+            # bounds check of fancy indexing
+            idx = _bit_index(np.take(bit, c, mode="clip") == s)
+            accept = draw[rows] < w[idx]
+            accept &= _distinct_rows(c)
+            kept = _keep_first(accept, m - got)
+            out_vars[got : got + kept] = c.compress(accept, axis=0)
+            out = out_signs[got : got + kept]
+            np.multiply(s.compress(accept, axis=0), 2, out=out)
+            out -= 1
+            got += kept
+            if got == m:
+                break
     return PlantedCspInstance(n, sigma, out_vars, out_signs)
 
 
@@ -464,9 +498,9 @@ def sample_goldreich(
     Seed substreams: 0 = sigma, 1 = tuples.
     """
     table = np.asarray(predicate, dtype=np.int64)
-    k = int(round(math.log2(len(table))))
-    if len(table) != 2**k or not _all_signs(table):
-        raise ValueError("predicate must be a +/-1 table of length 2^k")
+    k = len(table).bit_length() - 1
+    if k < 1 or len(table) != 2**k or not _all_signs(table):
+        raise ValueError("predicate must be a +/-1 table of length 2^k with k >= 1")
     if n < k:
         raise ValueError("need n >= k")
     if m < 0:
@@ -479,11 +513,12 @@ def sample_goldreich(
     got = 0
     while got < m:
         batch = (m - got) + (m - got) // 4 + 16
-        cand, valid = _distinct_tuples(n, k, batch, rng)
-        rows = np.flatnonzero(valid)[: m - got]
-        out[got : got + len(rows)] = cand[rows]
-        got += len(rows)
-    values = table[pattern_index(sigma[out])]
+        cand = _propose_tuples(n, k, batch, rng)
+        valid = _distinct_rows(cand)
+        kept = _keep_first(valid, m - got)
+        out[got : got + kept] = cand.compress(valid, axis=0)
+        got += kept
+    values = table[_bit_index(sigma[out] > 0)]
     return GoldreichInstance(n, table, sigma, out, values)
 
 

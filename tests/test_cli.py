@@ -381,14 +381,34 @@ def test_fractional_predicate_entry_exits_1(tmp_path, capsys, command):
      (["gen-csp", "--n", "10", "--m", "-5", "--preset", "noisy-xor"], "m must be nonnegative, got -5"),
      (["gen-goldreich", "--n", "10", "--m", "-3", "--predicate", "1,-1,-1,1"], "m must be nonnegative, got -3"),
      (["gen-csp", "--n", "10", "--m", "5", "--weights", "inf,1,1,1"], "weights must be finite"),
-     (["analyze-q", "--weights", "nan,1,1,1"], "weights must be finite")],
+     (["analyze-q", "--weights", "nan,1,1,1"], "weights must be finite"),
+     (["gen-goldreich", "--n", "10", "--m", "5", "--predicate", "1"], "length 2^k with k >= 1")],
     ids=["nan-p", "inf-p", "nan-delta", "negative-csp-m", "negative-goldreich-m", "inf-weight",
-         "nan-weight"],
+         "nan-weight", "goldreich-k-zero"],
 )
 def test_bad_generator_parameters_exit_1(tmp_path, capsys, argv, message):
     assert _run(*argv, "-o", str(tmp_path / "out"), "-q") == 1
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, preset",
+    [(["analyze-q", "--preset", "uniform", "--k", "36"], "uniform_weights"),
+     (["gen-csp", "--n", "50", "--m", "10", "--preset", "sat", "--k", "40"], "sat_clause_weights")],
+    ids=["analyze-q-uniform", "gen-csp-sat"],
+)
+def test_weight_preset_too_large_to_allocate_exits_1(tmp_path, capsys, monkeypatch, argv, preset):
+    # the preset raises as numpy does when it refuses a 2^k table; no real
+    # allocation is tried, since a host that overcommits would not refuse it
+    def refuse(k, *rest):
+        raise MemoryError(f"Unable to allocate {2**k * 8} bytes for a weight table")
+
+    monkeypatch.setattr(f"planted.cli.{preset}", refuse)
+    assert _run(*argv, "-o", str(tmp_path / "out"), "-q") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate") and "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import instances_oracle
+from planted import instances
 from planted.instances import (
     BipartiteGraph,
     BlockModelParams,
@@ -337,6 +338,9 @@ def test_goldreich_rejects():
         sample_goldreich(parity_predicate(3), 2, 10, 0)
     with pytest.raises(ValueError):
         sample_goldreich(np.array([1, 2, 1, 1]), 8, 10, 0)
+    for table in ([1], [-1], []):  # k = 0 (or no table): the file readers refuse k = 0
+        with pytest.raises(ValueError, match="k >= 1"):
+            sample_goldreich(np.array(table, dtype=np.int64), 10, 5, 0)
 
 
 _PARITY3 = parity_predicate(3)
@@ -396,7 +400,7 @@ def test_sbm_matches_reference_sampler(case):
 
 @st.composite
 def csp_cases(draw):
-    """(k, n, m, seed) with n on either side of _distinct_tuples' 4 k^2 cut."""
+    """(k, n, m, seed) with n on either side of _propose_tuples' 4 k^2 cut."""
     k = draw(st.integers(1, 6))
     n = draw(st.one_of(st.integers(k, max(k, 4 * k * k - 1)), st.integers(4 * k * k, 4 * k * k + 40)))
     return k, n, draw(st.integers(0, 40)), draw(st.integers(0, 2**63))
@@ -410,6 +414,46 @@ def test_csp_matches_reference_sampler(case, law, eta):
     got, want = sample_planted_csp(q, n, m, seed), instances_oracle.sample_planted_csp(q, n, m, seed)
     for name in ("sigma", "clause_vars", "clause_signs"):
         _assert_same(getattr(got, name), getattr(want, name))
+
+
+@pytest.mark.parametrize("n", [600, 20], ids=["iid", "cramped"])
+def test_csp_matches_reference_sampler_over_several_rounds(n, monkeypatch):
+    # a one-hot k = 12 law accepts 1 proposal in 4096, below the 1e-3 floor
+    # of the batch size, so m = 40 takes several proposal rounds; over these
+    # seeds some step draws more hits than it needs and is cut
+    steps = []
+    keep_first = instances._keep_first
+
+    def recording(mask, need):
+        steps.append((need, int(np.count_nonzero(mask))))
+        return keep_first(mask, need)
+
+    monkeypatch.setattr(instances, "_keep_first", recording)
+    weights = np.zeros(2**12)
+    weights[2**12 - 1] = 1.0
+    q = PlantingDistribution(12, weights)
+    for seed in range(8):
+        got, want = sample_planted_csp(q, n, 40, seed), instances_oracle.sample_planted_csp(q, n, 40, seed)
+        for name in ("sigma", "clause_vars", "clause_signs"):
+            _assert_same(getattr(got, name), getattr(want, name))
+    assert len(steps) >= 4 * 8
+    assert any(hits > need for need, hits in steps)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**63),
+    size=st.integers(0, 300),
+    high=st.sampled_from([1, 2, 150, 2**31]),
+)
+def test_int32_draws_match_int64_draws_and_leave_the_same_state(seed, size, high):
+    # _propose_tuples and sample_planted_csp draw int32 in place of int64;
+    # numpy draws both from one 32-bit stream when the range fits 32 bits
+    narrow, wide = np.random.default_rng(seed), np.random.default_rng(seed)
+    a = narrow.integers(0, high, size, dtype=np.int32)
+    b = wide.integers(0, high, size, dtype=np.int64)
+    assert np.array_equal(a, b)
+    assert narrow.random() == wide.random()
 
 
 @settings(max_examples=150, deadline=None)
