@@ -17,6 +17,7 @@ from .instances import (
     HiddenPartition,
     PlantedCspInstance,
     PlantingDistribution,
+    _is_number,
     _number_list,
 )
 from .reduction import ReducedInstance
@@ -71,9 +72,9 @@ def _records(path):
 
 
 def _int_row(value, k: int, name: str, where: str) -> list:
-    """A clause record's list of k JSON integers, checked as ``read_sbm``
-    checks edge ids: ``true`` or ``1.0`` is not an integer."""
-    if not (isinstance(value, list) and len(value) == k and all(type(x) is int for x in value)):
+    """A clause record's list of k JSON integers that fit int64, checked as
+    ``read_sbm`` checks edge ids: ``true`` or ``1.0`` is not an integer."""
+    if not (isinstance(value, list) and len(value) == k and all(_is_number(x, integer=True) for x in value)):
         raise ValueError(f"{where}: {name} must be a list of {k} integers, got {json.dumps(value)}")
     return value
 
@@ -454,7 +455,7 @@ def _read_constraints(path, kinds: tuple) -> CspFile | GoldreichFile:
             value = rec.get(field)
             if field == "signs":
                 value = _int_row(value, k, "clause signs", where)
-            elif type(value) is not int:
+            elif not _is_number(value, integer=True):
                 raise ValueError(f"{where}: value must be an integer, got {json.dumps(value)}")
             values.append(value)
         elif "sigma" in rec:

@@ -75,11 +75,13 @@ class BipartiteGraph:
             raise ValueError("n1 and n2 must be at least 1")
         e = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
         object.__setattr__(self, "edges", e)
-        if len(e) > 0:
-            if e[:, 0].min() < 0 or e[:, 0].max() >= self.n1:
+        # one contiguous min covers both lower bounds; the columns are
+        # looked at apart only to name the bad one
+        if len(e) > 0 and (e.min() < 0 or e[:, 0].max() >= self.n1 or e[:, 1].max() >= self.n2):
+            left = e[:, 0]
+            if left.min() < 0 or left.max() >= self.n1:
                 raise ValueError("left endpoint out of range")
-            if e[:, 1].min() < 0 or e[:, 1].max() >= self.n2:
-                raise ValueError("right endpoint out of range")
+            raise ValueError("right endpoint out of range")
 
     @property
     def num_edges(self) -> int:
@@ -237,13 +239,22 @@ class GoldreichInstance:
 # ---------------------------------------------------------------------------
 
 
+def _check_width(k: int):
+    """Raises ``ValueError`` for a preset width below 1, before 2**k becomes
+    a fraction that no table length can be."""
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
+
+
 def uniform_weights(k: int) -> PlantingDistribution:
     """Flat table: the uninformative planting law."""
+    _check_width(k)
     return PlantingDistribution(k, np.ones(2**k))
 
 
 def noisy_xor_weights(k: int, eta: float) -> PlantingDistribution:
     """Parity-tilted table w(z) = 1 + eta * prod(z); induced bias is 1 + eta."""
+    _check_width(k)
     if not -1.0 <= eta <= 1.0:
         raise ValueError("eta must lie in [-1, 1]")
     z = _pattern_table(k)
@@ -252,6 +263,7 @@ def noisy_xor_weights(k: int, eta: float) -> PlantingDistribution:
 
 def sat_clause_weights(k: int) -> PlantingDistribution:
     """Uniform over the 2^k - 1 patterns with at least one true literal."""
+    _check_width(k)
     w = np.ones(2**k)
     w[0] = 0.0  # index 0 is the all-false pattern
     return PlantingDistribution(k, w)
@@ -301,6 +313,33 @@ def _bit_index(bits: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _geometric_gaps(prob: float, size: int, cap: int, rng: np.random.Generator) -> np.ndarray:
+    """``np.minimum(rng.geometric(prob, size), cap)``: the same int64 values,
+    and the generator left in the same state.
+
+    For ``prob < 1/3`` numpy's geometric is ``ceil(-E / log1p(-prob))`` with E
+    one ziggurat ``standard_exponential`` per draw, so the exponentials are
+    drawn whole and the division, the cap and the ceiling run in float64;
+    the ceiling of the capped value equals the capped ceiling because the cap
+    is an integer. At ``prob >= 1/3`` numpy searches the CDF with one uniform
+    per draw, and past ``cap = 2^53`` the float cap is not exact: both keep
+    numpy's own draw."""
+    if prob >= 1.0 / 3.0 or cap > 2**53:
+        gaps = rng.geometric(prob, size=size)
+        return np.minimum(gaps, cap, out=gaps)
+    gaps = rng.standard_exponential(size)
+    # at a denormal prob the quotient overflows to inf, which the cap absorbs
+    with np.errstate(over="ignore"):
+        gaps /= -math.log1p(-prob)
+    np.minimum(gaps, cap, out=gaps)
+    np.ceil(gaps, out=gaps)
+    # cast in place: the overlap is exact, so each float is read before its
+    # slot is rewritten
+    hits = gaps.view(np.int64)
+    np.copyto(hits, gaps, casting="unsafe")
+    return hits
+
+
 def _bernoulli_indices(length: int, prob: float, rng: np.random.Generator) -> np.ndarray:
     """Positions of successes of independent Bernoulli(prob) trials over
     range(length), by geometric gap skipping: expected O(length * prob) work."""
@@ -313,10 +352,9 @@ def _bernoulli_indices(length: int, prob: float, rng: np.random.Generator) -> np
     while pos < length:
         mean = (length - pos) * prob
         n_draw = max(16, int(mean * 1.1 + 6.0 * math.sqrt(mean + 1.0)))
-        # numpy saturates a huge gap at the int64 maximum, where the cumsum
-        # would wrap; any gap past length lands outside just the same
-        hits = rng.geometric(prob, size=n_draw)
-        np.minimum(hits, length + 1, out=hits)
+        # any gap past length lands outside just the same, and the cap keeps
+        # the cumsum from wrapping
+        hits = _geometric_gaps(prob, n_draw, length + 1, rng)
         np.cumsum(hits, out=hits)
         hits += pos - 1
         # gaps are at least 1, so the hits strictly increase
@@ -329,8 +367,23 @@ def _bernoulli_indices(length: int, prob: float, rng: np.random.Generator) -> np
 
 
 def _balanced_signs(n: int, rng: np.random.Generator) -> np.ndarray:
-    base = np.repeat(np.array([1, -1], dtype=np.int64), n // 2)
-    return rng.permutation(base)
+    """n/2 of each sign in uniformly random order, as int8: numpy's shuffle
+    draws the same swaps whatever the item size."""
+    return rng.permutation(np.repeat(np.array([1, -1], dtype=np.int8), n // 2))
+
+
+def _pack_block(rows: np.ndarray, cols: np.ndarray, flat: np.ndarray, n2: int, out: np.ndarray):
+    """Write the keys ``rows[i] * n2 + cols[j]`` of a block's flat pair
+    indices ``i * len(cols) + j`` into ``out``, overwriting ``flat``.
+    floor_divide by a scalar is far cheaper than divmod, and the indices are
+    in range, so take may clip instead of checking them."""
+    if len(flat) == 0:
+        return
+    r = np.floor_divide(flat, len(cols))
+    np.take(rows * n2, r, out=out, mode="clip")
+    r *= len(cols)
+    flat -= r  # now the column index
+    out += np.take(cols, flat, out=r, mode="clip")
 
 
 def sample_bipartite_block(
@@ -357,28 +410,27 @@ def sample_bipartite_block(
             raise ValueError("partition lengths must match n1, n2")
 
     # Group rows/columns by label so each of the four probability blocks is a
-    # contiguous grid; sample each block as a flat Bernoulli process and pack
-    # its edges into the row-major keys row * n2 + col (validate keeps
-    # n1 * n2 within int64).
+    # contiguous grid; sample each block as a flat Bernoulli process, then
+    # pack its edges into the row-major keys row * n2 + col (validate keeps
+    # n1 * n2 within int64) in one preallocated buffer.
     rng = np.random.default_rng(edge_ss)
     n2 = params.n2
     left = [np.flatnonzero(partition.u == 1), np.flatnonzero(partition.u == -1)]
     right = [np.flatnonzero(partition.v == 1), np.flatnonzero(partition.v == -1)]
     p_same, p_cross = params.delta * params.p, (2.0 - params.delta) * params.p
-    keys = []
-    for li, rows in enumerate(left):
-        for ri, cols in enumerate(right):
-            prob = p_same if li == ri else p_cross
-            flat = _bernoulli_indices(len(rows) * len(cols), prob, rng)
-            r, c = np.divmod(flat, max(len(cols), 1))
-            key = rows[r]
-            key *= n2
-            key += cols[c]
-            keys.append(key)
+    blocks = [
+        (rows, cols, _bernoulli_indices(len(rows) * len(cols), p_same if li == ri else p_cross, rng))
+        for li, rows in enumerate(left)
+        for ri, cols in enumerate(right)
+    ]
+    key = np.empty(sum(len(flat) for *_, flat in blocks), dtype=np.int64)
+    end = 0
+    while blocks:  # popped, so each block's gaps are freed once packed
+        start, end = end, end + len(blocks[0][2])
+        _pack_block(*blocks.pop(0), n2, key[start:end])
     # Each block is already in row-major order (flatnonzero gives ascending
     # rows and columns), so a stable sort of the distinct keys only merges
     # four sorted runs.
-    key = np.concatenate(keys)
     key.sort(kind="stable")
     edges = np.empty((len(key), 2), dtype=np.int64)
     np.divmod(key, n2, out=(edges[:, 0], edges[:, 1]))
@@ -399,12 +451,22 @@ def _propose_tuples(n: int, k: int, batch: int, rng: np.random.Generator) -> np.
     of a random permutation. The i.i.d. draws are int32 when n <= 2^31:
     numpy draws a range that fits 32 bits from the same 32-bit stream
     whatever the output dtype, so the values and the generator state match
-    the int64 draws.
+    the int64 draws. The cramped keys are drawn and sorted about
+    ``_CRAMPED_KEY_BYTES`` at a time: ``rng.random`` fills rows in C order, so
+    row chunks drawn one after another are the rows of one whole draw.
     """
     if n >= 4 * k * k:
         return rng.integers(0, n, size=(batch, k), dtype=np.int32 if n <= 2**31 else np.int64)
-    keys = rng.random((batch, n))
-    return np.argsort(keys, axis=1, kind="stable")[:, :k].astype(np.int64)
+    out = np.empty((batch, k), dtype=np.int64)
+    step = max(1, _CRAMPED_KEY_BYTES // (8 * n))
+    keys = np.empty((min(step, batch), n))
+    for a in range(0, batch, step):
+        chunk = rng.random(out=keys[: min(step, batch - a)])
+        out[a : a + len(chunk)] = np.argsort(chunk, axis=1, kind="stable")[:, :k]
+    return out
+
+
+_CRAMPED_KEY_BYTES = 1 << 24  # bytes of float64 keys per chunk of the cramped proposals
 
 
 def _distinct_rows(cand: np.ndarray) -> np.ndarray:

@@ -293,7 +293,15 @@ class SolverConfig:
             raise ValueError(f"p_override must be a number in [0, 1], got {p!r}")
 
     def resolve_T(self, n1: int) -> int:
-        T = max(2, math.ceil(self.T_factor * math.log(max(n1, 2))))
+        """T for n1 left vertices. Raises ``ValueError`` naming ``T_factor``
+        when T would pass 2^63, above which the split cannot draw bucket ids."""
+        raw = self.T_factor * math.log(max(n1, 2))
+        if not raw < 2.0**63:  # also false for an overflow to inf
+            raise ValueError(
+                f"T_factor = {self.T_factor!r} gives T = {raw:.3g} sub-graphs at n1 = {n1}, "
+                "past the 2^63 the edge split can draw"
+            )
+        T = max(2, math.ceil(raw))
         return T + (T % 2)
 
     def window_slice(self, n_iterates: int) -> slice:

@@ -312,11 +312,21 @@ _GOLDREICH_HEAD = '{"type":"goldreich","n":4,"k":3,"m":2,"seed":0,"predicate":[1
          "line 3: sigma has 3 labels, expected 4"),
         (_GOLDREICH_HEAD, '{"vars":[0,1,2],"value":1}', '{"sigma":[1,true,1,-1]}',
          "line 3: sigma must be a list of +1/-1 integers"),
+        # entries past int64 ended in an OverflowError traceback from numpy
+        (_CSP_HEAD, '{"vars":[0,1,2],"signs":[1,-1,1]}', f'{{"vars":[{2**63},6,3],"signs":[1,1,1]}}',
+         f"line 3: clause ids must be a list of 3 integers, got [{2**63}, 6, 3]"),
+        (_CSP_HEAD, '{"vars":[0,1,2],"signs":[1,-1,1]}', f'{{"vars":[0,1,2],"signs":[1,{-2**64},1]}}',
+         f"line 3: clause signs must be a list of 3 integers, got [1, {-2**64}, 1]"),
+        (_GOLDREICH_HEAD, '{"vars":[0,1,2],"value":1}', f'{{"vars":[0,1,{2**64}],"value":1}}',
+         f"line 3: clause ids must be a list of 3 integers, got [0, 1, {2**64}]"),
+        (_GOLDREICH_HEAD, '{"vars":[0,1,2],"value":1}', f'{{"vars":[0,1,3],"value":{2**63}}}',
+         f"line 3: value must be an integer, got {2**63}"),
     ],
     ids=["csp-float-id", "csp-bool-id", "csp-string-id", "csp-float-sign",
          "goldreich-float-id", "goldreich-bool-id", "goldreich-string-id", "goldreich-bool-value",
          "goldreich-zero-value",
-         "csp-float-sigma", "csp-short-sigma", "goldreich-bool-sigma"],
+         "csp-float-sigma", "csp-short-sigma", "goldreich-bool-sigma",
+         "csp-id-past-int64", "csp-sign-past-int64", "goldreich-id-past-int64", "goldreich-value-past-int64"],
 )
 @pytest.mark.parametrize("command", ["solve-csp", "reduce"])
 def test_malformed_clause_ids_exit_1(tmp_path, capsys, head, clause, bad, message, command):
@@ -382,9 +392,14 @@ def test_fractional_predicate_entry_exits_1(tmp_path, capsys, command):
      (["gen-goldreich", "--n", "10", "--m", "-3", "--predicate", "1,-1,-1,1"], "m must be nonnegative, got -3"),
      (["gen-csp", "--n", "10", "--m", "5", "--weights", "inf,1,1,1"], "weights must be finite"),
      (["analyze-q", "--weights", "nan,1,1,1"], "weights must be finite"),
-     (["gen-goldreich", "--n", "10", "--m", "5", "--predicate", "1"], "length 2^k with k >= 1")],
+     (["gen-goldreich", "--n", "10", "--m", "5", "--predicate", "1"], "length 2^k with k >= 1"),
+     (["gen-csp", "--n", "10", "--m", "5", "--preset", "uniform", "--k", "-1"], "k must be at least 1, got -1"),
+     (["gen-csp", "--n", "10", "--m", "5", "--preset", "noisy-xor", "--k", "-2"], "k must be at least 1, got -2"),
+     (["analyze-q", "--preset", "sat", "--k", "-1"], "k must be at least 1, got -1"),
+     (["analyze-q", "--preset", "uniform", "--k", "0"], "k must be at least 1, got 0")],
     ids=["nan-p", "inf-p", "nan-delta", "negative-csp-m", "negative-goldreich-m", "inf-weight",
-         "nan-weight", "goldreich-k-zero"],
+         "nan-weight", "goldreich-k-zero", "gen-csp-uniform-negative-k", "gen-csp-noisy-xor-negative-k",
+         "analyze-q-sat-negative-k", "analyze-q-uniform-zero-k"],
 )
 def test_bad_generator_parameters_exit_1(tmp_path, capsys, argv, message):
     assert _run(*argv, "-o", str(tmp_path / "out"), "-q") == 1
@@ -543,6 +558,24 @@ def test_bad_t_factor_exits_1(tmp_path, capsys, t_factor, command):
     assert _run(command, "-i", str(f), f"--t-factor={t_factor}", "-o", str(tmp_path / "r.json"), "-q") == 1
     err = capsys.readouterr().err
     assert "T_factor must be finite and positive" in err and "Traceback" not in err
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("t_factor", ["1e300", "1.7e308"])
+@pytest.mark.parametrize("command", ["solve", "solve-csp"])
+def test_t_factor_too_large_to_split_by_exits_1_naming_it(tmp_path, capsys, t_factor, command):
+    # solve used to blame n1: "cannot solve with n1 = 10: high is out of bounds for int64"
+    f = tmp_path / "in.jsonl"
+    if command == "solve":
+        _run("gen-sbm", "--n1", "10", "--n2", "10", "--delta", "1.8", "--p", "0.3", "-o", str(f), "-q")
+    else:
+        _run("gen-csp", "--n", "10", "--m", "50", "--preset", "noisy-xor", "-o", str(f), "-q")
+    capsys.readouterr()
+    assert _run(command, "-i", str(f), f"--t-factor={t_factor}", "-o", str(tmp_path / "r.json"), "-q") == 1
+    err = capsys.readouterr().err
+    assert f"error: T_factor = {float(t_factor)!r} gives T = " in err
+    assert "past the 2^63 the edge split can draw" in err
+    assert "n1 = " in err and "cannot solve" not in err and "Traceback" not in err
     assert not (tmp_path / "r.json").exists()
 
 

@@ -1,6 +1,8 @@
 """Generator tests: trivial edge cases, Monte Carlo laws, determinism."""
 import itertools
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -174,9 +176,15 @@ def test_row_major_key_orders_like_lexsort(case):
     assert np.array_equal(np.argsort(key, kind="stable"), np.lexsort((edges[:, 1], edges[:, 0])))
 
 
-def test_graph_type_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        BipartiteGraph(2, 2, np.array([[0, 5]]))
+@pytest.mark.parametrize(
+    "bad, message",
+    [((-1, 0), "left"), ((2, 1), "left"), ((1, -3), "right"), ((0, 5), "right")],
+    ids=["left-negative", "left-past-n1", "right-negative", "right-past-n2"],
+)
+def test_graph_type_rejects_out_of_range(bad, message):
+    edges = np.array([[0, 0], [1, 1], bad, [1, 0]])
+    with pytest.raises(ValueError, match=f"{message} endpoint out of range"):
+        BipartiteGraph(2, 2, edges)
 
 
 def test_geometric_skip_sampler_matches_joint_bernoulli_law():
@@ -195,6 +203,50 @@ def test_geometric_skip_sampler_matches_joint_bernoulli_law():
         k = bin(mask).count("1")
         expected[mask] = reps * prob**k * (1 - prob) ** (length - k)
     assert stats.chisquare(counts, expected).pvalue > 0.001
+
+
+_THIRD = 1.0 / 3.0  # numpy's geometric searches its CDF from this p up
+_GAP_PROBS = st.one_of(
+    st.floats(1e-12, _THIRD, exclude_max=True),
+    st.sampled_from([float(np.nextafter(_THIRD, 0.0)), _THIRD, float(np.nextafter(_THIRD, 1.0)), 0.999]),
+    st.floats(_THIRD, 1.0, exclude_min=True),
+    st.sampled_from([5e-324, 1e-310, 2.2e-308]),  # denormal: the exponential quotient overflows
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**63),
+    prob=_GAP_PROBS,
+    size=st.integers(0, 400),
+    cap=st.sampled_from([1, 2, 17, 10**6, 2**53, 2**53 + 1, 2**62, 2**63 - 1]),
+)
+@example(seed=0, prob=5e-324, size=50, cap=2**53)
+@example(seed=1, prob=1e-9, size=300, cap=2**53 + 1)
+def test_geometric_gaps_match_numpy_geometric_and_leave_the_same_state(seed, prob, size, cap):
+    # below p = 1/3 the gaps come from numpy's own exponential stream
+    from planted.instances import _geometric_gaps
+
+    ours, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _geometric_gaps(prob, size, cap, ours)
+    want = np.minimum(numpys.geometric(prob, size), cap)
+    _assert_same(got, want)
+    assert ours.random() == numpys.random()
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**63), half=st.integers(0, 300))
+@example(seed=7, half=500_000)  # n2 of sbm_lopsided
+def test_int8_partition_matches_int64_partition(seed, half):
+    from planted.instances import _balanced_signs
+
+    narrow, wide = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = _balanced_signs(2 * half, narrow)
+    want = wide.permutation(np.repeat(np.array([1, -1], dtype=np.int64), half))
+    assert got.dtype == np.int8 and np.array_equal(got, want)
+    assert narrow.random() == wide.random()
 
 
 def test_geometric_skip_sampler_extremes():
@@ -281,6 +333,14 @@ def test_csp_noisy_2xor_satisfied_fraction():
     frac = (vals.prod(axis=1) == 1).mean()
     se = math.sqrt(0.75 * 0.25 / inst.m)
     assert abs(frac - 0.75) < 3 * se
+
+
+@pytest.mark.parametrize("preset", [uniform_weights, sat_clause_weights, lambda k: noisy_xor_weights(k, 0.5)],
+                         ids=["uniform", "sat", "noisy-xor"])
+@pytest.mark.parametrize("k", [0, -1, -5])
+def test_weight_presets_reject_width_below_1(preset, k):
+    with pytest.raises(ValueError, match=f"k must be at least 1, got {k}"):
+        preset(k)
 
 
 def test_csp_rejects():
@@ -398,6 +458,18 @@ def test_sbm_matches_reference_sampler(case):
     _assert_same(part.v, part_ref.v)
 
 
+@pytest.mark.parametrize("p", [0.02, 0.2, 0.45], ids=["exponential", "exponential-near-third", "search"])
+def test_sbm_matches_reference_sampler_at_scale(p):
+    # blocks of ~10^5 pairs at delta 1.6: same-side p 0.032, 0.32 and 0.72
+    # (numpy's CDF search), crossing p 0.008, 0.08 and 0.18
+    for seed in range(3):
+        case = (BlockModelParams(300, 1400, 1.6, p, seed), None)
+        (g, part), (g_ref, part_ref) = sample_bipartite_block(*case), instances_oracle.sample_bipartite_block(*case)
+        _assert_same(g.edges, g_ref.edges)
+        _assert_same(part.u, part_ref.u)
+        _assert_same(part.v, part_ref.v)
+
+
 @st.composite
 def csp_cases(draw):
     """(k, n, m, seed) with n on either side of _propose_tuples' 4 k^2 cut."""
@@ -438,6 +510,36 @@ def test_csp_matches_reference_sampler_over_several_rounds(n, monkeypatch):
             _assert_same(getattr(got, name), getattr(want, name))
     assert len(steps) >= 4 * 8
     assert any(hits > need for need, hits in steps)
+
+
+@pytest.mark.parametrize("kind", ["csp", "goldreich"])
+def test_cramped_proposals_in_chunks_match_reference_sampler(kind, monkeypatch):
+    # 112 bytes of keys per chunk: 7, 4 and 2 proposal rows at n = 2, 3 and 5,
+    # with a shorter last chunk
+    monkeypatch.setattr(instances, "_CRAMPED_KEY_BYTES", 112)
+    for n, seed in ((2, 0), (3, 1), (5, 2)):
+        if kind == "csp":
+            q = noisy_xor_weights(2, 0.6)
+            got, want = sample_planted_csp(q, n, 300, seed), instances_oracle.sample_planted_csp(q, n, 300, seed)
+            names = ("sigma", "clause_vars", "clause_signs")
+        else:
+            table = parity_predicate(2)
+            got, want = sample_goldreich(table, n, 300, seed), instances_oracle.sample_goldreich(table, n, 300, seed)
+            names = ("sigma", "tuple_vars", "values")
+        for name in names:
+            _assert_same(getattr(got, name), getattr(want, name))
+
+
+def test_cramped_proposals_peak_below_200_mb():
+    # a 49 MB instance whose whole-batch keys and argsort peaked at 524 MB
+    tracemalloc.start()
+    try:
+        inst = sample_planted_csp(uniform_weights(3), 35, 10**6, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert inst.m == 10**6
+    assert peak < 200 * 2**20
 
 
 @settings(max_examples=100, deadline=None)

@@ -512,6 +512,14 @@ def test_t_factor_must_be_finite_and_positive(t_factor):
         SolverConfig(T_factor=t_factor)
 
 
+@pytest.mark.parametrize("t_factor", [1e19, 1e300, 1.7e308])
+def test_t_factor_past_what_the_split_can_draw_is_named(t_factor):
+    # 1.7e308 * ln 6 overflows to inf
+    with pytest.raises(ValueError, match=r"T_factor = .* sub-graphs at n1 = 6, past the 2\^63"):
+        SolverConfig(T_factor=t_factor).resolve_T(6)
+    assert SolverConfig(T_factor=1e17).resolve_T(6) == math.ceil(1e17 * math.log(6))
+
+
 # ---------------------------------------------------------------------------
 # Baselines
 # ---------------------------------------------------------------------------
