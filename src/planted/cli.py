@@ -275,7 +275,7 @@ def _cmd_solve(args) -> int:
     data = files.read_sbm(args.input)
     p = data.header.get("p")
     if p is not None:
-        config = SolverConfig(**{**asdict(config), "p_override": float(p)})
+        config = replace(config, p_override=float(p))
     config.resolve_T(data.graph.n1)  # a T_factor too large to split by is blamed, not n1
     try:
         res = spi_solve(data.graph, config, truth=data.truth)

@@ -19,6 +19,8 @@ from .instances import (
     PlantingDistribution,
     _is_number,
     _number_list,
+    _pack,
+    _run_starts,
 )
 from .reduction import ReducedInstance
 
@@ -75,7 +77,9 @@ def _int_row(value, k: int, name: str, where: str) -> list:
     """A clause record's list of k JSON integers that fit int64, checked as
     ``read_sbm`` checks edge ids: ``true`` or ``1.0`` is not an integer."""
     if not (isinstance(value, list) and len(value) == k and all(_is_number(x, integer=True) for x in value)):
-        raise ValueError(f"{where}: {name} must be a list of {k} integers, got {json.dumps(value)}")
+        ints = isinstance(value, list) and len(value) == k and all(type(x) is int for x in value)
+        what = "integers within int64" if ints else f"a list of {k} integers"
+        raise ValueError(f"{where}: {name} must be {what}, got {json.dumps(value)}")
     return value
 
 
@@ -223,24 +227,17 @@ def _labels(value, sizes, name: str, where: str) -> list:
 
 
 def _row_major_key(edges: np.ndarray, n1: int, n2: int) -> np.ndarray:
-    """One int64 per (row, col) edge, ordered as the edges are in row-major
-    (lexicographic) order: ``row * n2 + col``. When ``n1 * n2`` would
-    overflow int64, the ids' ranks (below m) are packed instead."""
-    rows, cols = edges[:, 0], edges[:, 1]
-    if n1 * n2 > np.iinfo(np.int64).max:
-        rows, cols = (np.unique(c, return_inverse=True)[1] for c in (rows, cols))
-        n2 = len(edges)
-    return rows * n2 + cols
+    """``_pack``'s int64 key of each (row, col) edge, which sorts in row-major order."""
+    return _pack(edges[:, 0], n1, edges[:, 1], n2)[0]
 
 
 def _first_repeat(edges: np.ndarray, n1: int, n2: int) -> int | None:
     """File index of the first edge equal to an earlier one, or None."""
     key = _row_major_key(edges, n1, n2)
-    ordered = np.sort(key)
-    if not (ordered[1:] == ordered[:-1]).any():
+    if _run_starts(np.sort(key)).all():
         return None
     order = np.argsort(key, kind="stable")
-    return int(order[1:][key[order[1:]] == key[order[:-1]]].min())
+    return int(order[~_run_starts(key[order])].min())
 
 
 def _canonical_edges(buf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -456,7 +453,8 @@ def _read_constraints(path, kinds: tuple) -> CspFile | GoldreichFile:
             if field == "signs":
                 value = _int_row(value, k, "clause signs", where)
             elif not _is_number(value, integer=True):
-                raise ValueError(f"{where}: value must be an integer, got {json.dumps(value)}")
+                what = "an integer within int64" if type(value) is int else "an integer"
+                raise ValueError(f"{where}: value must be {what}, got {json.dumps(value)}")
             values.append(value)
         elif "sigma" in rec:
             sigma = np.array(_labels(rec["sigma"], (n,), "sigma", where), dtype=np.int64)

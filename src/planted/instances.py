@@ -61,6 +61,47 @@ def _number_list(value, integer: bool = False) -> bool:
     return isinstance(value, (list, tuple)) and all(_is_number(x, integer) for x in value)
 
 
+def _run_starts(a: np.ndarray) -> np.ndarray:
+    """True at the first entry of every run of equal values."""
+    starts = np.ones(len(a), dtype=bool)
+    np.not_equal(a[1:], a[:-1], out=starts[1:])
+    return starts
+
+
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of a 1-D array, which is sorted in place."""
+    a.sort()
+    return a[_run_starts(a)]
+
+
+def _ranks(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct values of a 1-D array, and each entry's index among them."""
+    order = np.argsort(a)
+    starts = _run_starts(a[order])
+    rank = np.empty(len(a), dtype=np.int64)
+    rank[order] = np.cumsum(starts) - 1
+    return a[order[starts]], rank
+
+
+def _pack(a: np.ndarray, a_size: int, b: np.ndarray, b_size: int):
+    """``(key, size, unpack)``: int64 keys ``a * b_size + b`` that sort as the
+    pairs (a, b) do, their exclusive bound and their decoder. Where the keys
+    could pass int64, ``a`` and then, if still needed, ``b`` are ranked first."""
+    a_values = b_values = None
+    if a_size * b_size > _INT64_MAX:
+        a_values, a = _ranks(a)
+        a_size = len(a_values)
+        if max(a_size, 1) * b_size > _INT64_MAX:  # with no ids at all, b_size must fit alone
+            b_values, b = _ranks(b)
+            b_size = len(b_values)
+
+    def unpack(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        a, b = np.divmod(key, b_size)
+        return (a if a_values is None else a_values[a]), (b if b_values is None else b_values[b])
+
+    return a * b_size + b, a_size * b_size, unpack
+
+
 @dataclass(frozen=True)
 class BipartiteGraph:
     """Sparse bipartite graph: ``edges`` is an (m, 2) int array of 0-based

@@ -27,7 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fourier import FourierReport
-from .instances import BipartiteGraph, GoldreichInstance, HiddenPartition, PlantedCspInstance
+from .instances import (
+    BipartiteGraph, GoldreichInstance, HiddenPartition, PlantedCspInstance, _distinct, _pack, _ranks
+)
 
 __all__ = [
     "TupleIndexer",
@@ -50,9 +52,6 @@ class ReductionError(ValueError):
 def literal_codes(var_ids: np.ndarray, signs: np.ndarray) -> np.ndarray:
     """Dense code of a literal: 2*var for positive, 2*var + 1 for negated."""
     return 2 * np.asarray(var_ids, dtype=np.int64) + (np.asarray(signs) < 0)
-
-
-_INT64_LIMIT = 2**63
 
 
 class TupleIndexer:
@@ -99,21 +98,11 @@ class TupleIndexer:
         """Bulk-build from canonical (m, r-1) rows; returns (indexer, ids).
 
         Each row is packed column by column into one int64 key in mixed
-        radix 2n. When the next column would overflow int64, the key is
-        first replaced by its group id, which is below m, so any witness
-        size fits."""
+        radix 2n; ``_pack`` ranks where the next column would pass int64."""
         idxr = cls(r, n_vars)
-        if len(rows) == 0:
-            return idxr, np.empty(0, dtype=np.int64)
-        radix = 2 * n_vars
-        key = rows[:, 0]
-        bound = radix
+        key, bound = rows[:, 0], 2 * n_vars
         for col in rows.T[1:]:
-            if bound * radix > _INT64_LIMIT:
-                key, first = _group_first_seen(key, bound)
-                bound = len(first)
-            key = key * radix + col
-            bound *= radix
+            key, bound, _ = _pack(key, bound, col, 2 * n_vars)
         ids, first = _group_first_seen(key, bound)
         idxr._rows = rows[first]
         return idxr, ids
@@ -125,36 +114,20 @@ def _group_first_seen(key: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarr
     ``bound`` is an upper bound on the values (exclusive). Returns
     ``(ids, first)``: ``ids[i]`` is the number of ``key[i]``'s value and
     ``first[g]`` the index where value ``g`` first appears (ascending).
-    ``np.unique`` is several times slower than either path below.
+    Values are ranked first when ``bound`` exceeds m, to keep the table short.
     """
     m = len(key)
-    if bound <= m:
-        # a table over the value range costs no more memory than the key
-        first_at = np.full(bound, m, dtype=np.int64)
-        np.minimum.at(first_at, key, np.arange(m))
-        values = np.flatnonzero(first_at < m)
-        first = first_at[values]
-        by_first = np.argsort(first)
-        lookup = np.empty(bound, dtype=np.int64)
-        lookup[values[by_first]] = np.arange(len(values))
-        return lookup[key], first[by_first]
-    order = np.argsort(key)
-    sorted_key = key[order]
-    starts = np.flatnonzero(np.concatenate(([True], sorted_key[1:] != sorted_key[:-1])))
-    # the argsort is not stable, so take each group's smallest index
-    first = np.minimum.reduceat(order, starts)
-    by_first = np.argsort(first)
-    rank = np.empty(len(first), dtype=np.int64)
-    rank[by_first] = np.arange(len(first))
-    ids = np.empty(m, dtype=np.int64)
-    ids[order] = np.repeat(rank, np.diff(np.append(starts, m)))
-    return ids, first[by_first]
-
-
-def _distinct_sorted(key: np.ndarray) -> np.ndarray:
-    """Sorted distinct values of a 1-D integer array."""
-    key = np.sort(key)
-    return key[np.concatenate(([True], key[1:] != key[:-1]))]
+    if bound > m:
+        values, key = _ranks(key)
+        bound = len(values)
+    first_at = np.full(bound, m, dtype=np.int64)
+    np.minimum.at(first_at, key, np.arange(m))
+    seen = np.zeros(m + 1, dtype=bool)  # slot m takes the values that never occur
+    seen[first_at] = True
+    first = np.flatnonzero(seen[:m])
+    lookup = np.empty(m + 1, dtype=np.int64)
+    lookup[first] = np.arange(len(first))
+    return lookup[first_at][key], first
 
 
 @dataclass(frozen=True)
@@ -273,10 +246,10 @@ def _build_reduced(
     tails = _sort_rows(codes[:, 1:])
     indexer, tuple_ids = TupleIndexer._from_rows(r, n, tails)
 
-    n_tuples = len(indexer)
-    edge_keys = _distinct_sorted(left * n_tuples + tuple_ids)
-    edges = np.column_stack([edge_keys // n_tuples, edge_keys % n_tuples])
     n1 = 2 * n
+    keys, _, unpack = _pack(left, n1, tuple_ids, len(indexer))
+    keys = _distinct(keys)  # rebound, so the m keys are freed before the decode
+    edges = np.column_stack(unpack(keys))
     graph = BipartiteGraph(n1, indexer.n2_nominal, edges)
     p_equiv = m_kept / (2.0 * n1 * indexer.n2_nominal)
 
@@ -306,6 +279,8 @@ def csp_to_bipartite(
     """
     if not (isinstance(epsilon, numbers.Real) and 0.0 <= epsilon <= 1.0):  # NaN fails too
         raise ValueError(f"epsilon must be a number in [0, 1], got {epsilon!r}")
+    if instance.n >= 2**62:  # n1 = 2n literals must fit int64, as the graph files require
+        raise ReductionError(f"n = {instance.n} variables: the 2n literals must fit int64 (n < 2^62)")
     if not report.identifiable:
         raise ReductionError("planting law has no usable witness subset")
     if report.r == 1:

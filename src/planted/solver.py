@@ -20,7 +20,9 @@ from functools import partial
 
 import numpy as np
 
-from .instances import BipartiteGraph, PlantedCspInstance, _is_number, _number_list
+from .instances import (
+    _INT64_MAX, BipartiteGraph, PlantedCspInstance, _is_number, _number_list, _ranks, _run_starts
+)
 from .reduction import _check_restricted
 
 __all__ = [
@@ -76,16 +78,6 @@ class SplitGraphs:
     subs: list[SubGraph]
 
 
-_INT64_MAX = int(np.iinfo(np.int64).max)
-
-
-def _run_starts(a: np.ndarray) -> np.ndarray:
-    """True at the first entry of every run of equal values."""
-    starts = np.ones(len(a), dtype=bool)
-    np.not_equal(a[1:], a[:-1], out=starts[1:])
-    return starts
-
-
 def _key_dtype(n1: int, n2: int, T: int) -> type:
     """uint32 when every packed key (bucket * n2 + col) * n1 + row of T
     buckets fits in 32 bits, else int64; decided in Python ints."""
@@ -110,9 +102,8 @@ def _sub_graphs(n1: int, n2: int, edges: np.ndarray, key: np.ndarray, T: int) ->
     m = len(key)
     cols, present = edges[:, 1], None
     if T * n2 * n1 > _INT64_MAX:
-        present = np.sort(cols)
-        present = present[_run_starts(present)]
-        cols, n2 = np.searchsorted(present, cols), len(present)
+        present, cols = _ranks(cols)
+        n2 = len(present)
         if T * n2 * n1 > _INT64_MAX:
             raise ValueError(f"{T} buckets x {n2} right x {n1} left ids overflow int64 keys")
     key = key.astype(_key_dtype(n1, n2, T), copy=False)

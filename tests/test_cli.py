@@ -270,6 +270,37 @@ def test_solve_csp_rejects_malformed_clause(tmp_path, capsys, weights):
     assert not (tmp_path / "r.json").exists()
 
 
+def _xor3_file(path, n, clauses):
+    """A noisy 3-XOR file with header ``n`` and all-positive clauses."""
+    head = {"type": "csp", "n": n, "k": 3, "m": len(clauses), "seed": 0,
+            "weights": noisy_xor_weights(3, 0.8).weights.tolist()}
+    lines = [json.dumps(head)] + [json.dumps({"vars": c, "signs": [1, 1, 1]}) for c in clauses]
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("n", [2**62, 2**62 + 10])
+@pytest.mark.parametrize("command", ["solve-csp", "reduce"])
+def test_n_past_2_to_62_cannot_reduce(tmp_path, capsys, command, n):
+    """n1 = 2n literals fit int64 only below n = 2^62; at n = 2^62 `reduce`
+    wrote a graph file whose n1 the reader rejects."""
+    f = tmp_path / "huge.jsonl"
+    _xor3_file(f, n, [[n - 5, 0, 1]])
+    assert _run(command, "-i", str(f), "-o", str(tmp_path / "out"), "-q") == 2
+    err = capsys.readouterr().err
+    assert f"cannot reduce: n = {n} variables" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_reduce_keeps_distinct_tuples_apart_at_n_2_to_61(tmp_path):
+    """Tails (2k, 2^62 - 2) pack past int64 even after the first column is
+    ranked; keys that wrapped merged two of the five tuples."""
+    f, out = tmp_path / "wide.jsonl", tmp_path / "red.jsonl"
+    _xor3_file(f, 2**61, [[10, k, 2**61 - 1] for k in range(5)])
+    assert _run("reduce", "-i", str(f), "-o", str(out), "-q") == 0
+    data = files.read_sbm(out)
+    assert data.graph.num_edges == 5 and data.reduced_meta["indexer_size"] == 5
+
+
 @pytest.mark.parametrize("command", ["solve-csp", "reduce"])
 def test_non_object_first_line_exits_1(tmp_path, capsys, command):
     f = tmp_path / "list.jsonl"
@@ -314,13 +345,13 @@ _GOLDREICH_HEAD = '{"type":"goldreich","n":4,"k":3,"m":2,"seed":0,"predicate":[1
          "line 3: sigma must be a list of +1/-1 integers"),
         # entries past int64 ended in an OverflowError traceback from numpy
         (_CSP_HEAD, '{"vars":[0,1,2],"signs":[1,-1,1]}', f'{{"vars":[{2**63},6,3],"signs":[1,1,1]}}',
-         f"line 3: clause ids must be a list of 3 integers, got [{2**63}, 6, 3]"),
+         f"line 3: clause ids must be integers within int64, got [{2**63}, 6, 3]"),
         (_CSP_HEAD, '{"vars":[0,1,2],"signs":[1,-1,1]}', f'{{"vars":[0,1,2],"signs":[1,{-2**64},1]}}',
-         f"line 3: clause signs must be a list of 3 integers, got [1, {-2**64}, 1]"),
+         f"line 3: clause signs must be integers within int64, got [1, {-2**64}, 1]"),
         (_GOLDREICH_HEAD, '{"vars":[0,1,2],"value":1}', f'{{"vars":[0,1,{2**64}],"value":1}}',
-         f"line 3: clause ids must be a list of 3 integers, got [0, 1, {2**64}]"),
+         f"line 3: clause ids must be integers within int64, got [0, 1, {2**64}]"),
         (_GOLDREICH_HEAD, '{"vars":[0,1,2],"value":1}', f'{{"vars":[0,1,3],"value":{2**63}}}',
-         f"line 3: value must be an integer, got {2**63}"),
+         f"line 3: value must be an integer within int64, got {2**63}"),
     ],
     ids=["csp-float-id", "csp-bool-id", "csp-string-id", "csp-float-sign",
          "goldreich-float-id", "goldreich-bool-id", "goldreich-string-id", "goldreich-bool-value",

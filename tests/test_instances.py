@@ -169,6 +169,10 @@ _WRAPPING = (np.array([[1, 0], [0, 2**31], [2**31, 5], [1, 2**31 + 1]], dtype=np
 @settings(max_examples=150, deadline=None)
 @given(case=edge_arrays())
 @example(case=_WRAPPING)
+# n2 alone passes 2^63 / m, so the columns are ranked after the rows
+@example(case=(np.array([[1, 2**62], [0, 5]], dtype=np.int64), 2, 2**62 + 1))
+@example(case=(np.array([[0, 2**62 - 1], [2**62 - 1, 0], [3, 2**62 - 2], [0, 1]], dtype=np.int64), 2**62, 2**62))
+@example(case=(np.empty((0, 2), dtype=np.int64), 3, 2**64))  # a graph file with no edges may declare any n2
 def test_row_major_key_orders_like_lexsort(case):
     edges, n1, n2 = case
     key = _row_major_key(edges, n1, n2)

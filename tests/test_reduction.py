@@ -458,6 +458,27 @@ def test_packed_keys_do_not_wrap():
     assert red.graph.edges.tolist() == [[198, 0], [198, 1]]
 
 
+def test_tuple_ids_do_not_wrap_after_ranking():
+    """At n = 2^61 the first tail column is ranked (5 values), and 5 * 2n
+    still passes int64: a key packed from the ranks without ranking the
+    second column too wrapped tuple 4 onto tuple 0."""
+    rows = np.array([[2 * j, 2**62 - 2] for j in range(5)], dtype=np.int64)
+    indexer, ids = TupleIndexer._from_rows(3, 2**61, rows)
+    assert ids.tolist() == [0, 1, 2, 3, 4]
+    assert indexer.materialized().tolist() == rows.tolist()
+
+
+def test_edge_keys_do_not_wrap_at_large_left_codes():
+    """Left code 2^62 - 2 times 5 tuples passes int64: an unranked edge key
+    wrapped it to 922337203685477579."""
+    n = 2**61
+    cvars = np.array([[n - 1, 2 * k, 2 * k + 1] for k in range(5)], dtype=np.int64)
+    inst = PlantedCspInstance(n, None, cvars, np.ones((5, 3), dtype=np.int64))
+    red = csp_to_bipartite(inst, distribution_complexity(noisy_xor_weights(3, 0.8)))
+    assert red.graph.edges.tolist() == [[2**62 - 2, t] for t in range(5)]
+
+
+
 # ---------------------------------------------------------------------------
 # Predicate-constraint reductions
 # ---------------------------------------------------------------------------
