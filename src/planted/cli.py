@@ -286,10 +286,11 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_solve_csp(args) -> int:
-    common = dict(
-        seed=args.seed, thinning=args.thinning, epsilon=args.epsilon, config=_solver_config(args)
-    )
+    config = _solver_config(args)
+    common = dict(seed=args.seed, thinning=args.thinning, epsilon=args.epsilon, config=config)
     data = files.read_constraints(args.input)
+    n = data.instance.n
+    config.resolve_T(2 * n)  # the reduction's left side holds 2n literals
     try:
         if isinstance(data, files.GoldreichFile):
             assignment, report = solve_goldreich_end_to_end(data.instance, **common)
@@ -298,6 +299,8 @@ def _cmd_solve_csp(args) -> int:
     except ReductionError as exc:
         print(f"cannot reduce: {exc}", file=sys.stderr)
         return 2
+    except (ValueError, MemoryError) as exc:  # e.g. numpy refusing vectors of 2n entries
+        raise ValueError(f"{args.input}: cannot solve with n = {n}: {exc}") from None
     payload = report.to_dict()
     payload["assignment"] = None if assignment is None else [int(a) for a in assignment]
     _emit(args, json.dumps(payload))

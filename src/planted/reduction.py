@@ -346,6 +346,14 @@ def goldreich_to_bipartite(
     )
 
 
+def _sign_or_coin(score: np.ndarray, seed: int) -> tuple[np.ndarray, int]:
+    """The int64 sign of each score, a seeded +/-1 coin where it is zero,
+    and the number of zero scores."""
+    coin = np.random.default_rng(np.random.SeedSequence(seed)).integers(0, 2, size=len(score)) * 2 - 1
+    signs = np.where(score > 0, 1, np.where(score < 0, -1, coin)).astype(np.int64)
+    return signs, int((score == 0).sum())
+
+
 def partition_to_assignment(result: np.ndarray, seed: int = 0) -> tuple[np.ndarray, int]:
     """Collapse a sign vector over 2n literals to one over n variables.
 
@@ -357,9 +365,4 @@ def partition_to_assignment(result: np.ndarray, seed: int = 0) -> tuple[np.ndarr
     result = np.asarray(result, dtype=np.int64)
     if result.ndim != 1 or len(result) % 2:
         raise ValueError("expected a sign vector over 2n literals")
-    n = len(result) // 2
-    score = result[0::2] - result[1::2]
-    coin = np.random.default_rng(np.random.SeedSequence(seed)).integers(0, 2, size=n) * 2 - 1
-    assignment = np.where(score > 0, 1, np.where(score < 0, -1, coin)).astype(np.int64)
-    inconsistent = int((score == 0).sum())
-    return assignment, inconsistent
+    return _sign_or_coin(result[0::2] - result[1::2], seed)

@@ -1,8 +1,11 @@
 """Subsampled power iteration and baselines.
 
 The solver never forms the n1 x n2 matrix. Each of the T edge-disjoint
-sub-graphs stores its edges plus the set of right vertices it actually
-touches, and the centered products are computed implicitly:
+sub-graphs stores the left endpoint of each edge, the sorted set of right
+vertices it touches (its support) and each edge's index into that set, so
+every right endpoint is stored once; the per-edge right ids are derived on
+demand as ``support[col_rank]``. The centered products are computed
+implicitly:
 
     y = (A - qJ)^T x  is carried as (yhat on the support, L = sum(x)),
         the full vector being yhat - q L everywhere;
@@ -23,7 +26,7 @@ import numpy as np
 from .instances import (
     _INT64_MAX, BipartiteGraph, PlantedCspInstance, _is_number, _number_list, _ranks, _run_starts
 )
-from .reduction import _check_restricted
+from .reduction import _check_restricted, _sign_or_coin
 
 __all__ = [
     "SubGraph",
@@ -56,13 +59,18 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class SubGraph:
-    """One sub-matrix: edge arrays plus the right-support and row degrees."""
+    """One sub-matrix: left endpoints per edge, the right support, each
+    edge's index into it, and the row degrees."""
 
     rows: np.ndarray
-    cols: np.ndarray
     support: np.ndarray  # sorted unique right endpoints
     col_rank: np.ndarray  # per-edge index into support
     row_degrees: np.ndarray  # length n1
+
+    @property
+    def cols(self) -> np.ndarray:
+        """The right endpoint of each edge, gathered anew on every read."""
+        return self.support[self.col_rank]
 
     @property
     def num_edges(self) -> int:
@@ -92,12 +100,15 @@ def _sub_graphs(n1: int, n2: int, edges: np.ndarray, key: np.ndarray, T: int) ->
     sort orders every sub-graph at once. The keys are uint32 when all of
     them fit, T * n2 * n1 <= 2^32, which halves the bytes the sort moves;
     otherwise they are int64 and overwrite ``key`` (int64 bucket ids). The
-    bucket bounds are searched in the sorted keys, the rows and columns are
-    decoded straight into int64 arrays, and the row degrees of each
-    sub-graph are counted over its decoded rows. Rows, cols, support and
-    col_rank are views into arrays shared by all sub-graphs. When the keys
-    would overflow int64, the right ids are first replaced by their ranks
-    among the ids present.
+    bucket bounds are searched in the sorted keys and the rows are decoded
+    straight into an int64 array. Dividing the rows out leaves
+    bucket * n2 + col, whose runs are each sub-graph's support entries, so
+    only the support's columns are decoded; the per-edge columns are never
+    built (``SubGraph.cols`` derives them). The row degrees of each
+    sub-graph are counted over its decoded rows. Rows, support and col_rank
+    are views into arrays shared by all sub-graphs. When the keys would
+    overflow int64, the right ids are first replaced by their ranks among
+    the ids present.
     """
     m = len(key)
     cols, present = edges[:, 1], None
@@ -119,18 +130,16 @@ def _sub_graphs(n1: int, n2: int, edges: np.ndarray, key: np.ndarray, T: int) ->
     bounds = [0, *starts.tolist(), m]
     rows = np.remainder(key, n1, out=np.empty(m, dtype=np.int64))
     np.floor_divide(key, n1, out=key)
-    cols = np.remainder(key, n2, out=key if key.dtype == np.int64 else np.empty(m, dtype=np.int64))
-    del key
 
-    # one support entry per run of equal columns; adjacent sub-graphs whose
-    # edges meet in one column share its entry
-    new_col = _run_starts(cols)
-    support = np.compress(new_col, cols)  # faster than cols[new_col]
+    # one support entry per run of equal (bucket, col); runs never cross buckets
+    new_col = _run_starts(key)
+    support = np.compress(new_col, key).astype(np.int64, copy=False)  # faster than key[new_col]
+    np.remainder(support, n2, out=support)
+    del key
     col_rank = new_col.astype(np.int64)
     del new_col
     np.cumsum(col_rank, out=col_rank)  # 1-based over all sub-graphs
     if present is not None:
-        cols = present[cols]
         support = present[support]
 
     degrees = np.empty((T, n1))
@@ -142,7 +151,7 @@ def _sub_graphs(n1: int, n2: int, edges: np.ndarray, key: np.ndarray, T: int) ->
         if b > a:
             lo, hi = int(rank[0]) - 1, int(rank[-1])
             rank -= lo + 1
-        subs.append(SubGraph(rows[a:b], cols[a:b], support[lo:hi], rank, degrees[t]))
+        subs.append(SubGraph(rows[a:b], support[lo:hi], rank, degrees[t]))
     return subs
 
 
@@ -453,9 +462,7 @@ def majority_vote_r1(
     vars_, signs = instance.clause_vars[:, subset], instance.clause_signs[:, subset]
     _check_restricted(instance.n, vars_, signs)
     counts = np.bincount(vars_[:, 0], weights=signs[:, 0].astype(np.float64), minlength=instance.n)
-    coin = np.random.default_rng(np.random.SeedSequence(seed)).integers(0, 2, size=instance.n) * 2 - 1
-    assignment = np.where(counts > 0, 1, np.where(counts < 0, -1, coin)).astype(np.int64)
-    return assignment, int((counts == 0).sum())
+    return _sign_or_coin(counts, seed)
 
 
 def power_iteration_baseline(

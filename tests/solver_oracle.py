@@ -67,7 +67,9 @@ def _sub_graphs_int64(n1: int, n2: int, edges: np.ndarray, key: np.ndarray, T: i
         if b > a:
             lo, hi = int(rank[0]) - 1, int(rank[-1])
             rank -= lo + 1
-        subs.append(SubGraph(rows[a:b], cols[a:b], support[lo:hi], rank, degrees[t]))
+        sub = SubGraph(rows[a:b], support[lo:hi], rank, degrees[t])
+        assert np.array_equal(sub.cols, cols[a:b])
+        subs.append(sub)
     return subs
 
 

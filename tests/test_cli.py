@@ -255,6 +255,19 @@ def test_solve_names_the_file_when_n1_cannot_be_allocated(tmp_path, capsys):
     assert not (tmp_path / "r.json").exists()
 
 
+def test_solve_csp_names_the_file_when_2n_cannot_be_allocated(tmp_path, capsys):
+    # five clauses reduce fine; the solver's vectors over 2n = 2^62 literals do not fit
+    n = 2**61
+    head = '{"type":"csp","n":%d,"k":3,"m":5,"seed":0,"weights":[0.5,1.5,1.5,0.5,1.5,0.5,0.5,1.5]}' % n
+    clauses = [[1, 3, 8], [5, 4, 2], [5, 4, 6], [5, 8, 0], [5, 8, 3]]
+    f = tmp_path / "huge.jsonl"
+    f.write_text("\n".join([head, *(json.dumps({"vars": v, "signs": [1, -1, 1]}) for v in clauses)]) + "\n")
+    assert _run("solve-csp", "-i", str(f), "-o", str(tmp_path / "r.json"), "-q") == 1
+    err = capsys.readouterr().err
+    assert f"{f}: cannot solve with n = {n}: " in err and "Traceback" not in err
+    assert not (tmp_path / "r.json").exists()
+
+
 @pytest.mark.parametrize(
     "weights", [sat_clause_weights(3), noisy_xor_weights(3, 0.8)], ids=["majority", "spi"]
 )

@@ -100,7 +100,9 @@ def _split_edges_int64(graph, T, seed):
         rows, cols = rows[by_col_row], cols[by_col_row]
         support, col_rank = np.unique(cols, return_inverse=True)
         degrees = np.bincount(rows, minlength=graph.n1).astype(np.float64)
-        subs.append(SubGraph(rows, cols, support, col_rank.ravel(), degrees))
+        sub = SubGraph(rows, support, col_rank.ravel(), degrees)
+        assert np.array_equal(sub.cols, cols)
+        subs.append(sub)
     return subs
 
 
@@ -159,7 +161,7 @@ def test_split_past_int64_keys_ranks_the_right_ids(case):
     graph, T, seed = case
     scale = 2**62 // graph.n2
     wide = BipartiteGraph(graph.n1, 2**62, graph.edges * np.array([1, scale]))
-    want = [replace(sub, cols=sub.cols * scale, support=sub.support * scale)
+    want = [replace(sub, support=sub.support * scale)
             for sub in split_edges(graph, T, seed).subs]
     _assert_same_subs(split_edges(wide, T, seed).subs, want)
 
@@ -229,6 +231,22 @@ def test_split_traced_peak_is_no_higher_than_the_int64_split():
         finally:
             tracemalloc.stop()
     assert peaks[0] <= peaks[1]
+
+
+@pytest.mark.parametrize("n1, n2, p, dtype", [(2000, 2000, 0.075, np.uint32), (100, 10**6, 0.003, np.int64)])
+def test_split_holds_rows_and_ranks_but_no_per_edge_columns(n1, n2, p, dtype):
+    # ~300k edges: a per-edge int64 column array would hold ~2.4 MB more
+    g, _ = sample_bipartite_block(BlockModelParams(n1, n2, 1.8, p, 4))
+    T = SolverConfig().resolve_T(n1)
+    assert _key_dtype(n1, n2, T) is dtype
+    tracemalloc.start()
+    try:
+        split = split_edges(g, T, 5)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    support = sum(len(s.support) for s in split.subs)
+    assert held <= 16 * g.num_edges + 8 * support + 8 * T * n1 + 128 * 1024
 
 
 # ---------------------------------------------------------------------------
