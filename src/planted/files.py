@@ -20,6 +20,7 @@ from .instances import (
     _is_number,
     _number_list,
     _pack,
+    _predicate_table,
     _run_starts,
 )
 from .reduction import ReducedInstance
@@ -445,6 +446,13 @@ def _read_constraints(path, kinds: tuple) -> CspFile | GoldreichFile:
         entries = "integers" if integer else "numbers"
         raise ValueError(f"{where}: the header needs a {table_name} list of {entries}")
     n, k = header["n"], header["k"]
+    try:  # the table's own checks, reported at the header's line
+        if kind == "csp":
+            law = PlantingDistribution(k, np.array(table, dtype=np.float64))
+        else:
+            table = _predicate_table(table, k)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
     sigma, cvars, values = None, [], []
     for where, rec in records:
         if "vars" in rec:
@@ -462,5 +470,5 @@ def _read_constraints(path, kinds: tuple) -> CspFile | GoldreichFile:
     values = np.array(values, dtype=np.int64)
     if kind == "csp":
         instance = PlantedCspInstance(n, sigma, cvars, values.reshape(-1, k))
-        return CspFile(instance, PlantingDistribution(k, np.array(table, dtype=np.float64)), header)
-    return GoldreichFile(GoldreichInstance(n, np.array(table, dtype=np.int64), sigma, cvars, values), header)
+        return CspFile(instance, law, header)
+    return GoldreichFile(GoldreichInstance(n, table, sigma, cvars, values), header)

@@ -102,6 +102,13 @@ def _pack(a: np.ndarray, a_size: int, b: np.ndarray, b_size: int):
     return a * b_size + b, a_size * b_size, unpack
 
 
+def _key_dtype(*sizes: int) -> type:
+    """uint32 when every key packed in mixed radix from ids below ``sizes``
+    fits in 32 bits (their product is at most 2^32), else int64; decided in
+    Python ints. The split and the reduction's edge keys share this rule."""
+    return np.uint32 if math.prod(sizes) <= 2**32 else np.int64
+
+
 @dataclass(frozen=True)
 class BipartiteGraph:
     """Sparse bipartite graph: ``edges`` is an (m, 2) int array of 0-based
@@ -236,6 +243,15 @@ class PlantedCspInstance:
         return self.clause_vars.shape[1]
 
 
+def _predicate_table(predicate, k: int) -> np.ndarray:
+    """The predicate as an int64 table; ``ValueError`` unless it is a +/-1
+    table of length 2^k."""
+    table = np.asarray(predicate, dtype=np.int64)
+    if table.shape != (2**k,) or not _all_signs(table):
+        raise ValueError("predicate must be a +/-1 table of length 2^k for k-wide tuples")
+    return table
+
+
 @dataclass(frozen=True)
 class GoldreichInstance:
     """m predicate constraints: ordered tuples of distinct variables plus the
@@ -254,12 +270,9 @@ class GoldreichInstance:
         values = np.asarray(self.values, dtype=np.int64)
         if values.shape != (len(tv),) or not _all_signs(values):
             raise ValueError("values must hold one +1 or -1 per tuple")
-        table = np.asarray(self.predicate, dtype=np.int64)
-        if table.shape != (2 ** tv.shape[1],) or not _all_signs(table):
-            raise ValueError("predicate must be a +/-1 table of length 2^k for k-wide tuples")
         object.__setattr__(self, "tuple_vars", tv)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "predicate", table)
+        object.__setattr__(self, "predicate", _predicate_table(self.predicate, tv.shape[1]))
         if self.sigma is not None:
             s = np.asarray(self.sigma, dtype=np.int64)
             if s.shape != (self.n,):

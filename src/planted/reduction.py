@@ -28,7 +28,8 @@ import numpy as np
 
 from .fourier import FourierReport
 from .instances import (
-    BipartiteGraph, GoldreichInstance, HiddenPartition, PlantedCspInstance, _distinct, _pack, _ranks
+    BipartiteGraph, GoldreichInstance, HiddenPartition, PlantedCspInstance, _distinct, _key_dtype, _pack,
+    _ranks,
 )
 
 __all__ = [
@@ -179,30 +180,43 @@ def _poisson_keep(m: int, epsilon: float, rng: np.random.Generator) -> int:
     return min(z, m)
 
 
-def _check_restricted(n: int, r_vars: np.ndarray, r_signs: np.ndarray) -> None:
+def _check_restricted(n: int, r_vars: np.ndarray, r_signs: np.ndarray, first_row: int = 0) -> np.ndarray:
     """Reject restricted clauses with a variable id outside [0, n), a sign
-    other than +1/-1, or a variable repeated within the clause."""
-    r_vars = np.asarray(r_vars, dtype=np.int64)
+    other than +1/-1, or a variable repeated within the clause; the message
+    numbers rows from ``first_row``. Returns the ids transposed, an (r, rows)
+    int64 copy with one contiguous row per position, on which every check
+    but the sign one runs."""
+    ids = np.asarray(r_vars).T.astype(np.int64, order="C")
     # viewed as unsigned, a negative id is huge, so one compare checks [0, n)
-    bad = (r_vars.view(np.uint64) >= n) | (np.abs(r_signs) != 1)
-    for b in range(1, r_vars.shape[1]):
-        for a in range(b):
-            bad[:, b] |= r_vars[:, a] == r_vars[:, b]
-    if bad.any():
-        row = int(np.flatnonzero(bad.any(axis=1))[0])
+    masks = [ids.view(np.uint64) >= n, (np.abs(r_signs) != 1).T]
+    masks += [ids[a] == ids[b] for b in range(1, len(ids)) for a in range(b)]
+    # whole-mask tests are cheap; only a failing check locates its first row
+    bad_rows = [np.flatnonzero(np.atleast_2d(x).any(axis=0))[0] for x in masks if x.any()]
+    if bad_rows:
+        row = int(min(bad_rows))
         raise ReductionError(
-            f"restricted clause {row} (vars {r_vars[row].tolist()}, signs {r_signs[row].tolist()}) "
+            f"restricted clause {first_row + row} (vars {ids[:, row].tolist()}, signs {r_signs[row].tolist()}) "
             f"needs distinct variable ids in [0, {n}) and signs +1/-1"
         )
+    return ids
 
 
-def _sort_rows(a: np.ndarray) -> np.ndarray:
-    """``np.sort(a, axis=1)``. Rows of width 2 take a min and a max over
-    whole columns, which beats numpy's per-row sort there."""
+def _sort_rows(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``np.sort(a, axis=1)``, written into ``out`` when given. Rows of width
+    2 take a min and a max over whole columns, which beats numpy's per-row
+    sort there."""
+    if out is None:
+        out = np.empty(a.shape, dtype=a.dtype)
     if a.shape[1] == 2:
         x, y = a.T
-        return np.column_stack([np.minimum(x, y), np.maximum(x, y)])
-    return np.sort(a, axis=1)
+        np.minimum(x, y, out=out[:, 0])
+        np.maximum(x, y, out=out[:, 1])
+    else:
+        out[...] = np.sort(a, axis=1)
+    return out
+
+
+_CHUNK_ROWS = 1 << 15  # restricted clauses per block of _build_reduced's pass
 
 
 def _build_reduced(
@@ -216,40 +230,63 @@ def _build_reduced(
     seed: int,
     left_literal: str,
 ) -> ReducedInstance:
-    """Shared core: restricted r-literal clauses -> edges + labels."""
+    """Shared core: restricted r-literal clauses -> edges + labels.
+
+    One pass over blocks of ``_CHUNK_ROWS`` rows checks every clause and
+    encodes the kept ones while the block is in cache: literal codes, the
+    pivot swapped to the front, the left code and the sorted tail written
+    into preallocated arrays. Rows past a Poisson prefix are checked but not
+    encoded, so a bad clause anywhere is reported before a thinning error."""
     m, r = r_vars.shape
     if m == 0:
         raise ReductionError("empty instance")
-    _check_restricted(n, r_vars, r_signs)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    if thinning == "poisson":
-        keep = _poisson_keep(m, epsilon, rng)
-        r_vars, r_signs = r_vars[:keep], r_signs[:keep]
-    elif thinning != "dedup":
+    m_kept = _poisson_keep(m, epsilon, rng) if thinning == "poisson" else m
+    modes_known = thinning in ("dedup", "poisson") and left_literal in ("first", "random")
+    n_encoded = m_kept if modes_known else 0
+    left = np.empty(n_encoded, dtype=np.int64)
+    tails = np.empty((r - 1, n_encoded), dtype=np.int64)  # by position, so each is contiguous
+    for a in range(0, m, _CHUNK_ROWS):
+        s = r_signs[a : a + _CHUNK_ROWS]
+        ids = _check_restricted(n, r_vars[a : a + _CHUNK_ROWS], s, first_row=a)
+        b = min(a + _CHUNK_ROWS, n_encoded)
+        if b <= a:
+            continue
+        codes = literal_codes(ids[:, : b - a], s[: b - a].T)  # one row per position
+        if left_literal == "random":
+            # uniform pivot position per clause, swapped to the front; only
+            # valid for order-symmetric laws. Drawn per block, the pivots
+            # are the same stream as one draw of m_kept.
+            cols = np.arange(b - a)
+            pivot = rng.integers(0, r, size=b - a)
+            front = codes[pivot, cols]
+            codes[pivot, cols] = codes[0]
+            codes[0] = front
+        left[a:b] = codes[0]
+        _sort_rows(codes[1:].T, out=tails[:, a:b].T)
+    if thinning not in ("dedup", "poisson"):
         raise ReductionError(f"unknown thinning mode: {thinning!r}")
-    m_kept = len(r_vars)
     if m_kept == 0:
         raise ReductionError("thinning kept no constraints")
-
-    codes = literal_codes(r_vars, r_signs)
-    if left_literal == "random":
-        # uniform pivot position per clause; only valid for order-symmetric laws
-        pivot = rng.integers(0, r, size=m_kept)
-        cols = np.arange(r)[None, :].repeat(m_kept, axis=0)
-        cols[np.arange(m_kept), pivot] = 0
-        cols[np.arange(m_kept), 0] = pivot
-        codes = np.take_along_axis(codes, cols, axis=1)
-    elif left_literal != "first":
+    if left_literal not in ("first", "random"):
         raise ReductionError(f"unknown left_literal mode: {left_literal!r}")
 
-    left = codes[:, 0]
-    tails = _sort_rows(codes[:, 1:])
-    indexer, tuple_ids = TupleIndexer._from_rows(r, n, tails)
-
-    n1 = 2 * n
-    keys, _, unpack = _pack(left, n1, tuple_ids, len(indexer))
-    keys = _distinct(keys)  # rebound, so the m keys are freed before the decode
-    edges = np.column_stack(unpack(keys))
+    indexer, tuple_ids = TupleIndexer._from_rows(r, n, tails.T)
+    del tails  # the indexer holds its own copy of the distinct rows
+    n1, n_tuples = 2 * n, len(indexer)
+    if _key_dtype(n1, n_tuples) is np.uint32:
+        keys = left.astype(np.uint32)
+        keys *= n_tuples
+        np.add(keys, tuple_ids, out=keys, casting="unsafe")
+        del left, tuple_ids
+        keys = _distinct(keys)  # rebound, so the m keys are freed before the decode
+        edges = np.empty((len(keys), 2), dtype=np.int64)
+        np.divmod(keys, n_tuples, out=(edges[:, 0], edges[:, 1]))
+    else:
+        keys, _, unpack = _pack(left, n1, tuple_ids, n_tuples)
+        del left, tuple_ids
+        keys = _distinct(keys)
+        edges = np.column_stack(unpack(keys))
     graph = BipartiteGraph(n1, indexer.n2_nominal, edges)
     p_equiv = m_kept / (2.0 * n1 * indexer.n2_nominal)
 
@@ -288,10 +325,13 @@ def csp_to_bipartite(
     if report.r > instance.k:
         raise ReductionError("witness wider than the clauses")
     positions = sorted(report.subset)
+    r_vars, r_signs = instance.clause_vars, instance.clause_signs
+    if positions != list(range(instance.k)):  # a witness on every position takes the arrays as they are
+        r_vars, r_signs = r_vars[:, positions], r_signs[:, positions]
     return _build_reduced(
         instance.n,
-        instance.clause_vars[:, positions],
-        instance.clause_signs[:, positions],
+        r_vars,
+        r_signs,
         instance.sigma,
         report.delta,
         thinning,

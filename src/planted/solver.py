@@ -24,7 +24,8 @@ from functools import partial
 import numpy as np
 
 from .instances import (
-    _INT64_MAX, BipartiteGraph, PlantedCspInstance, _is_number, _number_list, _ranks, _run_starts
+    _INT64_MAX, BipartiteGraph, PlantedCspInstance, _is_number, _key_dtype, _number_list, _ranks,
+    _run_starts,
 )
 from .reduction import _check_restricted, _sign_or_coin
 
@@ -84,12 +85,6 @@ class SplitGraphs:
     T: int
     q: float
     subs: list[SubGraph]
-
-
-def _key_dtype(n1: int, n2: int, T: int) -> type:
-    """uint32 when every packed key (bucket * n2 + col) * n1 + row of T
-    buckets fits in 32 bits, else int64; decided in Python ints."""
-    return np.uint32 if T * n2 * n1 <= 2**32 else np.int64
 
 
 def _sub_graphs(n1: int, n2: int, edges: np.ndarray, key: np.ndarray, T: int) -> list[SubGraph]:

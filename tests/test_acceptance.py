@@ -325,7 +325,7 @@ def test_criterion_9_linear_time_contract():
     # The same edges over n2 = 2^62 right vertices: numpy refuses any array
     # with n2 entries ("array is too big"), so finishing shows none is built.
     # The traced peak covers every numpy allocation; 40 B per edge measured
-    # (the sub-graphs' rows, cols, col_rank and supports, and the split's
+    # (the sub-graphs' rows, col_rank and supports, and the split's
     # packed keys while the ids are mapped back from their ranks).
     wide = BipartiteGraph(an1, 2**62, g.edges * np.array([1, 2**62 // an2]))
     tracemalloc.start()

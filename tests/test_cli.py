@@ -428,6 +428,28 @@ def test_fractional_predicate_entry_exits_1(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize(
+    "head, table, message",
+    [(_CSP_HEAD, "[1,1,1,1]", "weights must have length 2^k = 8"),
+     (_CSP_HEAD, "[1,1,1,1,1,1,1,-2]", "weights must be nonnegative"),
+     (_CSP_HEAD, "[0,0,0,0,0,0,0,0]", "weight table must not be identically zero"),
+     (_GOLDREICH_HEAD, "[1,-1,-1,1,-1,1,1,2]", "predicate must be a +/-1 table of length 2^k")],
+    ids=["weights-length", "negative-weight", "zero-weights", "predicate-entry-2"],
+)
+@pytest.mark.parametrize("command", ["solve-csp", "reduce"])
+def test_bad_header_table_values_name_file_and_line(tmp_path, capsys, head, table, message, command):
+    clause = '{"vars":[0,1,2],"signs":[1,-1,1]}' if head is _CSP_HEAD else '{"vars":[0,1,2],"value":1}'
+    f = tmp_path / "bad.jsonl"
+    f.write_text(re.sub(r"\[.*\]", table, head) + "\n" + clause + "\n")
+    message = f"{f}, line 1: {message}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        files.read_constraints(f)
+    assert _run(command, "-i", str(f), "-o", str(tmp_path / "out"), "-q") == 1
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
     "argv, message",
     [(["gen-sbm", "--n1", "10", "--n2", "10", "--delta", "1.8", "--p", "nan"], "p must be finite"),
      (["gen-sbm", "--n1", "10", "--n2", "10", "--delta", "1.8", "--p", "inf"], "p must be finite"),
