@@ -51,11 +51,28 @@ def _write_lines(path, records):
             fh.write("\n")
 
 
+def _open_text(path):
+    """``path`` opened for reading as UTF-8 text, with each byte that is not
+    UTF-8 kept as a lone surrogate for ``_utf8`` to report with its line."""
+    return open(path, encoding="utf-8", errors="surrogateescape")
+
+
+def _utf8(line: str, where: str) -> str:
+    """``line``, read by ``_open_text``. Raises ``ValueError`` naming the
+    line for one that holds a byte that is not UTF-8."""
+    if not line.isascii():
+        try:
+            line.encode(errors="surrogateescape").decode()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{where}: byte 0x{exc.object[exc.start]:02x} is not UTF-8 ({exc.reason})") from None
+    return line
+
+
 def _loads(line: str, where: str) -> dict:
     """The JSON object on a line. Raises ``ValueError`` naming the line for
-    one that is not a JSON object."""
+    one that is not UTF-8 or not a JSON object."""
     try:
-        rec = json.loads(line)
+        rec = json.loads(_utf8(line, where))
     except json.JSONDecodeError as exc:
         raise ValueError(f"{where}: {exc.msg}") from None
     if not isinstance(rec, dict):
@@ -65,8 +82,8 @@ def _loads(line: str, where: str) -> dict:
 
 def _records(path):
     """(position, record) for each non-empty line. Raises ``ValueError``
-    naming the line for one that is not a JSON object."""
-    with open(path) as fh:
+    naming the line for one that is not UTF-8 or not a JSON object."""
+    with _open_text(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if line:
@@ -119,14 +136,17 @@ class GoldreichFile:
 
 # Edges formatted per byte buffer by write_sbm (about 1 MB of text).
 _WRITE_CHUNK = 1 << 16
-# Characters read_sbm reads per block, before it completes the block's last line.
-_READ_BLOCK = 1 << 20
+# Characters read_sbm reads per block, before it completes the block's last
+# line: small enough that a block's text and byte masks stay in L2 cache.
+_READ_BLOCK = 1 << 18
 
 # The non-digit bytes of an edge line exactly as write_sbm writes it,
 # {"i":<i>,"j":<j>}\n. Ids of at most 18 digits fit int64; read_sbm parses
 # such lines in bulk and sends longer ids and every other line through json.
 _EDGE_LINE = np.frombuffer(b'{"i":,"j":}\n', dtype=np.uint8)
 _MAX_BULK_DIGITS = 18
+# The bytes of _EDGE_LINE that a canonical line holds once each, in order.
+_ANCHORS = _EDGE_LINE[[4, 5, 9, 10, 11]]
 # 10, 100, ..., 10^18: an id v >= 0 has 1 + (number of these <= v) digits.
 _POW10 = 10 ** np.arange(1, 19, dtype=np.int64)
 
@@ -233,53 +253,63 @@ def _row_major_key(edges: np.ndarray, n1: int, n2: int) -> np.ndarray:
 
 
 def _first_repeat(edges: np.ndarray, n1: int, n2: int) -> int | None:
-    """File index of the first edge equal to an earlier one, or None."""
+    """File index of the first edge equal to an earlier one, or None. Keys
+    that strictly increase, as in every file write_sbm writes, need no sort."""
     key = _row_major_key(edges, n1, n2)
-    if _run_starts(np.sort(key)).all():
+    if (key[1:] > key[:-1]).all() or _run_starts(np.sort(key)).all():
         return None
     order = np.argsort(key, kind="stable")
     return int(order[~_run_starts(key[order])].min())
 
 
-def _canonical_edges(buf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The canonical edge lines of ``buf``, uint8 bytes of whole lines that
-    end in a line break: their indices among its lines, in order, and their
-    (k, 2) int64 ids. A line is canonical when its non-digit bytes are
-    exactly those of ``_EDGE_LINE``, it starts at its '{', and both ids have
-    1 to 18 digits with no leading zero."""
-    width = len(_EDGE_LINE)
-    at = np.flatnonzero(buf - 48 > 9)  # non-digit bytes; uint8 wraps below '0'
-    punct = buf[at]
-    if len(punct) % width == 0 and (punct.reshape(-1, width) == _EDGE_LINE).all():
-        at = at.reshape(-1, width)
-        lines = np.arange(len(at))
-        starts = np.concatenate(([0], at[:-1, -1] + 1))
-    else:
-        breaks = np.flatnonzero(punct == 10)  # index into `at` of each line break
-        lines = np.flatnonzero(np.diff(breaks, prepend=-1) == width)
-        idx = breaks[lines, None] + np.arange(1 - width, 1)
-        keep = (punct[idx] == _EDGE_LINE).all(axis=1)
-        lines, idx = lines[keep], idx[keep]
-        starts = np.where(lines > 0, at[breaks[lines - 1]] + 1, 0)
-        at = at[idx]
-    first = at[:, 4:10:5] + 1  # first digit of i and of j
-    last = at[:, 5:11:5] - 1
+def _canonical_edges(buf: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The line breaks of ``buf``, uint8 bytes of whole lines that each end in
+    one, and its canonical edge lines: their indices among its lines, in
+    order, and their (k, 2) int64 ids. A line is canonical when it is exactly
+    ``{"i":<i>,"j":<j>}`` with ids of 1 to 18 digits and no leading zero.
+
+    Such a line holds each of ``_ANCHORS`` once, in that order, so one scan
+    for those bytes finds the candidates, and every other byte sits at a
+    fixed offset from an anchor. The arrays are position-major: row r of a
+    (5, k) array holds anchor r of every candidate."""
+    at = np.flatnonzero((buf == 58) | (buf == 44) | (buf == 125) | (buf == 10))  # ':' ',' '}' break
+    anchors = buf[at]
+    breaks = np.flatnonzero(anchors == 10)  # index into `at` of each line break
+    ends = at[breaks]
+    lines = np.flatnonzero(np.diff(breaks, prepend=-1) == len(_ANCHORS))
+    idx = breaks[lines] + np.arange(1 - len(_ANCHORS), 1)[:, None]
+    pos = at[idx]
+    colon, comma, colon2, brace, end = pos
+    start = np.where(lines > 0, ends[lines - 1] + 1, 0)
+    ok = (anchors[idx[:-1]] == _ANCHORS[:-1, None]).all(axis=0)
+    # '{"i"' opens the line up to the first colon, '"j"' fills the comma to
+    # the second, and the break follows the brace
+    ok &= (colon - start == 4) & (colon2 - comma == 4) & (end - brace == 1)
+    ok &= (buf[colon + np.arange(-4, 0)[:, None]] == _EDGE_LINE[:4, None]).all(axis=0)
+    ok &= (buf[comma + np.arange(1, 4)[:, None]] == _EDGE_LINE[6:9, None]).all(axis=0)
+    first = pos[0:4:2] + 1  # (2, k): first digit of i and of j
+    last = pos[1:4:2] - 1
     digits = last - first + 1
-    # the line is as long as its template and digit runs: no byte before '{'
-    # and no digit between other template bytes
-    ok = at[:, -1] - starts == width - 1 + digits.sum(axis=1)
-    ok &= ((digits >= 1) & (digits <= _MAX_BULK_DIGITS) & ((digits == 1) | (buf[first] != 48))).all(axis=1)
+    ok &= ((digits >= 1) & (digits <= _MAX_BULK_DIGITS)).all(axis=0)
     if not ok.all():
-        lines, first, last, digits = lines[ok], first[ok], last[ok], digits[ok]
+        lines, first, last, digits = lines[ok], first[:, ok], last[:, ok], digits[:, ok]
     ids = np.zeros(first.shape, dtype=np.int64)
+    good = np.ones(first.shape, dtype=bool)
     for k in range(digits.max(initial=0)):  # Horner's rule, one digit column at a time
-        ids = np.where(k < digits, ids * 10 + (buf[np.minimum(first + k, last)] - 48), ids)
-    return lines, ids
+        d = buf[np.minimum(first + k, last)] - 48  # uint8: every non-digit byte wraps past 9
+        good &= d <= 9
+        if k == 0:
+            good &= (d > 0) | (digits == 1)  # no leading zero
+        ids = np.where(k < digits, ids * 10 + d, ids)
+    ok = good.all(axis=0)
+    if not ok.all():
+        lines, ids = lines[ok], ids[:, ok]
+    return ends, lines, ids.T
 
 
 def _sbm_header(line: str, where: str, path) -> dict:
     try:
-        rec = json.loads(line)
+        rec = json.loads(_utf8(line, where))
     except json.JSONDecodeError as exc:
         raise ValueError(f"{where}: {exc.msg}") from None
     if not isinstance(rec, dict) or rec.get("type") != "sbm":
@@ -297,17 +327,17 @@ def _sbm_header(line: str, where: str, path) -> dict:
 def read_sbm(path) -> SbmFile:
     """Read a block-model file. Canonical edge lines, in the form
     ``write_sbm`` writes, are parsed in bulk; every other non-empty line is
-    one JSON record. Raises ``ValueError`` naming the line for a malformed
-    record, an edge record without both ids or with an id that is not an
-    integer in range (or past int64), a repeated edge, a second ``truth_u``
-    record, a header ``n1`` or ``n2`` that is not a positive integer, an
-    ``n1`` past int64, a header density ``p`` that is not a number in
-    [0, 1], or truth labels whose count is not n1 (left) or 0 or n2
-    (right)."""
+    one JSON record. Raises ``ValueError`` naming the line for a line that is
+    not UTF-8, a malformed record, an edge record without both ids or with an
+    id that is not an integer in range (or past int64), a repeated edge, a
+    second ``truth_u`` record, a header ``n1`` or ``n2`` that is not a
+    positive integer, an ``n1`` past int64, a header density ``p`` that is
+    not a number in [0, 1], or truth labels whose count is not n1 (left) or
+    0 or n2 (right)."""
     header = truth = reduced_meta = None
     chunks, chunk_lines = [], []  # (k, 2) int64 edges in file order, and the line of each
     lineno = 0
-    with open(path) as fh:
+    with _open_text(path) as fh:
         for line in fh:
             lineno += 1
             if line.strip():
@@ -318,13 +348,14 @@ def read_sbm(path) -> SbmFile:
         n1, n2 = header["n1"], header["n2"]
         j_end = min(n2, 2**63)  # an edge array holds no id past int64, whatever n2 allows
         # blocks of whole lines in text mode: universal newlines turn \r\n and
-        # a lone \r into the \n that ends each line of the encoded bytes
+        # a lone \r into the \n that ends each line of the encoded bytes, and
+        # a byte that is not UTF-8 comes back as itself, which no canonical
+        # line holds, so the line that holds it reaches _loads
         for text in iter(lambda: fh.read(_READ_BLOCK) + fh.readline(), ""):
-            raw = (text if text.endswith("\n") else text + "\n").encode()
-            buf = np.frombuffer(raw, dtype=np.uint8)
-            breaks = np.concatenate(([-1], np.flatnonzero(buf == 10)))  # line k ends at breaks[k + 1]
-            canon, ids = _canonical_edges(buf)
-            other = np.ones(len(breaks) - 1, dtype=bool)
+            raw = (text if text.endswith("\n") else text + "\n").encode(errors="surrogateescape")
+            ends, canon, ids = _canonical_edges(np.frombuffer(raw, dtype=np.uint8))
+            breaks = np.concatenate(([-1], ends))  # line k ends at breaks[k + 1]
+            other = np.ones(len(ends), dtype=bool)
             other[canon] = False
             bad = np.flatnonzero((ids[:, 0] >= n1) | (ids[:, 1] >= n2))
             # the other lines are decoded in file order up to the first
@@ -332,7 +363,7 @@ def read_sbm(path) -> SbmFile:
             stop = int(canon[bad[0]]) if len(bad) else len(other)
             rec_lines, rec_edges = [], []
             for k in np.flatnonzero(other[:stop]).tolist():
-                line = raw[breaks[k] + 1 : breaks[k + 1]].decode().strip()
+                line = raw[breaks[k] + 1 : breaks[k + 1]].decode(errors="surrogateescape").strip()
                 if not line:
                     continue
                 where = f"{path}, line {lineno + 1 + k}"
@@ -364,7 +395,11 @@ def read_sbm(path) -> SbmFile:
             chunks.append(ids)
             chunk_lines.append(canon + (lineno + 1))
             lineno += len(other)
-    edges = np.concatenate(chunks) if chunks else np.empty((0, 2), dtype=np.int64)
+    # C order, one row per edge: the blocks' ids are column-major views
+    edges = np.empty((sum(map(len, chunks)), 2), dtype=np.int64)
+    if chunks:
+        np.concatenate(chunks, out=edges)
+    chunks.clear()  # freed before the duplicate check's keys are made
     k = _first_repeat(edges, n1, n2)
     if k is not None:
         i, j = edges[k]
@@ -414,12 +449,12 @@ def write_goldreich(path, instance: GoldreichInstance, seed: int):
 def read_constraints(path) -> CspFile | GoldreichFile:
     """Read a planted-CSP file (header ``type`` "csp") as a ``CspFile`` or a
     predicate-constraint file ("goldreich") as a ``GoldreichFile``. Raises
-    ``ValueError`` naming the line for a record that is not a JSON object, a
-    header ``n`` or ``k`` that is not a positive integer, a header table
-    (``weights`` or ``predicate``) that is missing or not a list of JSON
-    numbers (integers for ``predicate``), or a constraint whose variable ids
-    or signs are not k integers or whose value is not one integer; range
-    checks are left to the reduction."""
+    ``ValueError`` naming the line for a line that is not UTF-8, a record
+    that is not a JSON object, a header ``n`` or ``k`` that is not a positive
+    integer, a header table (``weights`` or ``predicate``) that is missing or
+    not a list of JSON numbers (integers for ``predicate``), or a constraint
+    whose variable ids or signs are not k integers or whose value is not one
+    integer; range checks are left to the reduction."""
     return _read_constraints(path, tuple(_CONSTRAINT_KINDS))
 
 

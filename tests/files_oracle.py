@@ -2,15 +2,27 @@
 record ``write_sbm`` and ``read_sbm`` that ``planted.files`` used before it
 formatted and parsed canonical edge lines in bulk, as numpy byte buffers.
 Tests compare the production I/O against them; they have the signatures of
-``planted.files.write_sbm`` and ``planted.files.read_sbm``."""
+``planted.files.write_sbm`` and ``planted.files.read_sbm``. ``canonical_edge``
+is the per-line rule for which lines the bulk parser takes."""
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 
 from planted.files import SbmFile
 from planted.instances import BipartiteGraph, HiddenPartition
+
+
+_CANONICAL = re.compile(rb'\{"i":(0|[1-9][0-9]{0,17}),"j":(0|[1-9][0-9]{0,17})\}')
+
+
+def canonical_edge(line: bytes) -> tuple[int, int] | None:
+    """The ids of a canonical edge line, given without its line break, or
+    None for any other line."""
+    match = _CANONICAL.fullmatch(line)
+    return None if match is None else (int(match[1]), int(match[2]))
 
 
 def _dumps(obj) -> str:

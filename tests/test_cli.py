@@ -385,6 +385,44 @@ def test_malformed_clause_ids_exit_1(tmp_path, capsys, head, clause, bad, messag
     assert not (tmp_path / "out").exists()
 
 
+def _edges_past_a_block() -> bytes:
+    """A complete 300 x 300 block-model file whose only fault, a byte that
+    is not UTF-8 on line 80002, lies past the reader's first block."""
+    lines = [b'{"type":"sbm","n1":300,"n2":300,"delta":1.8,"p":0.5,"seed":0}']
+    lines += [b'{"i":%d,"j":%d}' % (i, j) for i in range(300) for j in range(300)]
+    lines[80001] = b'{"i":266,"j":\xff}'
+    assert len(b"\n".join(lines[:80001])) > files._READ_BLOCK
+    return b"\n".join(lines) + b"\n"
+
+
+_SBM_BAD_HEAD = _SBM_HEAD.encode().replace(b'"seed":0', b'"seed":0,"note":"\xff"') + b'\n{"i":0,"j":1}\n'
+_CSP_CLAUSE = b'{"vars":[0,1,2],"signs":[1,-1,1]}\n'
+_CSP_BAD_HEAD = _CSP_HEAD.encode().replace(b'"seed":0', b'"seed":\xff0') + b"\n" + _CSP_CLAUSE
+_CSP_BAD_CLAUSE = _CSP_HEAD.encode() + b"\n" + _CSP_CLAUSE + b'{"vars":[3,1,0],"signs":[-1,-1,1],"note":"\xc3"}\n'
+
+
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        ("solve", _SBM_BAD_HEAD, "line 1: byte 0xff is not UTF-8 (invalid start byte)"),
+        ("solve", _edges_past_a_block, "line 80002: byte 0xff is not UTF-8 (invalid start byte)"),
+        ("solve-csp", _CSP_BAD_HEAD, "line 1: byte 0xff is not UTF-8 (invalid start byte)"),
+        ("reduce", _CSP_BAD_HEAD, "line 1: byte 0xff is not UTF-8 (invalid start byte)"),
+        ("solve-csp", _CSP_BAD_CLAUSE, "line 3: byte 0xc3 is not UTF-8 (invalid continuation byte)"),
+        ("reduce", _CSP_BAD_CLAUSE, "line 3: byte 0xc3 is not UTF-8 (invalid continuation byte)"),
+    ],
+    ids=["solve-header", "solve-edge-past-first-block", "solve-csp-header", "reduce-header",
+         "solve-csp-clause", "reduce-clause"],
+)
+def test_byte_that_is_not_utf8_names_file_and_line(tmp_path, capsys, command, text, message):
+    f = tmp_path / "bad.jsonl"
+    f.write_bytes(text() if callable(text) else text)
+    assert _run(command, "-i", str(f), "-o", str(tmp_path / "out"), "-q") == 1
+    err = capsys.readouterr().err
+    assert f"{f}, {message}" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 _SIZES = "line 1: n and k must be positive integers"
 _TABLE = "line 1: the header needs a {table} list"
 

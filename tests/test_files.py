@@ -5,6 +5,7 @@ bytes."""
 import dataclasses
 import json
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -16,10 +17,12 @@ import files_oracle
 from planted import files
 from planted.instances import (
     BipartiteGraph,
+    BlockModelParams,
     GoldreichInstance,
     HiddenPartition,
     PlantedCspInstance,
     PlantingDistribution,
+    sample_bipartite_block,
 )
 
 _META = {"delta": 2.0, "p_equiv": 0.0014124293785310734, "n2_nominal": 1770, "indexer_size": 215}
@@ -137,6 +140,68 @@ def test_first_error_in_file_order_is_reported(tmp_path, lines, message, block):
     f.write_text("\n".join(['{"type":"sbm","n1":3,"n2":4,"delta":1.8,"p":0.5,"seed":0}', *lines]) + "\n")
     with mock.patch.object(files, "_READ_BLOCK", block), pytest.raises(ValueError, match=re.escape(message)):
         files.read_sbm(f)
+
+
+# Bytes the mutations insert: those of the canonical template, digits, and
+# the whitespace and breaks a hand-edited file may hold.
+_MUTATION_BYTES = b'{"ij:,} \r\n0123456789'
+# Near-canonical lines the bulk parser must leave to json.
+_NEAR_MISSES = [b'{"i"2:1,"j":370}', b'{"i":1,"j"3:370}', b'x{"i":1,"j":2}', b'{"i":1,"j":2} ',
+                b'{"i":01,"j":2}', b'{"i":1,"j":00}', b'{"i":,"j":2}', b'{"i":1,"j":}', b'{"i":1 ,"j":2}',
+                b'{"j":1,"i":2}', b'{"i":1:,"j":2}', b'{"i":1,"j":2}}', b'{"i":1,,"j":2}', b'{"i":1,"j":2,}',
+                b'{"i":1,"j":%d}' % 10**18, b'{"i":1,"j":2\r}', b'{"i":1,"j":2}\r', b'{"i" :1,"j":2}',
+                b'{"i",1,"j":2}', b'{"i":1,"j",2}', b'{"i"}1,"j":2}', b'{"i":1,"j":2:']
+
+
+@st.composite
+def mutated_blocks(draw):
+    """A block of canonical edge lines with bytes inserted, deleted or
+    replaced, ending in a line break."""
+    ids = st.one_of(st.integers(0, 999), st.integers(0, 2 * 10**18))
+    text = bytearray(b"".join(b'{"i":%d,"j":%d}\n' % (draw(ids), draw(ids))
+                              for _ in range(draw(st.integers(1, 12)))))
+    for _ in range(draw(st.integers(0, 6))):
+        at = draw(st.integers(0, len(text)))
+        byte = draw(st.sampled_from(_MUTATION_BYTES))
+        op = draw(st.sampled_from(["insert", "delete", "replace"]))
+        if op == "insert" or at == len(text):
+            text.insert(at, byte)
+        elif op == "delete":
+            del text[at]
+        else:
+            text[at] = byte
+    return bytes(text if text.endswith(b"\n") else text + b"\n")
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(block=mutated_blocks())
+@example(block=b"".join(line + b'\n{"i":4,"j":5}\n' for line in _NEAR_MISSES))
+@example(block=b"".join(b'{"i":4,"j":5}\n' + line + b"\n" for line in _NEAR_MISSES))
+@example(block=b'{"i":,"j":}\n')  # no digit to read anywhere in the block
+def test_bulk_parser_takes_exactly_the_canonical_lines(block):
+    lines = block.split(b"\n")[:-1]
+    want = [(k, ids) for k, line in enumerate(lines) if (ids := files_oracle.canonical_edge(line)) is not None]
+    ends, canon, ids = files._canonical_edges(np.frombuffer(block, dtype=np.uint8))
+    assert ends.tolist() == [m.start() for m in re.finditer(b"\n", block)]
+    assert canon.tolist() == [k for k, _ in want]
+    assert ids.dtype == np.int64 and ids.tolist() == [list(edge) for _, edge in want]
+
+
+def test_read_sbm_traced_peak_per_edge(tmp_path):
+    # ~271k edges, past the point where the temporaries of one 256 KiB block
+    # stop setting the peak: 16 B per edge for the edges, 16 for the blocks'
+    # ids while they are joined and 8 for each edge's line number make 40
+    graph, truth = sample_bipartite_block(BlockModelParams(1000, 1000, 1.8, 0.27, 3))
+    f = tmp_path / "g.jsonl"
+    files.write_sbm(f, graph, delta=1.8, p=0.27, seed=3, truth=truth)
+    tracemalloc.start()
+    try:
+        data = files.read_sbm(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert data.graph.num_edges == graph.num_edges > 2**18
+    assert peak <= 48 * graph.num_edges
 
 
 _CSP = PlantedCspInstance(4, np.array([1, -1, 1, -1]), np.array([[0, 1, 2], [3, 1, 0]]),
