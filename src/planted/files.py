@@ -324,28 +324,21 @@ def _sbm_header(line: str, where: str, path) -> dict:
     return rec
 
 
-def read_sbm(path) -> SbmFile:
-    """Read a block-model file. Canonical edge lines, in the form
-    ``write_sbm`` writes, are parsed in bulk; every other non-empty line is
-    one JSON record. Raises ``ValueError`` naming the line for a line that is
-    not UTF-8, a malformed record, an edge record without both ids or with an
-    id that is not an integer in range (or past int64), a repeated edge, a
-    second ``truth_u`` record, a header ``n1`` or ``n2`` that is not a
-    positive integer, an ``n1`` past int64, a header density ``p`` that is
-    not a number in [0, 1], or truth labels whose count is not n1 (left) or
-    0 or n2 (right)."""
-    header = truth = reduced_meta = None
-    chunks, chunk_lines = [], []  # (k, 2) int64 edges in file order, and the line of each
+def _sbm_blocks(path, found: dict):
+    """Yield the edges of a block-model file block by block: each block's
+    (k, 2) int64 ids in file order and the line number of each. The header
+    goes into ``found["header"]`` before the first block, and the truth and
+    reduced records into ``found["truth"]`` and ``found["reduced"]``."""
     lineno = 0
     with _open_text(path) as fh:
         for line in fh:
             lineno += 1
             if line.strip():
-                header = _sbm_header(line, f"{path}, line {lineno}", path)
+                found["header"] = _sbm_header(line, f"{path}, line {lineno}", path)
                 break
-        if header is None:
+        else:
             raise ValueError(f"{path}: not an SBM instance file")
-        n1, n2 = header["n1"], header["n2"]
+        n1, n2 = found["header"]["n1"], found["header"]["n2"]
         j_end = min(n2, 2**63)  # an edge array holds no id past int64, whatever n2 allows
         # blocks of whole lines in text mode: universal newlines turn \r\n and
         # a lone \r into the \n that ends each line of the encoded bytes, and
@@ -375,16 +368,16 @@ def read_sbm(path) -> SbmFile:
                     rec_lines.append(k)
                     rec_edges.append((i, j))
                 elif "truth_u" in rec:
-                    if truth is not None:
+                    if found.get("truth") is not None:
                         raise ValueError(f"{where}: a second truth_u record")
                     # empty v marks "left labels only" (reduced files); the
                     # solver skips the right-side trace whenever len(v) != n2
                     tu = _labels(rec["truth_u"], (n1,), "truth_u", where)
                     tv = [] if rec.get("truth_v") is None else rec["truth_v"]
                     tv = _labels(tv, (0, n2), "truth_v", where)
-                    truth = HiddenPartition(np.array(tu, dtype=np.int64), np.array(tv, dtype=np.int64))
+                    found["truth"] = HiddenPartition(np.array(tu, dtype=np.int64), np.array(tv, dtype=np.int64))
                 elif rec.get("meta") == "reduced":
-                    reduced_meta = {k: v for k, v in rec.items() if k != "meta"}
+                    found["reduced"] = {k: v for k, v in rec.items() if k != "meta"}
             if len(bad):
                 raise ValueError(f"{path}, line {lineno + 1 + stop}: edge id out of range")
             if rec_edges:  # merge the records' edges into file order
@@ -392,9 +385,25 @@ def read_sbm(path) -> SbmFile:
                 order = np.argsort(canon, kind="stable")
                 canon = canon[order]
                 ids = np.concatenate((ids, np.array(rec_edges, dtype=np.int64)))[order]
-            chunks.append(ids)
-            chunk_lines.append(canon + (lineno + 1))
+            yield ids, canon + (lineno + 1)
             lineno += len(other)
+
+
+def read_sbm(path) -> SbmFile:
+    """Read a block-model file. Canonical edge lines, in the form
+    ``write_sbm`` writes, are parsed in bulk; every other non-empty line is
+    one JSON record. Raises ``ValueError`` naming the line for a line that is
+    not UTF-8, a malformed record, an edge record without both ids or with an
+    id that is not an integer in range (or past int64), a repeated edge, a
+    second ``truth_u`` record, a header ``n1`` or ``n2`` that is not a
+    positive integer, an ``n1`` past int64, a header density ``p`` that is
+    not a number in [0, 1], or truth labels whose count is not n1 (left) or
+    0 or n2 (right). No line number is kept per edge: a repeated edge is
+    named by reading the blocks again up to it."""
+    found = {}
+    chunks = [ids for ids, _ in _sbm_blocks(path, found)]  # (k, 2) int64 edges in file order
+    header = found["header"]
+    n1, n2 = header["n1"], header["n2"]
     # C order, one row per edge: the blocks' ids are column-major views
     edges = np.empty((sum(map(len, chunks)), 2), dtype=np.int64)
     if chunks:
@@ -403,8 +412,12 @@ def read_sbm(path) -> SbmFile:
     k = _first_repeat(edges, n1, n2)
     if k is not None:
         i, j = edges[k]
-        raise ValueError(f"{path}, line {np.concatenate(chunk_lines)[k]}: duplicate edge ({i}, {j})")
-    return SbmFile(BipartiteGraph(n1, n2, edges), header, truth, reduced_meta)
+        for ids, lines in _sbm_blocks(path, {}):
+            if k < len(ids):
+                raise ValueError(f"{path}, line {lines[k]}: duplicate edge ({i}, {j})")
+            k -= len(ids)
+        raise ValueError(f"{path}: duplicate edge ({i}, {j})")  # the file changed between the reads
+    return SbmFile(BipartiteGraph(n1, n2, edges), header, found.get("truth"), found.get("reduced"))
 
 
 # ---------------------------------------------------------------------------

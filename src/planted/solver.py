@@ -12,12 +12,16 @@ implicitly:
     x' = (A - qJ) y   expands to  A yhat - q (sum yhat) - q L deg + q^2 L n2,
 
 so one iteration costs O(edges + support + n1) regardless of n2: no array
-the solver allocates has n2 entries.
+the solver allocates has n2 entries. The split holds one sorted packed key
+per edge, and each read of a sub-graph decodes it anew from its slice of
+those keys, so the solve, which uses each sub-graph once, holds the keys
+and one pair of decoded sub-graphs at a time.
 """
 from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import partial
 
@@ -78,41 +82,75 @@ class SubGraph:
         return len(self.rows)
 
 
+class _Buckets(Sequence):
+    """The sub-graphs of one split, held as its sorted packed keys: entry t
+    is decoded from the keys of bucket t anew on every read."""
+
+    def __init__(self, key: np.ndarray, bounds: list[int], n1: int, n2: int, present):
+        self._key, self._bounds, self._n1, self._n2, self._present = key, bounds, n1, n2, present
+
+    def __len__(self) -> int:
+        return len(self._bounds) - 1
+
+    def __getitem__(self, t: int) -> SubGraph:
+        t = range(len(self))[t]  # IndexError past either end, as a list gives
+        n1 = self._n1
+        key = self._key[self._bounds[t] : self._bounds[t + 1]]
+        # dividing the rows out leaves t * n2 + col, in fresh arrays: the
+        # shared keys are never written; a multiply-subtract gives the rows
+        # faster than np.remainder
+        col_key = key // n1
+        rows = np.multiply(col_key, n1, out=np.empty(len(key), dtype=np.int64))
+        np.subtract(key, rows, out=rows)
+        # one support entry per run of equal columns
+        new_col = _run_starts(col_key)
+        support = np.subtract(np.compress(new_col, col_key), t * self._n2, dtype=np.int64)
+        col_rank = np.cumsum(new_col, dtype=np.int64)
+        col_rank -= 1
+        if self._present is not None:
+            support = self._present[support]
+        degrees = np.bincount(rows, minlength=n1).astype(np.float64)
+        return SubGraph(rows, support, col_rank, degrees)
+
+
 @dataclass(frozen=True)
 class SplitGraphs:
+    """The split's parameters and its T sub-graphs. ``subs`` is a read-only
+    sequence that holds only the sorted packed keys; reading ``subs[t]``
+    decodes sub-graph t anew, so a caller that walks the sub-graphs once
+    holds one at a time."""
+
     n1: int
     n2: int
     T: int
     q: float
-    subs: list[SubGraph]
+    subs: Sequence[SubGraph]
 
 
-def _sub_graphs(n1: int, n2: int, edges: np.ndarray, key: np.ndarray, T: int) -> list[SubGraph]:
-    """Sub-graph t holds the edges whose entry in ``key`` is t, sorted by
-    (col, row).
+def _sub_graphs(n1: int, n2: int, edges: np.ndarray, T: int, rng) -> _Buckets:
+    """Sub-graph t holds the edges whose bucket id, drawn by ``rng`` (all 0
+    when T is 1), is t, sorted by (col, row).
 
     Each edge is packed into the key (bucket * n2 + col) * n1 + row, and one
     sort orders every sub-graph at once. The keys are uint32 when all of
     them fit, T * n2 * n1 <= 2^32, which halves the bytes the sort moves;
-    otherwise they are int64 and overwrite ``key`` (int64 bucket ids). The
-    bucket bounds are searched in the sorted keys and the rows are decoded
-    straight into an int64 array. Dividing the rows out leaves
-    bucket * n2 + col, whose runs are each sub-graph's support entries, so
-    only the support's columns are decoded; the per-edge columns are never
-    built (``SubGraph.cols`` derives them). The row degrees of each
-    sub-graph are counted over its decoded rows. Rows, support and col_rank
-    are views into arrays shared by all sub-graphs. When the keys would
-    overflow int64, the right ids are first replaced by their ranks among
-    the ids present.
+    otherwise they are int64. The bucket ids are drawn straight into the
+    key's dtype: a range below 2^32 draws the same values and leaves the
+    generator in the same state in either dtype. The bucket bounds are
+    searched in the sorted keys, and the result holds those keys and
+    bounds alone (``_Buckets`` decodes each sub-graph when it is read).
+    When the keys would overflow int64, the right ids are first replaced by
+    their ranks among the ids present, and each support is mapped back.
     """
-    m = len(key)
+    m = len(edges)
     cols, present = edges[:, 1], None
     if T * n2 * n1 > _INT64_MAX:
         present, cols = _ranks(cols)
         n2 = len(present)
         if T * n2 * n1 > _INT64_MAX:
             raise ValueError(f"{T} buckets x {n2} right x {n1} left ids overflow int64 keys")
-    key = key.astype(_key_dtype(n1, n2, T), copy=False)
+    dtype = _key_dtype(n1, n2, T)
+    key = rng.integers(0, T, size=m, dtype=dtype) if T > 1 else np.zeros(m, dtype=dtype)
     key *= n2
     np.add(key, cols, out=key, casting="unsafe")
     key *= n1
@@ -122,44 +160,21 @@ def _sub_graphs(n1: int, n2: int, edges: np.ndarray, key: np.ndarray, T: int) ->
     # bucket t starts at the first key >= t * n2 * n1; the needles stop short
     # of T * n2 * n1, which may not fit the key dtype
     starts = np.searchsorted(key, np.arange(1, T, dtype=key.dtype) * (n2 * n1))
-    bounds = [0, *starts.tolist(), m]
-    rows = np.remainder(key, n1, out=np.empty(m, dtype=np.int64))
-    np.floor_divide(key, n1, out=key)
-
-    # one support entry per run of equal (bucket, col); runs never cross buckets
-    new_col = _run_starts(key)
-    support = np.compress(new_col, key).astype(np.int64, copy=False)  # faster than key[new_col]
-    np.remainder(support, n2, out=support)
-    del key
-    col_rank = new_col.astype(np.int64)
-    del new_col
-    np.cumsum(col_rank, out=col_rank)  # 1-based over all sub-graphs
-    if present is not None:
-        support = present[support]
-
-    degrees = np.empty((T, n1))
-    subs = []
-    for t, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
-        degrees[t] = np.bincount(rows[a:b], minlength=n1)
-        lo = hi = 0
-        rank = col_rank[a:b]
-        if b > a:
-            lo, hi = int(rank[0]) - 1, int(rank[-1])
-            rank -= lo + 1
-        subs.append(SubGraph(rows[a:b], support[lo:hi], rank, degrees[t]))
-    return subs
+    return _Buckets(key, [0, *starts.tolist(), m], n1, n2, present)
 
 
 def _make_sub(n1: int, rows: np.ndarray, cols: np.ndarray) -> SubGraph:
     """One sub-graph holding all the given edges."""
     edges = np.column_stack([rows, cols]).astype(np.int64, copy=False)
     n2 = int(edges[:, 1].max()) + 1 if len(edges) else 1
-    return _sub_graphs(n1, n2, edges, np.zeros(len(edges), dtype=np.int64), 1)[0]
+    return _sub_graphs(n1, n2, edges, 1, None)[0]
 
 
 def split_edges(graph: BipartiteGraph, T: int, seed, p: float | None = None) -> SplitGraphs:
     """Assign each edge to one of T sub-graphs uniformly and independently.
-    Within a sub-graph the edges are sorted by (col, row).
+    Within a sub-graph the edges are sorted by (col, row). The result holds
+    one sorted packed key per edge; each read of ``subs[t]`` decodes
+    sub-graph t from its slice of those keys.
 
     The centering constant is q = p / T with p the given overall density or,
     when omitted, the observed density m / (n1 n2).
@@ -167,11 +182,7 @@ def split_edges(graph: BipartiteGraph, T: int, seed, p: float | None = None) -> 
     if T < 2:
         raise ValueError("need T >= 2")
     m = graph.num_edges
-    # the bucket ids are passed without a reference kept here, so their
-    # buffer is freed as soon as uint32 keys replace them, or reused for
-    # int64 keys
-    draw = np.random.default_rng(seed).integers
-    subs = _sub_graphs(graph.n1, graph.n2, graph.edges, draw(0, T, size=m), T)
+    subs = _sub_graphs(graph.n1, graph.n2, graph.edges, T, np.random.default_rng(seed))
     if p is None:
         p = m / (graph.n1 * graph.n2)
     return SplitGraphs(graph.n1, graph.n2, T, p / T, subs)

@@ -126,6 +126,22 @@ def test_duplicate_check_does_not_wrap_on_huge_sizes(tmp_path):
         files.read_sbm(f)
 
 
+@pytest.mark.parametrize("repeat", ['{"i":7,"j":3}', '{"j": 3, "i": 7}'], ids=["canonical", "record"])
+def test_duplicate_in_a_later_block_names_its_line(tmp_path, repeat):
+    # record lines in the first 256 KiB block shift the canonical lines'
+    # numbers; the repeat of line 4's edge sits past the first block
+    n = 30_000  # ~14 B a line, so the canonical lines span two blocks
+    head = ['{"type":"sbm","n1":100000,"n2":100000,"delta":1.8,"p":0.1,"seed":0}',
+            '{"i": 99999, "j": 0}', '', '{"i":7,"j":3}', '{"j": 5, "i": 99999}']
+    body = [f'{{"i":{k // 1000 + 10},"j":{k % 1000}}}' for k in range(n)]
+    lines = head + body + ['{"i":1,"j":1}', repeat]
+    f = tmp_path / "dup.jsonl"
+    f.write_text("\n".join(lines) + "\n")
+    assert len("\n".join(lines[: len(head) + 1])) < files._READ_BLOCK < len("\n".join(lines))
+    with pytest.raises(ValueError, match=rf"line {len(lines)}: duplicate edge \(7, 3\)$"):
+        files.read_sbm(f)
+
+
 @pytest.mark.parametrize("block", [files._READ_BLOCK, 20, 1], ids=["one-block", "two-lines-a-block", "line-a-block"])
 @pytest.mark.parametrize(
     "lines, message",
@@ -189,8 +205,9 @@ def test_bulk_parser_takes_exactly_the_canonical_lines(block):
 
 def test_read_sbm_traced_peak_per_edge(tmp_path):
     # ~271k edges, past the point where the temporaries of one 256 KiB block
-    # stop setting the peak: 16 B per edge for the edges, 16 for the blocks'
-    # ids while they are joined and 8 for each edge's line number make 40
+    # stop setting the peak: 16 B per edge for the edges and 16 for the
+    # blocks' ids while they are joined make 32; no line number is kept per
+    # edge
     graph, truth = sample_bipartite_block(BlockModelParams(1000, 1000, 1.8, 0.27, 3))
     f = tmp_path / "g.jsonl"
     files.write_sbm(f, graph, delta=1.8, p=0.27, seed=3, truth=truth)

@@ -249,6 +249,48 @@ def test_split_holds_rows_and_ranks_but_no_per_edge_columns(n1, n2, p, dtype):
     assert held <= 16 * g.num_edges + 8 * support + 8 * T * n1 + 128 * 1024
 
 
+@pytest.mark.parametrize("n2_wide, dtype", [(None, np.uint32), (2**33, np.int64), (2**62, None)],
+                         ids=["uint32-keys", "int64-keys", "ranked-ids"])
+@settings(max_examples=60, deadline=None)
+@given(case=split_cases())
+def test_each_read_of_a_sub_graph_decodes_the_int64_split(n2_wide, dtype, case):
+    # T in [2, 40] or [257, 600] over at most 144 edges: odd T and empty
+    # buckets; the wide graphs spread the right ids over n2_wide, past 32-bit
+    # keys (int64) or past int64 keys (the ids are ranked)
+    graph, T, seed = case
+    if n2_wide is not None:
+        graph = BipartiteGraph(graph.n1, n2_wide, graph.edges * np.array([1, n2_wide // graph.n2]))
+    if dtype is not None:
+        assert _key_dtype(graph.n1, graph.n2, T) is dtype
+    subs = split_edges(graph, T, seed).subs
+    assert len(subs) == T
+    backwards = [subs[t] for t in reversed(range(T))][::-1]
+    _assert_same_subs(subs, _split_edges_int64(graph, T, seed))
+    _assert_same_subs(subs, split_subs_int64(graph, T, seed))
+    _assert_same_subs(backwards, list(subs))
+    for t in (0, T - 1):
+        first = subs[t]
+        for a in (first.rows, first.support, first.col_rank, first.row_degrees):
+            a[...] = 7  # writing into one read leaves the next read as it was
+        _assert_same_subs([subs[t]], [backwards[t]])
+    assert subs[-1].row_degrees.tolist() == backwards[-1].row_degrees.tolist()
+    with pytest.raises(IndexError):
+        subs[T]
+
+
+@pytest.mark.parametrize("T", [2, 3, 84, 2**16 + 1, 2**31 + 1, 2**32])
+@pytest.mark.parametrize("m", [0, 1, 7, 100_003])
+def test_bucket_ids_drawn_as_uint32_equal_the_int64_draw(T, m):
+    # the split draws its bucket ids in the key dtype; a range that fits 32
+    # bits gives the same values and the same generator state in either
+    wide, narrow = np.random.default_rng(11), np.random.default_rng(11)
+    want = wide.integers(0, T, size=m)
+    got = narrow.integers(0, T, size=m, dtype=np.uint32)
+    assert got.dtype == np.uint32 and np.array_equal(got, want)
+    assert narrow.bit_generator.state == wide.bit_generator.state
+    assert narrow.integers(0, 2**63) == wide.integers(0, 2**63)
+
+
 # ---------------------------------------------------------------------------
 # Implicit centered products
 # ---------------------------------------------------------------------------
@@ -485,6 +527,26 @@ def test_spi_lopsided_never_allocates_right_side():
     wide = BipartiteGraph(n1, 2**62, g.edges * np.array([1, 2**62 // n2]))
     res = spi_solve(wide, SolverConfig(seed=1))
     assert res.status == "ok" and res.iterations == res.T // 2
+
+
+@pytest.mark.parametrize("n1, n2, p, dtype", [
+    (100, 10**5, 0.0569, np.uint32),  # m = 569k
+    (600, 600, 0.5, np.uint32),  # m = 180k
+    (100, 10**6, 0.003, np.int64),  # m = 300k
+])
+def test_spi_solve_holds_one_sorted_key_per_edge(n1, n2, p, dtype):
+    # the split holds its sorted keys, 4 or 8 B per edge, and the loop
+    # decodes one pair of sub-graphs at a time; all T decoded at once held
+    # 20-33 B per edge on these shapes
+    g, part = sample_bipartite_block(BlockModelParams(n1, n2, 1.8, p, 3))
+    assert _key_dtype(n1, n2, SolverConfig().resolve_T(n1)) is dtype
+    tracemalloc.start()
+    try:
+        res = spi_solve(g, SolverConfig(seed=4), truth=part)
+        per_edge = tracemalloc.get_traced_memory()[1] / g.num_edges
+    finally:
+        tracemalloc.stop()
+    assert res.ok and per_edge <= 16
 
 
 def test_spi_recovers_lopsided_aspect_ratio_100():
