@@ -14,8 +14,6 @@ import re
 import sys
 from dataclasses import asdict, fields, replace
 
-import numpy as np
-
 from . import files
 from .fourier import distribution_complexity, predicate_lowest_degree
 from .harness import (
@@ -238,8 +236,7 @@ def _cmd_gen_csp(args) -> int:
 
 
 def _cmd_gen_goldreich(args) -> int:
-    table = np.array([int(v) for v in args.predicate.split(",")], dtype=np.int64)
-    inst = sample_goldreich(table, args.n, args.m, args.seed)
+    inst = sample_goldreich([int(v) for v in args.predicate.split(",")], args.n, args.m, args.seed)
     files.write_goldreich(args.output or "goldreich.jsonl", inst, args.seed)
     if not args.quiet:
         print(f"wrote {args.output or 'goldreich.jsonl'} ({inst.m} constraints)")

@@ -308,11 +308,8 @@ def _canonical_edges(buf: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
 
 def _sbm_header(line: str, where: str, path) -> dict:
-    try:
-        rec = json.loads(_utf8(line, where))
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{where}: {exc.msg}") from None
-    if not isinstance(rec, dict) or rec.get("type") != "sbm":
+    rec = _loads(line, where)
+    if rec.get("type") != "sbm":
         raise ValueError(f"{path}: not an SBM instance file")
     _check_sizes(rec, ("n1", "n2"), where)
     # n2 may pass int64: a reduced file's n2 = comb(2n, r-1) does at witness size 8
@@ -375,7 +372,7 @@ def _sbm_blocks(path, found: dict):
                     tu = _labels(rec["truth_u"], (n1,), "truth_u", where)
                     tv = [] if rec.get("truth_v") is None else rec["truth_v"]
                     tv = _labels(tv, (0, n2), "truth_v", where)
-                    found["truth"] = HiddenPartition(np.array(tu, dtype=np.int64), np.array(tv, dtype=np.int64))
+                    found["truth"] = HiddenPartition(tu, tv)
                 elif rec.get("meta") == "reduced":
                     found["reduced"] = {k: v for k, v in rec.items() if k != "meta"}
             if len(bad):
@@ -498,7 +495,7 @@ def _read_constraints(path, kinds: tuple) -> CspFile | GoldreichFile:
         if kind == "csp":
             law = PlantingDistribution(k, np.array(table, dtype=np.float64))
         else:
-            table = _predicate_table(table, k)
+            table = _predicate_table(table, k)[0]
     except ValueError as exc:
         raise ValueError(f"{where}: {exc}") from None
     sigma, cvars, values = None, [], []
@@ -513,7 +510,7 @@ def _read_constraints(path, kinds: tuple) -> CspFile | GoldreichFile:
                 raise ValueError(f"{where}: value must be {what}, got {json.dumps(value)}")
             values.append(value)
         elif "sigma" in rec:
-            sigma = np.array(_labels(rec["sigma"], (n,), "sigma", where), dtype=np.int64)
+            sigma = _labels(rec["sigma"], (n,), "sigma", where)
     cvars = np.array(cvars, dtype=np.int64).reshape(-1, k)
     values = np.array(values, dtype=np.int64)
     if kind == "csp":

@@ -11,7 +11,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .instances import PlantingDistribution
+from .instances import PlantingDistribution, _predicate_table
 
 __all__ = [
     "FourierReport",
@@ -136,10 +136,7 @@ def predicate_lowest_degree(predicate: np.ndarray, tol: float = ZERO_TOL) -> Fou
     the bias of the parity of the witness coordinates against the observed
     value; its sign is the correlation sign the constraint folding uses.
     """
-    table = np.asarray(predicate, dtype=np.float64)
-    k = int(round(np.log2(len(table))))
-    if len(table) != 2**k or not np.isin(table, (-1.0, 1.0)).all():
-        raise ValueError("predicate must be a +/-1 table of length 2^k")
+    table, k = _predicate_table(predicate)
     coefs = all_coefficients(table, k)
     if abs(abs(coefs[0]) - 1.0) < tol:
         return FourierReport(0, (), float(coefs[0]), None)

@@ -246,7 +246,7 @@ def _csp_clause_budget(spec: SweepSpec, mult: float) -> tuple[int, FourierReport
     if spec.family == "csp":
         report = distribution_complexity(spec.weights)
     else:
-        report = predicate_lowest_degree(np.array(spec.predicate, dtype=np.int64))
+        report = predicate_lowest_degree(spec.predicate)
     if not report.identifiable:
         raise ValueError("sweep family has an unidentifiable planting law")
     n = spec.n
@@ -279,7 +279,7 @@ def _sweep_trial(spec: SweepSpec, mi: int, ti: int) -> tuple[int, int, float, in
             inst = sample_planted_csp(spec.weights, spec.n, m, seed)
             _, rep = solve_csp_end_to_end(inst, spec.weights, seed=seed + 1, config=spec.solver)
         else:
-            inst = sample_goldreich(np.array(spec.predicate, dtype=np.int64), spec.n, m, seed)
+            inst = sample_goldreich(spec.predicate, spec.n, m, seed)
             _, rep = solve_goldreich_end_to_end(inst, seed=seed + 1, config=spec.solver)
         ov = rep.overlap if rep.status == "ok" else 0.0
         edges = rep.solver.edges_used if rep.solver is not None else m

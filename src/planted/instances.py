@@ -42,9 +42,44 @@ __all__ = [
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
-def _all_signs(a: np.ndarray) -> bool:
-    """True iff every entry is +1 or -1."""
-    return bool(((a == 1) | (a == -1)).all())
+def _int64(x, what: str) -> np.ndarray:
+    """``x`` as an int64 array, int64 input as it is (no copy, no scan); ``ValueError``
+    naming ``what`` for an entry that is fractional, NaN, infinite, past int64 or not a number."""
+    a = np.asarray(x)
+    if np.can_cast(a.dtype, np.int64):  # bool and the integer types that fit
+        return a.astype(np.int64, copy=False)
+    try:  # through Python ints: NaN, infinities and ints past int64 raise, 1.5 truncates
+        out = a.astype(object).astype(np.int64)
+    except (TypeError, ValueError, OverflowError):
+        out = None
+    if out is None or a.dtype.kind not in "fuO" or not (out == a).all():
+        raise ValueError(f"{what} must hold integers within int64")
+    return out
+
+
+def _signs(x, message: str, length: int | None = None) -> np.ndarray:
+    """``x`` as int64 +1 and -1 entries, checked as given, so 1.5 is not truncated to 1, and
+    1-D of ``length`` when that is given; ``ValueError(message)`` otherwise."""
+    a = np.asarray(x)
+    if (length is not None and a.shape != (length,)) or not ((a == 1) | (a == -1)).all():
+        raise ValueError(message)
+    return a.astype(np.int64, copy=False)
+
+
+def _predicate_table(table, k: int | None = None) -> tuple[np.ndarray, int]:
+    """``(table, k)``: a +/-1 table of 2^k entries, k >= 1, as int64, and k,
+    read from the length when not given. Raises ``ValueError`` otherwise."""
+    t = np.asarray(table)
+    width = len(t).bit_length() - 1 if t.ndim == 1 else 0
+    message = "predicate must be a +/-1 table of length 2^k with k >= 1" + ("" if k is None else f", for k = {k}")
+    if width < 1 or len(t) != 2**width or k not in (None, width):
+        raise ValueError(message)
+    return _signs(t, message), width
+
+
+def _sigma(sigma, n: int) -> np.ndarray | None:
+    """A planted assignment as int64 +/-1 entries, one per variable, or None."""
+    return None if sigma is None else _signs(sigma, "sigma must have length n, with +1/-1 entries", n)
 
 
 def _is_number(x, integer: bool = False) -> bool:
@@ -121,7 +156,7 @@ class BipartiteGraph:
     def __post_init__(self):
         if self.n1 < 1 or self.n2 < 1:
             raise ValueError("n1 and n2 must be at least 1")
-        e = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
+        e = _int64(self.edges, "edges").reshape(-1, 2)
         object.__setattr__(self, "edges", e)
         # one contiguous min covers both lower bounds; the columns are
         # looked at apart only to name the bad one
@@ -144,13 +179,8 @@ class HiddenPartition:
     v: np.ndarray
 
     def __post_init__(self):
-        u = np.asarray(self.u, dtype=np.int64)
-        v = np.asarray(self.v, dtype=np.int64)
-        for name, vec in (("u", u), ("v", v)):
-            if not _all_signs(vec):
-                raise ValueError(f"{name} entries must be +/-1")
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "u", _signs(self.u, "u entries must be +/-1"))
+        object.__setattr__(self, "v", _signs(self.v, "v entries must be +/-1"))
 
 
 @dataclass(frozen=True)
@@ -222,17 +252,13 @@ class PlantedCspInstance:
     clause_signs: np.ndarray
 
     def __post_init__(self):
-        cv = np.asarray(self.clause_vars, dtype=np.int64)
-        cs = np.asarray(self.clause_signs, dtype=np.int64)
+        cv = _int64(self.clause_vars, "clause_vars")
+        cs = _int64(self.clause_signs, "clause_signs")
         if cv.ndim != 2 or cv.shape != cs.shape:
             raise ValueError("clause_vars and clause_signs must be (m, k) arrays")
         object.__setattr__(self, "clause_vars", cv)
         object.__setattr__(self, "clause_signs", cs)
-        if self.sigma is not None:
-            s = np.asarray(self.sigma, dtype=np.int64)
-            if s.shape != (self.n,):
-                raise ValueError("sigma must have length n")
-            object.__setattr__(self, "sigma", s)
+        object.__setattr__(self, "sigma", _sigma(self.sigma, self.n))
 
     @property
     def m(self) -> int:
@@ -241,15 +267,6 @@ class PlantedCspInstance:
     @property
     def k(self) -> int:
         return self.clause_vars.shape[1]
-
-
-def _predicate_table(predicate, k: int) -> np.ndarray:
-    """The predicate as an int64 table; ``ValueError`` unless it is a +/-1
-    table of length 2^k."""
-    table = np.asarray(predicate, dtype=np.int64)
-    if table.shape != (2**k,) or not _all_signs(table):
-        raise ValueError("predicate must be a +/-1 table of length 2^k for k-wide tuples")
-    return table
 
 
 @dataclass(frozen=True)
@@ -264,20 +281,13 @@ class GoldreichInstance:
     values: np.ndarray
 
     def __post_init__(self):
-        tv = np.asarray(self.tuple_vars, dtype=np.int64)
+        tv = _int64(self.tuple_vars, "tuple_vars")
         if tv.ndim != 2:
             raise ValueError("tuple_vars must be an (m, k) array")
-        values = np.asarray(self.values, dtype=np.int64)
-        if values.shape != (len(tv),) or not _all_signs(values):
-            raise ValueError("values must hold one +1 or -1 per tuple")
         object.__setattr__(self, "tuple_vars", tv)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "predicate", _predicate_table(self.predicate, tv.shape[1]))
-        if self.sigma is not None:
-            s = np.asarray(self.sigma, dtype=np.int64)
-            if s.shape != (self.n,):
-                raise ValueError("sigma must have length n")
-            object.__setattr__(self, "sigma", s)
+        object.__setattr__(self, "values", _signs(self.values, "values must hold one +1 or -1 per tuple", len(tv)))
+        object.__setattr__(self, "predicate", _predicate_table(self.predicate, tv.shape[1])[0])
+        object.__setattr__(self, "sigma", _sigma(self.sigma, self.n))
 
     @property
     def m(self) -> int:
@@ -509,7 +519,7 @@ def _propose_tuples(n: int, k: int, batch: int, rng: np.random.Generator) -> np.
     ``_CRAMPED_KEY_BYTES`` at a time: ``rng.random`` fills rows in C order, so
     row chunks drawn one after another are the rows of one whole draw.
     """
-    if n >= 4 * k * k:
+    if not _cramped(n, k):
         return rng.integers(0, n, size=(batch, k), dtype=np.int32 if n <= 2**31 else np.int64)
     out = np.empty((batch, k), dtype=np.int64)
     step = max(1, _CRAMPED_KEY_BYTES // (8 * n))
@@ -521,6 +531,11 @@ def _propose_tuples(n: int, k: int, batch: int, rng: np.random.Generator) -> np.
 
 
 _CRAMPED_KEY_BYTES = 1 << 24  # bytes of float64 keys per chunk of the cramped proposals
+
+
+def _cramped(n: int, k: int) -> bool:
+    """True when k-tuples over n variables are proposed by permutation, not i.i.d. draws."""
+    return n < 4 * k * k
 
 
 def _distinct_rows(cand: np.ndarray) -> np.ndarray:
@@ -543,7 +558,7 @@ def _keep_first(mask: np.ndarray, need: int) -> int:
     return need
 
 
-_CHUNK_ROWS = 1 << 15  # proposal rows per step of sample_planted_csp's acceptance pass
+_CHUNK_ROWS = 1 << 15  # rows per cache-sized block: sample_planted_csp's acceptance, the reduction's encoding
 
 
 def sample_planted_csp(
@@ -577,7 +592,7 @@ def sample_planted_csp(
     while got < m:
         need = m - got
         batch = int(need / max(accept_rate, 1e-3) * 1.2) + 16
-        row_cost = k if n >= 4 * k * k else n  # see _propose_tuples
+        row_cost = n if _cramped(n, k) else k  # see _propose_tuples
         batch = min(batch, max(4096, 30_000_000 // row_cost))
         cand = _propose_tuples(n, k, batch, rng)
         signs = rng.integers(0, 2, size=(batch, k), dtype=np.int32)  # 1 = positive
@@ -613,10 +628,7 @@ def sample_goldreich(
 
     Seed substreams: 0 = sigma, 1 = tuples.
     """
-    table = np.asarray(predicate, dtype=np.int64)
-    k = len(table).bit_length() - 1
-    if k < 1 or len(table) != 2**k or not _all_signs(table):
-        raise ValueError("predicate must be a +/-1 table of length 2^k with k >= 1")
+    table, k = _predicate_table(predicate)
     if n < k:
         raise ValueError("need n >= k")
     if m < 0:

@@ -28,8 +28,8 @@ import numpy as np
 
 from .fourier import FourierReport
 from .instances import (
-    BipartiteGraph, GoldreichInstance, HiddenPartition, PlantedCspInstance, _distinct, _key_dtype, _pack,
-    _ranks,
+    _CHUNK_ROWS, BipartiteGraph, GoldreichInstance, HiddenPartition, PlantedCspInstance, _distinct, _key_dtype,
+    _pack, _ranks,
 )
 
 __all__ = [
@@ -126,9 +126,9 @@ def _group_first_seen(key: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarr
     seen = np.zeros(m + 1, dtype=bool)  # slot m takes the values that never occur
     seen[first_at] = True
     first = np.flatnonzero(seen[:m])
-    lookup = np.empty(m + 1, dtype=np.int64)
-    lookup[first] = np.arange(len(first))
-    return lookup[first_at][key], first
+    number = np.empty(bound, dtype=np.int64)  # read only at values that occur
+    number[key[first]] = np.arange(len(first))
+    return number[key], first
 
 
 @dataclass(frozen=True)
@@ -201,22 +201,15 @@ def _check_restricted(n: int, r_vars: np.ndarray, r_signs: np.ndarray, first_row
     return ids
 
 
-def _sort_rows(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """``np.sort(a, axis=1)``, written into ``out`` when given. Rows of width
-    2 take a min and a max over whole columns, which beats numpy's per-row
-    sort there."""
-    if out is None:
-        out = np.empty(a.shape, dtype=a.dtype)
+def _sort_rows(a: np.ndarray, out: np.ndarray):
+    """``np.sort(a, axis=1)`` written into ``out``. Rows of width 2 take a min and a max
+    over whole columns, which beats numpy's per-row sort there."""
     if a.shape[1] == 2:
         x, y = a.T
         np.minimum(x, y, out=out[:, 0])
         np.maximum(x, y, out=out[:, 1])
     else:
         out[...] = np.sort(a, axis=1)
-    return out
-
-
-_CHUNK_ROWS = 1 << 15  # restricted clauses per block of _build_reduced's pass
 
 
 def _build_reduced(
@@ -263,7 +256,7 @@ def _build_reduced(
             codes[pivot, cols] = codes[0]
             codes[0] = front
         left[a:b] = codes[0]
-        _sort_rows(codes[1:].T, out=tails[:, a:b].T)
+        _sort_rows(codes[1:].T, tails[:, a:b].T)
     if thinning not in ("dedup", "poisson"):
         raise ReductionError(f"unknown thinning mode: {thinning!r}")
     if m_kept == 0:

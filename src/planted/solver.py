@@ -181,11 +181,13 @@ def split_edges(graph: BipartiteGraph, T: int, seed, p: float | None = None) -> 
     """
     if T < 2:
         raise ValueError("need T >= 2")
-    m = graph.num_edges
     subs = _sub_graphs(graph.n1, graph.n2, graph.edges, T, np.random.default_rng(seed))
-    if p is None:
-        p = m / (graph.n1 * graph.n2)
-    return SplitGraphs(graph.n1, graph.n2, T, p / T, subs)
+    return SplitGraphs(graph.n1, graph.n2, T, _density(graph, p) / T, subs)
+
+
+def _density(graph: BipartiteGraph, p: float | None) -> float:
+    """p when given, else the observed density m / (n1 n2)."""
+    return graph.num_edges / (graph.n1 * graph.n2) if p is None else p
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +350,8 @@ class RecoveryResult:
 
 
 def _signs_of(x: np.ndarray) -> np.ndarray:
-    # fixed convention: sgn(0) = +1
+    """The int8 sign of each entry, with sgn(0) = +1: the one convention of
+    the iterates, the vote and the baseline."""
     return np.where(x >= 0, 1, -1).astype(np.int8)
 
 
@@ -413,8 +416,7 @@ def spi_solve(
     if m == 0:
         return failed(0)
 
-    p = config.p_override if config.p_override is not None else m / (n1 * n2)
-    split = split_edges(graph, T, split_ss, p=p)
+    split = split_edges(graph, T, split_ss, p=config.p_override)
     q = split.q
     ops = 2 * m  # split assignment + per-sub degree pre-computation
 
@@ -439,8 +441,7 @@ def spi_solve(
         zs[i] = _signs_of(x)
 
     window = config.window_slice(n_it)
-    votes = zs[window].astype(np.int64).sum(axis=0)
-    signs = np.where(votes >= 0, 1, -1).astype(np.int64)
+    signs = _signs_of(zs[window].sum(axis=0, dtype=np.int64)).astype(np.int64)
 
     ov = None
     if u is not None:
@@ -485,7 +486,7 @@ def power_iteration_baseline(
     n1, n2, m = graph.n1, graph.n2, graph.num_edges
     if m == 0:
         raise SolverError("graph has no edges")
-    q = p if p is not None else m / (n1 * n2)
+    q = _density(graph, p)
     sub = _make_sub(n1, graph.edges[:, 0], graph.edges[:, 1])
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     x = (rng.integers(0, 2, size=n1) * 2 - 1) / math.sqrt(n1)
@@ -494,4 +495,4 @@ def power_iteration_baseline(
         if step is None:
             raise SolverError("zero-norm iterate")
         x = step[0]
-    return np.where(x >= 0, 1, -1).astype(np.int64)
+    return _signs_of(x).astype(np.int64)

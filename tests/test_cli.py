@@ -314,7 +314,7 @@ def test_reduce_keeps_distinct_tuples_apart_at_n_2_to_61(tmp_path):
     assert data.graph.num_edges == 5 and data.reduced_meta["indexer_size"] == 5
 
 
-@pytest.mark.parametrize("command", ["solve-csp", "reduce"])
+@pytest.mark.parametrize("command", ["solve", "solve-csp", "reduce"])
 def test_non_object_first_line_exits_1(tmp_path, capsys, command):
     f = tmp_path / "list.jsonl"
     f.write_text("[1,2]\n")

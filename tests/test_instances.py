@@ -17,6 +17,7 @@ from planted.instances import (
     BlockModelParams,
     GoldreichInstance,
     HiddenPartition,
+    PlantedCspInstance,
     PlantingDistribution,
     constant_predicate,
     majority_predicate,
@@ -31,6 +32,7 @@ from planted.instances import (
     uniform_weights,
 )
 from planted.files import _row_major_key
+from planted.fourier import predicate_lowest_degree
 
 
 # ---------------------------------------------------------------------------
@@ -420,12 +422,63 @@ _TUPLES = np.array([[0, 1, 2], [1, 2, 3]])
         (np.array([1, 2, 1, 1, 1, 1, 1, 1]), None, _TUPLES, np.array([1, -1]), "length 2\\^k"),
         (_PARITY3, None, np.array([0, 1, 2]), np.array([1]), "\\(m, k\\) array"),
         (_PARITY3, np.array([1, -1, 1]), _TUPLES, np.array([1, -1]), "sigma must have length n"),
+        # fractional entries were truncated to +/-1 and accepted
+        ([1.9, -1.2, -1, 1], None, _TUPLES[:, :2], np.array([1, -1]), "length 2\\^k"),
+        (_PARITY3, None, _TUPLES[:1], [1.6], "one \\+1 or -1 per tuple"),
+        (_PARITY3, np.array([0, 5, 1, 1]), _TUPLES, np.array([1, -1]), "sigma must have length n, with \\+1/-1"),
     ],
-    ids=["short-values", "zero-value", "narrow-predicate", "non-pm1-predicate", "1d-tuples", "short-sigma"],
+    ids=["short-values", "zero-value", "narrow-predicate", "non-pm1-predicate", "1d-tuples", "short-sigma",
+         "fractional-predicate", "fractional-value", "non-pm1-sigma"],
 )
 def test_goldreich_instance_rejects_malformed_fields(predicate, sigma, tuple_vars, values, message):
     with pytest.raises(ValueError, match=message):
         GoldreichInstance(4, predicate, sigma, tuple_vars, values)
+
+
+_INT64_ENTRIES = "must hold integers within int64"
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: BipartiteGraph(2, 2, [[0.5, 1.9]]), "edges " + _INT64_ENTRIES),
+        (lambda: BipartiteGraph(2, 2, [[2**64, 0]]), "edges " + _INT64_ENTRIES),
+        (lambda: BipartiteGraph(2, 2, [[2**63, 0]]), "edges " + _INT64_ENTRIES),
+        (lambda: BipartiteGraph(2, 2, [[np.nan, 0]]), "edges " + _INT64_ENTRIES),
+        (lambda: BipartiteGraph(2, 2, [[0, -np.inf]]), "edges " + _INT64_ENTRIES),
+        (lambda: HiddenPartition([1.5, -1], [1]), "u entries must be \\+/-1"),
+        (lambda: HiddenPartition([1, -1], [2**70]), "v entries must be \\+/-1"),
+        (lambda: PlantedCspInstance(3, None, [[0.0, 1.7, 2.2]], [[1, 1, 1]]), "clause_vars " + _INT64_ENTRIES),
+        (lambda: PlantedCspInstance(3, None, [[0, 1, 2]], [[1, 1, 2**70]]), "clause_signs " + _INT64_ENTRIES),
+        (lambda: PlantedCspInstance(3, [0, 5, 1], [[0, 1, 2]], [[1, 1, 1]]), "sigma must have length n"),
+        (lambda: predicate_lowest_degree([]), "length 2\\^k with k >= 1"),
+        (lambda: sample_goldreich([1.5, -1, -1, 1], 8, 5, 0), "length 2\\^k with k >= 1"),
+    ],
+    ids=["fractional-edge", "edge-past-uint64", "edge-at-2^63", "nan-edge", "inf-edge", "fractional-label",
+         "label-past-int64", "fractional-clause-var", "clause-sign-past-int64", "non-pm1-sigma",
+         "empty-predicate", "fractional-sampler-predicate"],
+)
+def test_inputs_that_are_not_int64_or_pm1_raise_value_error(build, message):
+    """Each of these was truncated and accepted, or escaped as an
+    ``OverflowError``, or raised naming the wrong rule."""
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_integer_valued_inputs_become_int64_and_int64_edges_are_not_copied():
+    edges = np.array([[0, 1], [1, 0]], dtype=np.int64)
+    assert np.shares_memory(BipartiteGraph(2, 2, edges).edges, edges)
+    for e in ([[0.0, 1.0]], np.array([[0, 1]], dtype=np.int8), np.array([[0, 1]], dtype=np.uint64)):
+        g = BipartiteGraph(2, 2, e)
+        assert g.edges.dtype == np.int64 and g.edges.tolist() == [[0, 1]]
+    part = HiddenPartition(np.array([1, -1], dtype=np.int8), [1.0, -1.0])
+    assert part.u.dtype == part.v.dtype == np.int64 and part.u.tolist() == part.v.tolist() == [1, -1]
+    csp = PlantedCspInstance(3, [1.0, -1.0, 1.0], [[0.0, 1.0, 2.0]], np.array([[1, -1, 1]], dtype=np.int8))
+    for arr, want in ((csp.sigma, [1, -1, 1]), (csp.clause_vars, [[0, 1, 2]]), (csp.clause_signs, [[1, -1, 1]])):
+        assert arr.dtype == np.int64 and arr.tolist() == want
+    pred = GoldreichInstance(3, [1.0, -1.0, -1.0, 1.0], None, np.array([[0, 2]], dtype=np.int8), [-1.0])
+    assert pred.predicate.dtype == pred.tuple_vars.dtype == pred.values.dtype == np.int64
+    assert predicate_lowest_degree([1.0, -1.0, -1.0, 1.0]).r == 2
 
 
 def test_goldreich_instance_normalizes_to_int64():
