@@ -134,7 +134,9 @@ def _pack(a: np.ndarray, a_size: int, b: np.ndarray, b_size: int):
         a, b = np.divmod(key, b_size)
         return (a if a_values is None else a_values[a]), (b if b_values is None else b_values[b])
 
-    return a * b_size + b, a_size * b_size, unpack
+    key = np.multiply(a, b_size, dtype=np.int64)  # on int32 ids, a * b_size would wrap
+    key += b
+    return key, a_size * b_size, unpack
 
 
 def _key_dtype(*sizes: int) -> type:
@@ -561,6 +563,23 @@ def _keep_first(mask: np.ndarray, need: int) -> int:
 _CHUNK_ROWS = 1 << 15  # rows per cache-sized block: sample_planted_csp's acceptance, the reduction's encoding
 
 
+def _after_uint32s(rng: np.random.Generator, count: int) -> np.random.Generator:
+    """A new generator at the PCG64 state ``count`` more 32-bit draws would
+    leave ``rng`` in, reached in O(log count) steps: a draw takes the half
+    word ``rng`` holds (``has_uint32``) first, then one 64-bit word per two.
+    Its own 32-bit buffer is empty."""
+    bits = np.random.PCG64(0)
+    bits.state = rng.bit_generator.state
+    return np.random.Generator(bits.advance((count - bits.state["has_uint32"] + 1) // 2))
+
+
+def _resume(rng: np.random.Generator, ahead: np.random.Generator):
+    """Move ``rng`` to ``ahead``'s PCG64 state, keeping ``rng``'s own 32-bit buffer."""
+    own, state = rng.bit_generator.state, ahead.bit_generator.state
+    state["has_uint32"], state["uinteger"] = own["has_uint32"], own["uinteger"]
+    rng.bit_generator.state = state
+
+
 def sample_planted_csp(
     q_dist: PlantingDistribution, n: int, m: int, seed: int
 ) -> PlantedCspInstance:
@@ -572,6 +591,16 @@ def sample_planted_csp(
     uniform signs, accept with probability w(pattern) / max(w). The proposal
     is uniform over all clauses, so accepted clauses follow the target law
     exactly. Seed substreams: 0 = sigma, 1 = clause proposals.
+
+    A batch takes the stream one whole draw of it would: its tuples, then
+    b*k int32 signs, then b uniforms. Only the tuples are drawn whole: a
+    range of n can reject in numpy's bounded draw, so their stream use
+    depends on the values. A range of 2 never rejects, so each sign takes
+    exactly one 32-bit draw, and ``random`` takes one 64-bit word per value
+    and leaves the 32-bit buffer alone. Each chunk's signs therefore come
+    from ``rng`` when the chunk is reached, and its uniforms from a copy
+    moved past the words of the b*k signs. Chunks past the need-th accepted
+    row are never drawn.
     """
     k = q_dist.k
     if n < k:
@@ -595,19 +624,17 @@ def sample_planted_csp(
         row_cost = n if _cramped(n, k) else k  # see _propose_tuples
         batch = min(batch, max(4096, 30_000_000 // row_cost))
         cand = _propose_tuples(n, k, batch, rng)
-        signs = rng.integers(0, 2, size=(batch, k), dtype=np.int32)  # 1 = positive
-        draw = rng.random(batch)
-        draw *= wmax
-        # The rest works on cache-sized chunks of rows and stops at the
-        # need-th accepted row; rows past it are drawn but never looked at.
+        uniforms = _after_uint32s(rng, batch * k)
         for a in range(0, batch, _CHUNK_ROWS):
-            rows = slice(a, a + _CHUNK_ROWS)
-            c, s = cand[rows], signs[rows]
+            c = cand[a : a + _CHUNK_ROWS]
+            s = rng.integers(0, 2, size=c.shape, dtype=np.int32)  # 1 = positive
+            draw = uniforms.random(len(c))
+            draw *= wmax
             # the literal sigma_v * (2 * sign - 1) is true iff bit(sigma_v) == sign;
             # the ids are in range, and take skips the index conversion and
             # bounds check of fancy indexing
             idx = _bit_index(np.take(bit, c, mode="clip") == s)
-            accept = draw[rows] < w[idx]
+            accept = draw < w[idx]
             accept &= _distinct_rows(c)
             kept = _keep_first(accept, m - got)
             out_vars[got : got + kept] = c.compress(accept, axis=0)
@@ -617,6 +644,8 @@ def sample_planted_csp(
             got += kept
             if got == m:
                 break
+        else:  # the batch ran out short of m: the next one starts after its uniforms
+            _resume(rng, uniforms)
     return PlantedCspInstance(n, sigma, out_vars, out_signs)
 
 

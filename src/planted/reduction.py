@@ -28,8 +28,8 @@ import numpy as np
 
 from .fourier import FourierReport
 from .instances import (
-    _CHUNK_ROWS, BipartiteGraph, GoldreichInstance, HiddenPartition, PlantedCspInstance, _distinct, _key_dtype,
-    _pack, _ranks,
+    _CHUNK_ROWS, BipartiteGraph, GoldreichInstance, HiddenPartition, PlantedCspInstance, _distinct, _int64,
+    _key_dtype, _pack, _ranks, _sigma, _signs,
 )
 
 __all__ = [
@@ -51,8 +51,15 @@ class ReductionError(ValueError):
 
 
 def literal_codes(var_ids: np.ndarray, signs: np.ndarray) -> np.ndarray:
-    """Dense code of a literal: 2*var for positive, 2*var + 1 for negated."""
-    return 2 * np.asarray(var_ids, dtype=np.int64) + (np.asarray(signs) < 0)
+    """Dense code of a literal: 2*var for positive, 2*var + 1 for negated.
+    Raises ``ValueError`` for an id that is not an integer or a sign other
+    than +1/-1."""
+    return _literal_codes(_int64(var_ids, "var_ids"), _signs(signs, "signs must be +1/-1"))
+
+
+def _literal_codes(ids: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """``literal_codes`` on int64 ids and +/-1 signs already checked."""
+    return 2 * ids + (signs < 0)
 
 
 class TupleIndexer:
@@ -99,13 +106,14 @@ class TupleIndexer:
         """Bulk-build from canonical (m, r-1) rows; returns (indexer, ids).
 
         Each row is packed column by column into one int64 key in mixed
-        radix 2n; ``_pack`` ranks where the next column would pass int64."""
+        radix 2n; ``_pack`` ranks where the next column would pass int64.
+        The distinct rows are kept as int64, whatever the dtype of ``rows``."""
         idxr = cls(r, n_vars)
         key, bound = rows[:, 0], 2 * n_vars
         for col in rows.T[1:]:
             key, bound, _ = _pack(key, bound, col, 2 * n_vars)
         ids, first = _group_first_seen(key, bound)
-        idxr._rows = rows[first]
+        idxr._rows = rows[first].astype(np.int64)
         return idxr, ids
 
 
@@ -121,12 +129,13 @@ def _group_first_seen(key: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarr
     if bound > m:
         values, key = _ranks(key)
         bound = len(values)
-    first_at = np.full(bound, m, dtype=np.int64)
-    np.minimum.at(first_at, key, np.arange(m))
+    row = np.int32 if m < 2**31 else np.int64  # rows and numbers are at most m
+    first_at = np.full(bound, m, dtype=row)
+    np.minimum.at(first_at, key, np.arange(m, dtype=row))
     seen = np.zeros(m + 1, dtype=bool)  # slot m takes the values that never occur
     seen[first_at] = True
     first = np.flatnonzero(seen[:m])
-    number = np.empty(bound, dtype=np.int64)  # read only at values that occur
+    number = np.empty(bound, dtype=row)  # read only at values that occur
     number[key[first]] = np.arange(len(first))
     return number[key], first
 
@@ -157,7 +166,7 @@ def restrict_clause(clause, subset):
 
 def literal_truth_labels(sigma: np.ndarray) -> np.ndarray:
     """Left labels over the 2n literal codes: +1 iff the literal is false."""
-    sigma = np.asarray(sigma, dtype=np.int64)
+    sigma = _sigma(sigma, np.size(sigma))
     u = np.empty(2 * len(sigma), dtype=np.int64)
     u[0::2] = -sigma
     u[1::2] = sigma
@@ -167,8 +176,8 @@ def literal_truth_labels(sigma: np.ndarray) -> np.ndarray:
 def tuple_truth_labels(code_rows: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     """Right labels for tuples of literal codes: the negated product of the
     literals' truth values under sigma."""
-    code_rows = np.asarray(code_rows, dtype=np.int64)
-    sigma = np.asarray(sigma, dtype=np.int64)
+    code_rows = _int64(code_rows, "code_rows")
+    sigma = _sigma(sigma, np.size(sigma))
     if code_rows.size == 0:
         return np.empty(0, dtype=np.int64)
     vals = sigma[code_rows // 2] * np.where(code_rows % 2 == 0, 1, -1)
@@ -228,8 +237,9 @@ def _build_reduced(
     One pass over blocks of ``_CHUNK_ROWS`` rows checks every clause and
     encodes the kept ones while the block is in cache: literal codes, the
     pivot swapped to the front, the left code and the sorted tail written
-    into preallocated arrays. Rows past a Poisson prefix are checked but not
-    encoded, so a bad clause anywhere is reported before a thinning error."""
+    into preallocated arrays, int32 when the 2n codes fit. Rows past a
+    Poisson prefix are checked but not encoded, so a bad clause anywhere is
+    reported before a thinning error."""
     m, r = r_vars.shape
     if m == 0:
         raise ReductionError("empty instance")
@@ -237,15 +247,16 @@ def _build_reduced(
     m_kept = _poisson_keep(m, epsilon, rng) if thinning == "poisson" else m
     modes_known = thinning in ("dedup", "poisson") and left_literal in ("first", "random")
     n_encoded = m_kept if modes_known else 0
-    left = np.empty(n_encoded, dtype=np.int64)
-    tails = np.empty((r - 1, n_encoded), dtype=np.int64)  # by position, so each is contiguous
+    code_dtype = np.int32 if 2 * n <= 2**31 else np.int64
+    left = np.empty(n_encoded, dtype=code_dtype)
+    tails = np.empty((r - 1, n_encoded), dtype=code_dtype)  # by position, so each is contiguous
     for a in range(0, m, _CHUNK_ROWS):
         s = r_signs[a : a + _CHUNK_ROWS]
         ids = _check_restricted(n, r_vars[a : a + _CHUNK_ROWS], s, first_row=a)
         b = min(a + _CHUNK_ROWS, n_encoded)
         if b <= a:
             continue
-        codes = literal_codes(ids[:, : b - a], s[: b - a].T)  # one row per position
+        codes = _literal_codes(ids[:, : b - a], s[: b - a].T)  # one row per position
         if left_literal == "random":
             # uniform pivot position per clause, swapped to the front; only
             # valid for order-symmetric laws. Drawn per block, the pivots
@@ -395,7 +406,8 @@ def partition_to_assignment(result: np.ndarray, seed: int = 0) -> tuple[np.ndarr
     number of inconsistent literal pairs (both literals on the same side),
     a cheap quality diagnostic.
     """
-    result = np.asarray(result, dtype=np.int64)
-    if result.ndim != 1 or len(result) % 2:
-        raise ValueError("expected a sign vector over 2n literals")
+    message = "expected a +1/-1 sign vector over 2n literals"
+    result = _signs(result, message, np.size(result))
+    if len(result) % 2:
+        raise ValueError(message)
     return _sign_or_coin(result[0::2] - result[1::2], seed)

@@ -2,6 +2,7 @@
 import itertools
 import math
 import tracemalloc
+import unittest.mock
 import warnings
 
 import numpy as np
@@ -613,6 +614,81 @@ def test_int32_draws_match_int64_draws_and_leave_the_same_state(seed, size, high
     b = wide.integers(0, high, size, dtype=np.int64)
     assert np.array_equal(a, b)
     assert narrow.random() == wide.random()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**63),
+    pre=st.integers(0, 3),
+    rows=st.integers(0, 300),
+    k=st.integers(1, 6),
+    chunk=st.integers(1, 70),
+)
+def test_chunked_signs_and_skipped_uniforms_match_one_whole_draw(seed, pre, rows, k, chunk):
+    # sample_planted_csp draws a batch's signs chunk by chunk from rng and its
+    # uniforms from a generator moved past the signs' words; a pre-draw of
+    # 0-3 range-150 values leaves the 32-bit buffer full or empty
+    whole, chunked = np.random.default_rng(seed), np.random.default_rng(seed)
+    whole.integers(0, 150, pre, dtype=np.int32)
+    chunked.integers(0, 150, pre, dtype=np.int32)
+    want_signs = whole.integers(0, 2, (rows, k), dtype=np.int32)
+    want_uniforms = whole.random(rows)
+    uniforms = instances._after_uint32s(chunked, rows * k)
+    got_signs, got_uniforms = [], []
+    for a in range(0, rows, chunk):
+        got_signs.append(chunked.integers(0, 2, (min(chunk, rows - a), k), dtype=np.int32))
+        got_uniforms.append(uniforms.random(min(chunk, rows - a)))
+    instances._resume(chunked, uniforms)
+    assert np.array_equal(np.concatenate(got_signs or [np.empty((0, k), np.int32)]), want_signs)
+    assert np.array_equal(np.concatenate(got_uniforms or [np.empty(0)]), want_uniforms)
+    got, want = chunked.bit_generator.state, whole.bit_generator.state
+    assert got["state"] == want["state"] and got["has_uint32"] == want["has_uint32"]
+    if want["has_uint32"]:
+        assert got["uinteger"] == want["uinteger"]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    k=st.integers(9, 12),
+    n=st.sampled_from([30, 600]),
+    m=st.integers(1, 12),
+    chunk=st.integers(300, 5000),
+    seed=st.integers(0, 2**63),
+)
+def test_csp_in_small_chunks_over_several_batches_matches_reference_sampler(k, n, m, chunk, seed):
+    # a one-hot law accepts 1 proposal in 2^k, so most cases take several
+    # batches, each ending in a part-drawn chunk or a run-out one
+    weights = np.zeros(2**k)
+    weights[2**k - 1] = 1.0
+    q = PlantingDistribution(k, weights)
+    with unittest.mock.patch.object(instances, "_CHUNK_ROWS", chunk):
+        got = sample_planted_csp(q, n, m, seed)
+    want = instances_oracle.sample_planted_csp(q, n, m, seed)
+    for name in ("sigma", "clause_vars", "clause_signs"):
+        _assert_same(getattr(got, name), getattr(want, name))
+
+
+def test_csp_sampler_holds_the_tuples_and_one_chunk_above_its_result(monkeypatch):
+    # the csp_3xor shape: int32 tuples are 12 B per batch row; the signs and
+    # uniforms of a whole batch held 32.5 B per row above the result
+    batches = []
+    propose = instances._propose_tuples
+
+    def recording(n, k, batch, rng):
+        batches.append(batch)
+        return propose(n, k, batch, rng)
+
+    monkeypatch.setattr(instances, "_propose_tuples", recording)
+    n = 150
+    m = math.floor(100 * n**1.5 * math.log(n))
+    tracemalloc.start()
+    try:
+        inst = sample_planted_csp(noisy_xor_weights(3, 0.8), n, m, 23)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert inst.m == m and inst.clause_vars.dtype == inst.clause_signs.dtype == np.int64
+    assert (peak - held) / max(batches) <= 14
 
 
 @settings(max_examples=150, deadline=None)

@@ -61,6 +61,22 @@ def test_literal_codes():
     assert literal_codes(np.array([0, 0, 3]), np.array([1, -1, -1])).tolist() == [0, 1, 7]
 
 
+@pytest.mark.parametrize("call", [
+    lambda: literal_codes([0.7, 2.2], [1, -1]),  # truncated to [0, 5]
+    lambda: literal_codes([0, 1], [1, 0]),  # a zero sign coded as positive
+    lambda: literal_codes([0, 1], [1, -1.5]),
+    lambda: literal_truth_labels([1.5, -1]),
+    lambda: tuple_truth_labels([[0.5]], [1, -1]),
+    lambda: tuple_truth_labels([[3]], [1, 0.5]),
+    lambda: partition_to_assignment([0.7, -1]),
+    lambda: partition_to_assignment([1, 0, -1, 1]),
+], ids=["fractional-ids", "zero-sign", "fractional-sign", "fractional-sigma", "fractional-codes",
+        "fractional-tuple-sigma", "fractional-result", "zero-result"])
+def test_label_and_code_helpers_reject_what_they_would_truncate(call):
+    with pytest.raises(ValueError):
+        call()
+
+
 def test_truth_label_conventions():
     sigma = np.array([1, -1, 1])
     u = literal_truth_labels(sigma)
@@ -619,6 +635,25 @@ def test_reduction_traced_peak_per_clause(left_literal):
     finally:
         tracemalloc.stop()
     assert peak / inst.m <= 64
+
+
+def test_reduction_holds_int32_codes_above_its_input():
+    """The csp_3xor shape, 920k clauses: int32 left codes, tails and row
+    numbers and one m-long key temporary hold 26.3 B per clause above the
+    instance; int64 ones and two key temporaries held 43.0. The outputs
+    stay int64."""
+    n = 150
+    q = noisy_xor_weights(3, 0.8)
+    inst = sample_planted_csp(q, n, math.floor(100 * n**1.5 * math.log(n)), seed=5)
+    report = distribution_complexity(q)
+    tracemalloc.start()
+    try:
+        red = csp_to_bipartite(inst, report, seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert red.graph.edges.dtype == red.indexer.materialized().dtype == np.int64
+    assert peak / inst.m <= 34
 
 
 # ---------------------------------------------------------------------------
