@@ -181,7 +181,8 @@ def write_sbm(
         "seed": seed,
     }
     tu = truth.u if truth is not None else None
-    tv = truth.v if truth is not None and include_truth_v else None
+    # read_sbm takes 0 or n2 right labels: a reduced truth labels only the tuples that occur
+    tv = truth.v if truth is not None and include_truth_v and len(truth.v) == graph.n2 else None
     with open(path, "wb") as fh:
         for rec in _sbm_head(header, tu, tv, reduced_meta):
             fh.write(_dumps(rec).encode() + b"\n")
@@ -233,7 +234,6 @@ def write_reduced(path, reduced: ReducedInstance, seed: int):
         p=p_realized,
         seed=seed,
         truth=reduced.truth,
-        include_truth_v=False,  # truth v covers materialized tuples only
         reduced_meta=meta,
     )
 
@@ -247,15 +247,10 @@ def _labels(value, sizes, name: str, where: str) -> list:
     return value
 
 
-def _row_major_key(edges: np.ndarray, n1: int, n2: int) -> np.ndarray:
-    """``_pack``'s int64 key of each (row, col) edge, which sorts in row-major order."""
-    return _pack(edges[:, 0], n1, edges[:, 1], n2)[0]
-
-
 def _first_repeat(edges: np.ndarray, n1: int, n2: int) -> int | None:
     """File index of the first edge equal to an earlier one, or None. Keys
     that strictly increase, as in every file write_sbm writes, need no sort."""
-    key = _row_major_key(edges, n1, n2)
+    key = _pack(edges[:, 0], n1, edges[:, 1], n2)[0]  # sorts as the edges do in row-major order
     if (key[1:] > key[:-1]).all() or _run_starts(np.sort(key)).all():
         return None
     order = np.argsort(key, kind="stable")

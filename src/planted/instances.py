@@ -119,9 +119,10 @@ def _ranks(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _pack(a: np.ndarray, a_size: int, b: np.ndarray, b_size: int):
-    """``(key, size, unpack)``: int64 keys ``a * b_size + b`` that sort as the
-    pairs (a, b) do, their exclusive bound and their decoder. Where the keys
-    could pass int64, ``a`` and then, if still needed, ``b`` are ranked first."""
+    """``(key, size, unpack)``: keys ``a * b_size + b`` that sort as the pairs (a, b)
+    do, their exclusive bound and their decoder to (len, 2) int64 pairs. Where the
+    keys could pass int64, ``a`` and then, if still needed, ``b`` are ranked first;
+    the keys take ``_key_dtype`` of the sizes after that."""
     a_values = b_values = None
     if a_size * b_size > _INT64_MAX:
         a_values, a = _ranks(a)
@@ -130,20 +131,32 @@ def _pack(a: np.ndarray, a_size: int, b: np.ndarray, b_size: int):
             b_values, b = _ranks(b)
             b_size = len(b_values)
 
-    def unpack(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        a, b = np.divmod(key, b_size)
-        return (a if a_values is None else a_values[a]), (b if b_values is None else b_values[b])
+    def unpack(key: np.ndarray) -> np.ndarray:
+        pairs = _unpack(key, b_size)
+        for j, values in enumerate((a_values, b_values)):
+            if values is not None:
+                pairs[:, j] = values[pairs[:, j]]
+        return pairs
 
-    key = np.multiply(a, b_size, dtype=np.int64)  # on int32 ids, a * b_size would wrap
-    key += b
+    dtype = _key_dtype(a_size, b_size)
+    # the ids are below the sizes, so the casts into the key dtype are exact
+    key = np.multiply(a, b_size, dtype=dtype, casting="unsafe")
+    np.add(key, b, out=key, dtype=dtype, casting="unsafe")
     return key, a_size * b_size, unpack
 
 
+def _unpack(key: np.ndarray, b_size: int) -> np.ndarray:
+    """The (len, 2) int64 pairs (a, b) of the keys ``a * b_size + b``."""
+    pairs = np.empty((len(key), 2), dtype=np.int64)
+    np.divmod(key, b_size, out=(pairs[:, 0], pairs[:, 1]))
+    return pairs
+
+
 def _key_dtype(*sizes: int) -> type:
-    """uint32 when every key packed in mixed radix from ids below ``sizes``
-    fits in 32 bits (their product is at most 2^32), else int64; decided in
-    Python ints. The split and the reduction's edge keys share this rule."""
-    return np.uint32 if math.prod(sizes) <= 2**32 else np.int64
+    """uint32 when every key packed in mixed radix from ids below ``sizes`` fits
+    in 32 bits, and so does every radix: each size is below 2^32 and their product
+    at most 2^32. Else int64; decided in Python ints, for every packed key."""
+    return np.uint32 if math.prod(sizes) <= 2**32 and max(sizes) < 2**32 else np.int64
 
 
 @dataclass(frozen=True)
@@ -440,16 +453,17 @@ def _balanced_signs(n: int, rng: np.random.Generator) -> np.ndarray:
 
 def _pack_block(rows: np.ndarray, cols: np.ndarray, flat: np.ndarray, n2: int, out: np.ndarray):
     """Write the keys ``rows[i] * n2 + cols[j]`` of a block's flat pair
-    indices ``i * len(cols) + j`` into ``out``, overwriting ``flat``.
-    floor_divide by a scalar is far cheaper than divmod, and the indices are
-    in range, so take may clip instead of checking them."""
+    indices ``i * len(cols) + j`` into ``out``, in its dtype, overwriting
+    ``flat``. floor_divide by a scalar is far cheaper than divmod, and the
+    indices are in range, so take may clip instead of checking them."""
     if len(flat) == 0:
         return
     r = np.floor_divide(flat, len(cols))
-    np.take(rows * n2, r, out=out, mode="clip")
+    np.take(np.multiply(rows, n2, dtype=out.dtype, casting="unsafe"), r, out=out, mode="clip")
     r *= len(cols)
     flat -= r  # now the column index
-    out += np.take(cols, flat, out=r, mode="clip")
+    # the columns are gathered into r's bytes, which hold a block of out's dtype
+    out += np.take(cols.astype(out.dtype, copy=False), flat, out=r.view(out.dtype)[: len(r)], mode="clip")
 
 
 def sample_bipartite_block(
@@ -478,7 +492,7 @@ def sample_bipartite_block(
     # Group rows/columns by label so each of the four probability blocks is a
     # contiguous grid; sample each block as a flat Bernoulli process, then
     # pack its edges into the row-major keys row * n2 + col (validate keeps
-    # n1 * n2 within int64) in one preallocated buffer.
+    # n1 * n2 within int64) in one preallocated buffer of _key_dtype's width.
     rng = np.random.default_rng(edge_ss)
     n2 = params.n2
     left = [np.flatnonzero(partition.u == 1), np.flatnonzero(partition.u == -1)]
@@ -489,7 +503,7 @@ def sample_bipartite_block(
         for li, rows in enumerate(left)
         for ri, cols in enumerate(right)
     ]
-    key = np.empty(sum(len(flat) for *_, flat in blocks), dtype=np.int64)
+    key = np.empty(sum(len(flat) for *_, flat in blocks), dtype=_key_dtype(params.n1, n2))
     end = 0
     while blocks:  # popped, so each block's gaps are freed once packed
         start, end = end, end + len(blocks[0][2])
@@ -498,9 +512,7 @@ def sample_bipartite_block(
     # rows and columns), so a stable sort of the distinct keys only merges
     # four sorted runs.
     key.sort(kind="stable")
-    edges = np.empty((len(key), 2), dtype=np.int64)
-    np.divmod(key, n2, out=(edges[:, 0], edges[:, 1]))
-    return BipartiteGraph(params.n1, n2, edges), partition
+    return BipartiteGraph(params.n1, n2, _unpack(key, n2)), partition
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ import numpy as np
 from .fourier import FourierReport
 from .instances import (
     _CHUNK_ROWS, BipartiteGraph, GoldreichInstance, HiddenPartition, PlantedCspInstance, _distinct, _int64,
-    _key_dtype, _pack, _ranks, _sigma, _signs,
+    _pack, _ranks, _sigma, _signs,
 )
 
 __all__ = [
@@ -105,13 +105,15 @@ class TupleIndexer:
     def _from_rows(cls, r: int, n_vars: int, rows: np.ndarray) -> tuple["TupleIndexer", np.ndarray]:
         """Bulk-build from canonical (m, r-1) rows; returns (indexer, ids).
 
-        Each row is packed column by column into one int64 key in mixed
-        radix 2n; ``_pack`` ranks where the next column would pass int64.
-        The distinct rows are kept as int64, whatever the dtype of ``rows``."""
+        Each row is packed column by column into one key in mixed radix 2n;
+        ``_pack`` picks each step's width and ranks where the next column
+        would pass int64. The distinct rows are kept as int64, whatever the
+        dtype of ``rows``."""
         idxr = cls(r, n_vars)
         key, bound = rows[:, 0], 2 * n_vars
         for col in rows.T[1:]:
             key, bound, _ = _pack(key, bound, col, 2 * n_vars)
+        key = key.astype(np.intp, copy=False)  # rebound, freeing the narrow key; grouping indexes with it 3 times
         ids, first = _group_first_seen(key, bound)
         idxr._rows = rows[first].astype(np.int64)
         return idxr, ids
@@ -277,21 +279,11 @@ def _build_reduced(
 
     indexer, tuple_ids = TupleIndexer._from_rows(r, n, tails.T)
     del tails  # the indexer holds its own copy of the distinct rows
-    n1, n_tuples = 2 * n, len(indexer)
-    if _key_dtype(n1, n_tuples) is np.uint32:
-        keys = left.astype(np.uint32)
-        keys *= n_tuples
-        np.add(keys, tuple_ids, out=keys, casting="unsafe")
-        del left, tuple_ids
-        keys = _distinct(keys)  # rebound, so the m keys are freed before the decode
-        edges = np.empty((len(keys), 2), dtype=np.int64)
-        np.divmod(keys, n_tuples, out=(edges[:, 0], edges[:, 1]))
-    else:
-        keys, _, unpack = _pack(left, n1, tuple_ids, n_tuples)
-        del left, tuple_ids
-        keys = _distinct(keys)
-        edges = np.column_stack(unpack(keys))
-    graph = BipartiteGraph(n1, indexer.n2_nominal, edges)
+    n1 = 2 * n
+    keys, _, unpack = _pack(left, n1, tuple_ids, len(indexer))
+    del left, tuple_ids
+    keys = _distinct(keys)  # rebound, so the m keys are freed before the decode
+    graph = BipartiteGraph(n1, indexer.n2_nominal, unpack(keys))
     p_equiv = m_kept / (2.0 * n1 * indexer.n2_nominal)
 
     truth = None

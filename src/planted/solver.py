@@ -132,11 +132,12 @@ def _sub_graphs(n1: int, n2: int, edges: np.ndarray, T: int, rng) -> _Buckets:
     when T is 1), is t, sorted by (col, row).
 
     Each edge is packed into the key (bucket * n2 + col) * n1 + row, and one
-    sort orders every sub-graph at once. The keys are uint32 when all of
-    them fit, T * n2 * n1 <= 2^32, which halves the bytes the sort moves;
-    otherwise they are int64. The bucket ids are drawn straight into the
-    key's dtype: a range below 2^32 draws the same values and leaves the
-    generator in the same state in either dtype. The bucket bounds are
+    sort orders every sub-graph at once. The keys are uint32 under
+    ``_key_dtype``'s rule (T * n2 * n1 <= 2^32, each size below 2^32),
+    which halves the bytes the sort moves; otherwise they are int64. The
+    bucket ids are drawn straight into the key's dtype: a range below 2^32
+    draws the same values and leaves the generator in the same state in
+    either dtype. The bucket bounds are
     searched in the sorted keys, and the result holds those keys and
     bounds alone (``_Buckets`` decodes each sub-graph when it is read).
     When the keys would overflow int64, the right ids are first replaced by
@@ -158,8 +159,8 @@ def _sub_graphs(n1: int, n2: int, edges: np.ndarray, T: int, rng) -> _Buckets:
     del cols
     key.sort()
     # bucket t starts at the first key >= t * n2 * n1; the needles stop short
-    # of T * n2 * n1, which may not fit the key dtype
-    starts = np.searchsorted(key, np.arange(1, T, dtype=key.dtype) * (n2 * n1))
+    # of T * n2 * n1, so they fit the key dtype, though n2 * n1 alone may not
+    starts = np.searchsorted(key, (np.arange(1, T) * (n2 * n1)).astype(key.dtype))
     return _Buckets(key, [0, *starts.tolist(), m], n1, n2, present)
 
 

@@ -20,7 +20,6 @@ from planted.instances import (
     PlantingDistribution,
     _balanced_signs,
 )
-from planted.files import _row_major_key
 
 
 def pattern_index(z: np.ndarray) -> np.ndarray:
@@ -76,7 +75,7 @@ def sample_bipartite_block(
             r, c = np.divmod(flat, max(len(cols), 1))
             parts.append(np.column_stack([rows[r], cols[c]]))
     edges = np.vstack(parts) if parts else np.empty((0, 2), dtype=np.int64)
-    order = np.argsort(_row_major_key(edges, params.n1, params.n2), kind="stable")
+    order = np.lexsort((edges[:, 1], edges[:, 0]))
     return BipartiteGraph(params.n1, params.n2, edges[order]), partition
 
 

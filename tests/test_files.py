@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 
 import files_oracle
 from planted import files
+from planted.cli import main
+from planted.fourier import distribution_complexity
 from planted.instances import (
     BipartiteGraph,
     BlockModelParams,
@@ -22,8 +24,11 @@ from planted.instances import (
     HiddenPartition,
     PlantedCspInstance,
     PlantingDistribution,
+    noisy_xor_weights,
     sample_bipartite_block,
+    sample_planted_csp,
 )
+from planted.reduction import csp_to_bipartite
 
 _META = {"delta": 2.0, "p_equiv": 0.0014124293785310734, "n2_nominal": 1770, "indexer_size": 215}
 _BIG = 2**62  # ids of 19 digits: past the bulk edge pattern, still int64
@@ -219,6 +224,25 @@ def test_read_sbm_traced_peak_per_edge(tmp_path):
         tracemalloc.stop()
     assert data.graph.num_edges == graph.num_edges > 2**18
     assert peak <= 48 * graph.num_edges
+
+
+@pytest.mark.parametrize("k, n, m, full", [(3, 12, 300, False), (2, 3, 200, True)],
+                         ids=["173-of-276-tuples", "every-tuple"])
+def test_reduced_graph_written_with_its_truth_reads_back(tmp_path, capsys, k, n, m, full):
+    """A reduced truth labels the tuples that occur, in id order: fewer than
+    n2 = C(2n, r-1) of them leave truth_v out of the file, since read_sbm
+    takes 0 or n2 right labels; all n2 of them are written."""
+    q = noisy_xor_weights(k, 0.8)
+    red = csp_to_bipartite(sample_planted_csp(q, n, m, seed=5), distribution_complexity(q))
+    g = red.graph
+    assert (len(red.truth.v) == g.n2) is full
+    f = tmp_path / "r.jsonl"
+    files.write_sbm(f, g, delta=red.delta, p=g.num_edges / (g.n1 * g.n2), seed=5, truth=red.truth)
+    data = files.read_sbm(f)
+    assert np.array_equal(data.graph.edges, g.edges) and np.array_equal(data.truth.u, red.truth.u)
+    assert data.truth.v.tolist() == (red.truth.v.tolist() if full else [])
+    assert main(["solve", "-i", str(f), "-q"]) == 0
+    capsys.readouterr()
 
 
 _CSP = PlantedCspInstance(4, np.array([1, -1, 1, -1]), np.array([[0, 1, 2], [3, 1, 0]]),

@@ -20,6 +20,9 @@ from planted.instances import (
     HiddenPartition,
     PlantedCspInstance,
     PlantingDistribution,
+    _INT64_MAX,
+    _key_dtype,
+    _pack,
     constant_predicate,
     majority_predicate,
     noisy_xor_weights,
@@ -32,7 +35,6 @@ from planted.instances import (
     sat_clause_weights,
     uniform_weights,
 )
-from planted.files import _row_major_key
 from planted.fourier import predicate_lowest_degree
 
 
@@ -150,37 +152,76 @@ def test_sbm_edges_come_in_lexsort_order(case):
     assert np.array_equal(g.edges, g.edges[old_order])
 
 
+def _size(draw) -> int:
+    """A size for one side of a packed key: small, at the 2^16 and 2^32 bounds, or past 2^32 up to 2^64."""
+    return draw(st.one_of(st.integers(1, 30), st.sampled_from([2**16, 2**16 + 1, 2**32 - 1, 2**32]),
+                          st.integers(2**32, 2**62), st.integers(2**62, 2**64)))
+
+
+def _ids(draw, size: int):
+    """Ids below ``size`` and within int64: near 0, near 2^31 where the size
+    allows, or near the largest."""
+    top = min(size, 2**63) - 1
+    lows = [0, top - 16] + ([2**31 - 8] if top > 2**31 + 8 else [])
+    lo = max(0, draw(st.sampled_from(lows)))
+    return st.integers(lo, min(top, lo + 16))
+
+
 @st.composite
-def edge_arrays(draw):
-    """(edges, n1, n2), repeats allowed: small sizes, or sizes whose product
-    overflows int64 with ids near 2^31."""
-    if draw(st.booleans()):
-        n1, n2 = (draw(st.integers(1, 30)) for _ in range(2))
-        lo = 0
-    else:
-        n1, n2 = (draw(st.integers(2**32, 2**62)) for _ in range(2))
-        lo = 2**31 - 8
-    ids = st.tuples(st.integers(lo, min(n1 - 1, lo + 16)), st.integers(lo, min(n2 - 1, lo + 16)))
-    edges = np.array(draw(st.lists(ids, max_size=60)), dtype=np.int64).reshape(-1, 2)
-    return edges, n1, n2
+def pack_cases(draw):
+    """(a, a_size, b, b_size): id pairs below the sizes, repeats allowed, whose
+    keys range over uint32, int64, ranked a, ranked a and b, and no pairs at all."""
+    a_size, b_size = _size(draw), _size(draw)
+    return _pair_case(draw(st.lists(st.tuples(_ids(draw, a_size), _ids(draw, b_size)), max_size=40)), a_size, b_size)
+
+
+def _pair_case(pairs, a_size, b_size):
+    edges = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    return edges[:, 0], a_size, edges[:, 1], b_size
 
 
 # packed directly, (2^31, 5) would be 2^63 + 5 and wrap below every other key
-_WRAPPING = (np.array([[1, 0], [0, 2**31], [2**31, 5], [1, 2**31 + 1]], dtype=np.int64), 2**32, 2**32)
+_WRAPPING = _pair_case([[1, 0], [0, 2**31], [2**31, 5], [1, 2**31 + 1]], 2**32, 2**32)
 
 
-@settings(max_examples=150, deadline=None)
-@given(case=edge_arrays())
-@example(case=_WRAPPING)
-# n2 alone passes 2^63 / m, so the columns are ranked after the rows
-@example(case=(np.array([[1, 2**62], [0, 5]], dtype=np.int64), 2, 2**62 + 1))
-@example(case=(np.array([[0, 2**62 - 1], [2**62 - 1, 0], [3, 2**62 - 2], [0, 1]], dtype=np.int64), 2**62, 2**62))
-@example(case=(np.empty((0, 2), dtype=np.int64), 3, 2**64))  # a graph file with no edges may declare any n2
-def test_row_major_key_orders_like_lexsort(case):
-    edges, n1, n2 = case
-    key = _row_major_key(edges, n1, n2)
-    assert key.dtype == np.int64 and key.shape == (len(edges),)
-    assert np.array_equal(np.argsort(key, kind="stable"), np.lexsort((edges[:, 1], edges[:, 0])))
+def _assert_pack_round_trips(a, a_size, b, b_size):
+    """_pack's keys take _key_dtype of the sizes after its ranking rule, stay
+    below their bound, sort as np.lexsort does, and unpack to the int64 pairs."""
+    key, size, unpack = _pack(a, a_size, b, b_size)
+    if a_size * b_size > _INT64_MAX:
+        a_size = len(np.unique(a))
+        if max(a_size, 1) * b_size > _INT64_MAX:
+            b_size = len(np.unique(b))
+    assert key.dtype == _key_dtype(a_size, b_size) and key.shape == a.shape
+    assert size == a_size * b_size and (key < size).all()
+    assert np.array_equal(np.argsort(key, kind="stable"), np.lexsort((b, a)))
+    pairs = unpack(key)
+    assert pairs.dtype == np.int64 and np.array_equal(pairs, np.column_stack([a, b]).reshape(-1, 2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=pack_cases())
+@example(case=_pair_case([[3, 7], [0, 29], [3, 2], [3, 7]], 30, 30))  # uint32 keys
+@example(case=_pair_case([[2**16, 0], [0, 2**16 - 1], [1, 3]], 2**16 + 1, 2**16))  # just past 2^32: int64
+@example(case=_WRAPPING)  # ranked a
+# b_size alone passes 2^63 / 2, so the columns are ranked after the rows
+@example(case=_pair_case([[1, 2**62], [0, 5]], 2, 2**62 + 1))
+@example(case=_pair_case([[0, 2**62 - 1], [2**62 - 1, 0], [3, 2**62 - 2], [0, 1]], 2**62, 2**62))
+@example(case=_pair_case([], 3, 2**64))  # a graph file with no edges may declare any n2
+@example(case=_pair_case([[0, 2**32 - 1], [0, 5]], 1, 2**32))  # size 1 beside 2^32, unranked
+def test_pack_orders_like_lexsort_and_unpacks_to_the_pairs(case):
+    _assert_pack_round_trips(*case)
+
+
+@pytest.mark.parametrize("a, a_size, b, b_size", [
+    _pair_case([], 39_044_669, 236_226_155_147),  # the rows rank to size 0 beside 2.4e11
+    _pair_case([[2**40, 7], [2**40, 2**32 - 1]], 2**40 + 1, 2**32),  # the rows rank to size 1 beside 2^32
+], ids=["size-0-beside-2.4e11", "size-1-beside-2^32"])
+def test_pack_after_ranking_keeps_int64_keys_beside_a_size_past_2_to_the_32(a, a_size, b, b_size):
+    """A product within 2^32 is not enough for uint32 keys: a radix of 2^32 or
+    more does not fit uint32 even beside a size of 0 or 1."""
+    assert _key_dtype(len(np.unique(a)), b_size) is np.int64
+    _assert_pack_round_trips(a, a_size, b, b_size)
 
 
 @pytest.mark.parametrize(

@@ -218,6 +218,22 @@ def test_split_at_the_32_bit_key_boundary_matches_the_int64_split(n2, dtype):
     assert (last.rows[-1], last.cols[-1]) == (n1 - 1, n2 - 1)
 
 
+@pytest.mark.parametrize("n1, n2, dtype", [(1, 2**32, np.int64), (2**16, 2**16, np.uint32)],
+                         ids=["n2-is-2^32", "2^16-by-2^16"])
+def test_baseline_with_a_2_to_the_32_key_bound_decodes_its_edges(n1, n2, dtype):
+    """power_iteration_baseline packs one sub-graph (T = 1) whose key bound
+    n1 * n2 is exactly 2^32. A radix of 2^32 does not fit uint32, so n2 = 2^32
+    takes int64 keys; at 2^16 x 2^16 the keys are uint32, though the bound
+    n2 * n1 itself does not fit them."""
+    edges = np.array([[0, n2 - 1], [n1 - 1, 5], [0, 3]])
+    assert _key_dtype(n1, n2, 1) is dtype
+    sub = _make_sub(n1, edges[:, 0], edges[:, 1])
+    order = np.lexsort((edges[:, 0], edges[:, 1]))
+    assert sub.rows.tolist() == edges[order, 0].tolist() and sub.cols.tolist() == edges[order, 1].tolist()
+    signs = power_iteration_baseline(BipartiteGraph(n1, n2, edges), 2, 0)
+    assert len(signs) == n1 and np.isin(signs, [-1, 1]).all()
+
+
 def test_split_traced_peak_is_no_higher_than_the_int64_split():
     g, _ = sample_bipartite_block(BlockModelParams(2000, 2000, 2.0, 0.075, 4))  # ~300k edges
     T = SolverConfig().resolve_T(g.n1)
