@@ -18,6 +18,7 @@ from .instances import (
     PlantedCspInstance,
     PlantingDistribution,
     _is_number,
+    _narrow,
     _number_list,
     _pack,
     _predicate_table,
@@ -459,7 +460,8 @@ def read_constraints(path) -> CspFile | GoldreichFile:
     integer, a header table (``weights`` or ``predicate``) that is missing or
     not a list of JSON numbers (integers for ``predicate``), or a constraint
     whose variable ids or signs are not k integers or whose value is not one
-    integer; range checks are left to the reduction."""
+    integer; range checks are left to the reduction. Ids are held as int32
+    and signs and values as int8 where every entry fits, else as int64."""
     return _read_constraints(path, tuple(_CONSTRAINT_KINDS))
 
 
@@ -506,8 +508,10 @@ def _read_constraints(path, kinds: tuple) -> CspFile | GoldreichFile:
             values.append(value)
         elif "sigma" in rec:
             sigma = _labels(rec["sigma"], (n,), "sigma", where)
-    cvars = np.array(cvars, dtype=np.int64).reshape(-1, k)
-    values = np.array(values, dtype=np.int64)
+    # the compact instance dtypes where every entry fits; past them int64, so the
+    # reduction names the entry as it was written
+    cvars = _narrow(np.array(cvars, dtype=np.int64).reshape(-1, k), np.int32)
+    values = _narrow(np.array(values, dtype=np.int64), np.int8)
     if kind == "csp":
         instance = PlantedCspInstance(n, sigma, cvars, values.reshape(-1, k))
         return CspFile(instance, law, header)

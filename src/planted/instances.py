@@ -57,13 +57,36 @@ def _int64(x, what: str) -> np.ndarray:
     return out
 
 
-def _signs(x, message: str, length: int | None = None) -> np.ndarray:
-    """``x`` as int64 +1 and -1 entries, checked as given, so 1.5 is not truncated to 1, and
-    1-D of ``length`` when that is given; ``ValueError(message)`` otherwise."""
+def _per_clause(x, what: str, dtype: type) -> np.ndarray:
+    """``x`` as a per-clause array: entries already in ``dtype`` (int32 ids, int8
+    signs) or int64 as they are (no copy, no scan), anything else through ``_int64``
+    and then ``_narrow``, so no entry wraps. int64 is kept because narrowing it
+    would copy an array its caller still holds."""
+    a = np.asarray(x)
+    return a if a.dtype in (dtype, np.int64) else _narrow(_int64(a, what), dtype)
+
+
+def _narrow(a: np.ndarray, dtype: type) -> np.ndarray:
+    """int64 ``a`` cast to ``dtype`` when every entry fits it, else ``a`` itself."""
+    info = np.iinfo(dtype)
+    if a.size and not (info.min <= a.min() and a.max() <= info.max):
+        return a
+    return a.astype(dtype)
+
+
+def _ids_dtype(n: int) -> type:
+    """int32 when every id below ``n`` fits it, else int64."""
+    return np.int32 if n <= 2**31 else np.int64
+
+
+def _signs(x, message: str, length: int | None = None, dtype: type = np.int64) -> np.ndarray:
+    """``x`` as +1 and -1 entries, checked as given, so 1.5 is not truncated to 1, and
+    1-D of ``length`` when that is given; ``ValueError(message)`` otherwise. Entries
+    already in ``dtype`` or int64 are kept as they are, others are cast to ``dtype``."""
     a = np.asarray(x)
     if (length is not None and a.shape != (length,)) or not ((a == 1) | (a == -1)).all():
         raise ValueError(message)
-    return a.astype(np.int64, copy=False)
+    return a if a.dtype in (dtype, np.int64) else a.astype(dtype)
 
 
 def _predicate_table(table, k: int | None = None) -> tuple[np.ndarray, int]:
@@ -258,7 +281,12 @@ class PlantedCspInstance:
     ``clause_vars[c, j]`` is the 0-based variable of the j-th literal of
     clause c and ``clause_signs[c, j]`` its sign (+1 positive, -1 negated).
     Variables never repeat within a clause. ``sigma`` is the planted
-    assignment when known.
+    assignment when known, int64.
+
+    ``clause_vars`` is int32 and ``clause_signs`` int8 when every entry fits,
+    int64 otherwise; int64 or compact arrays are kept as given, without a
+    copy (``_per_clause``). The samplers and the file reader give compact
+    arrays, 5k bytes per clause.
     """
 
     n: int
@@ -267,8 +295,8 @@ class PlantedCspInstance:
     clause_signs: np.ndarray
 
     def __post_init__(self):
-        cv = _int64(self.clause_vars, "clause_vars")
-        cs = _int64(self.clause_signs, "clause_signs")
+        cv = _per_clause(self.clause_vars, "clause_vars", np.int32)
+        cs = _per_clause(self.clause_signs, "clause_signs", np.int8)
         if cv.ndim != 2 or cv.shape != cs.shape:
             raise ValueError("clause_vars and clause_signs must be (m, k) arrays")
         object.__setattr__(self, "clause_vars", cv)
@@ -287,7 +315,11 @@ class PlantedCspInstance:
 @dataclass(frozen=True)
 class GoldreichInstance:
     """m predicate constraints: ordered tuples of distinct variables plus the
-    predicate's observed value on the planted assignment."""
+    predicate's observed value on the planted assignment.
+
+    ``tuple_vars`` is int32 when every id fits, int64 otherwise, and the
+    +/-1 ``values`` int8; int64 or compact arrays are kept as given, without
+    a copy. The ``predicate`` table and ``sigma`` are int64."""
 
     n: int
     predicate: np.ndarray
@@ -296,11 +328,12 @@ class GoldreichInstance:
     values: np.ndarray
 
     def __post_init__(self):
-        tv = _int64(self.tuple_vars, "tuple_vars")
+        tv = _per_clause(self.tuple_vars, "tuple_vars", np.int32)
         if tv.ndim != 2:
             raise ValueError("tuple_vars must be an (m, k) array")
         object.__setattr__(self, "tuple_vars", tv)
-        object.__setattr__(self, "values", _signs(self.values, "values must hold one +1 or -1 per tuple", len(tv)))
+        values = _signs(self.values, "values must hold one +1 or -1 per tuple", len(tv), np.int8)
+        object.__setattr__(self, "values", values)
         object.__setattr__(self, "predicate", _predicate_table(self.predicate, tv.shape[1])[0])
         object.__setattr__(self, "sigma", _sigma(self.sigma, self.n))
 
@@ -526,16 +559,16 @@ def _propose_tuples(n: int, k: int, batch: int, rng: np.random.Generator) -> np.
 
     For n well above k, i.i.d. draws filtered for repeats are cheapest; for
     cramped n every proposal is made distinct by taking the first k entries
-    of a random permutation. The i.i.d. draws are int32 when n <= 2^31:
-    numpy draws a range that fits 32 bits from the same 32-bit stream
-    whatever the output dtype, so the values and the generator state match
-    the int64 draws. The cramped keys are drawn and sorted about
+    of a random permutation. Proposals are int32 when n <= 2^31
+    (``_ids_dtype``), the samplers' output dtype: numpy draws a range that
+    fits 32 bits from the same 32-bit stream whatever the output dtype, so
+    the values and the generator state match the int64 draws. The cramped keys are drawn and sorted about
     ``_CRAMPED_KEY_BYTES`` at a time: ``rng.random`` fills rows in C order, so
     row chunks drawn one after another are the rows of one whole draw.
     """
     if not _cramped(n, k):
-        return rng.integers(0, n, size=(batch, k), dtype=np.int32 if n <= 2**31 else np.int64)
-    out = np.empty((batch, k), dtype=np.int64)
+        return rng.integers(0, n, size=(batch, k), dtype=_ids_dtype(n))
+    out = np.empty((batch, k), dtype=_ids_dtype(n))
     step = max(1, _CRAMPED_KEY_BYTES // (8 * n))
     keys = np.empty((min(step, batch), n))
     for a in range(0, batch, step):
@@ -627,8 +660,8 @@ def sample_planted_csp(
 
     accept_rate = float(w.mean()) / wmax
     bit = (sigma > 0).astype(np.int8)
-    out_vars = np.empty((m, k), dtype=np.int64)
-    out_signs = np.empty((m, k), dtype=np.int64)
+    out_vars = np.empty((m, k), dtype=_ids_dtype(n))
+    out_signs = np.empty((m, k), dtype=np.int8)
     got = 0
     while got < m:
         need = m - got
@@ -678,7 +711,7 @@ def sample_goldreich(
     sigma = np.random.default_rng(sig_ss).integers(0, 2, size=n) * 2 - 1
     rng = np.random.default_rng(tup_ss)
 
-    out = np.empty((m, k), dtype=np.int64)
+    out = np.empty((m, k), dtype=_ids_dtype(n))
     got = 0
     while got < m:
         batch = (m - got) + (m - got) // 4 + 16
@@ -687,7 +720,7 @@ def sample_goldreich(
         kept = _keep_first(valid, m - got)
         out[got : got + kept] = cand.compress(valid, axis=0)
         got += kept
-    values = table[_bit_index(sigma[out] > 0)]
+    values = table.astype(np.int8)[_bit_index((sigma > 0)[out])]
     return GoldreichInstance(n, table, sigma, out, values)
 
 

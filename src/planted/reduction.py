@@ -28,8 +28,8 @@ import numpy as np
 
 from .fourier import FourierReport
 from .instances import (
-    _CHUNK_ROWS, BipartiteGraph, GoldreichInstance, HiddenPartition, PlantedCspInstance, _distinct, _int64,
-    _pack, _ranks, _sigma, _signs,
+    _CHUNK_ROWS, BipartiteGraph, GoldreichInstance, HiddenPartition, PlantedCspInstance, _distinct, _ids_dtype,
+    _int64, _pack, _ranks, _sigma, _signs,
 )
 
 __all__ = [
@@ -249,7 +249,7 @@ def _build_reduced(
     m_kept = _poisson_keep(m, epsilon, rng) if thinning == "poisson" else m
     modes_known = thinning in ("dedup", "poisson") and left_literal in ("first", "random")
     n_encoded = m_kept if modes_known else 0
-    code_dtype = np.int32 if 2 * n <= 2**31 else np.int64
+    code_dtype = _ids_dtype(2 * n)
     left = np.empty(n_encoded, dtype=code_dtype)
     tails = np.empty((r - 1, n_encoded), dtype=code_dtype)  # by position, so each is contiguous
     for a in range(0, m, _CHUNK_ROWS):
@@ -345,7 +345,7 @@ def _signed_clauses(
     ``"fold"`` keeps every constraint and writes its observed value into the
     sign of the first witness literal; ``"discard"`` keeps only the value +1
     constraints. All other signs are +1."""
-    signs = np.ones_like(instance.tuple_vars)
+    signs = np.ones(instance.tuple_vars.shape, dtype=np.int8)
     if value_handling == "fold":
         signs[:, min(report.subset)] = instance.values
         return PlantedCspInstance(instance.n, instance.sigma, instance.tuple_vars, signs)

@@ -1,6 +1,8 @@
 """CLI tests: determinism, round-trips, exit codes, file formats."""
 import builtins
+import contextlib
 import gc
+import io
 import json
 import math
 import re
@@ -9,6 +11,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 try:
     import tomllib
@@ -382,6 +386,46 @@ def test_malformed_clause_ids_exit_1(tmp_path, capsys, head, clause, bad, messag
     assert _run(command, "-i", str(f), "-o", str(tmp_path / "out"), "-q") == 1
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+_XOR3_HEAD = json.dumps({"type": "csp", "n": 10, "k": 3, "m": 3, "seed": 0,
+                         "weights": noisy_xor_weights(3, 0.8).weights.tolist()})
+_PARITY3_HEAD = json.dumps({"type": "goldreich", "n": 10, "k": 3, "m": 3, "seed": 0,
+                            "predicate": parity_predicate(3).tolist()})
+_XOR3_CLAUSE, _PARITY3_CLAUSE = '{"vars":[0,1,2],"signs":[1,-1,1]}', '{"vars":[0,1,2],"value":1}'
+
+
+@pytest.mark.parametrize(
+    "head, good, bad, code, message",
+    [
+        (_XOR3_HEAD, _XOR3_CLAUSE, f'{{"vars":[{2**31},1,2],"signs":[1,1,1]}}', 2,
+         "cannot reduce: restricted clause 2 (vars [2147483648, 1, 2], signs [1, 1, 1])"),
+        (_XOR3_HEAD, _XOR3_CLAUSE, f'{{"vars":[0,{-2**31 - 1},2],"signs":[1,1,1]}}', 2,
+         "cannot reduce: restricted clause 2 (vars [0, -2147483649, 2], signs [1, 1, 1])"),
+        (_XOR3_HEAD, _XOR3_CLAUSE, '{"vars":[3,1,2],"signs":[1,300,1]}', 2,
+         "cannot reduce: restricted clause 2 (vars [3, 1, 2], signs [1, 300, 1])"),
+        (_XOR3_HEAD, _XOR3_CLAUSE, '{"vars":[3,1,2],"signs":[1,1,-129]}', 2,
+         "cannot reduce: restricted clause 2 (vars [3, 1, 2], signs [1, 1, -129])"),
+        (_XOR3_HEAD, _XOR3_CLAUSE, '{"vars":[3,1,2],"signs":[128,1,1]}', 2,
+         "cannot reduce: restricted clause 2 (vars [3, 1, 2], signs [128, 1, 1])"),
+        (_PARITY3_HEAD, _PARITY3_CLAUSE, f'{{"vars":[{2**31},1,2],"value":1}}', 2,
+         "cannot reduce: restricted clause 2 (vars [2147483648, 1, 2], signs [1, 1, 1])"),
+        (_PARITY3_HEAD, _PARITY3_CLAUSE, '{"vars":[3,1,2],"value":300}', 1,
+         "error: values must hold one +1 or -1 per tuple"),
+    ],
+    ids=["id-2^31", "id-below-int32", "sign-300", "sign-minus-129", "sign-128", "goldreich-id-2^31",
+         "goldreich-value-300"],
+)
+@pytest.mark.parametrize("command", ["reduce", "solve-csp"])
+def test_entries_past_the_compact_dtypes_are_named_as_written(tmp_path, capsys, head, good, bad, code, message, command):
+    # the reader keeps such entries int64, so the exit code and the whole
+    # message are those of a reader that never narrows
+    f = tmp_path / "wide.jsonl"
+    f.write_text("\n".join([head, good, good, bad]) + "\n")
+    assert _run(command, "-i", str(f), "-o", str(tmp_path / "out"), "-q") == code
+    tail = " needs distinct variable ids in [0, 10) and signs +1/-1" if code == 2 else ""
+    assert capsys.readouterr().err == message + tail + "\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -840,3 +884,45 @@ def test_csp_file_roundtrip(tmp_path):
     assert np.array_equal(back.instance.clause_signs, inst.clause_signs)
     assert np.array_equal(back.instance.sigma, inst.sigma)
     assert np.array_equal(back.weights.weights, q.weights)
+
+
+# ---------------------------------------------------------------------------
+# Generated mutations at the compact dtypes' edges
+# ---------------------------------------------------------------------------
+
+# the ends of int8 (signs, values) and int32 (ids), one past each, and one past int64
+_DTYPE_EDGES = [127, 128, -128, -129, 2**31 - 1, 2**31, -(2**31), -(2**31) - 1, 2**63]
+
+
+@pytest.fixture(scope="module")
+def edge_files(tmp_path_factory):
+    """The records of three generated files at n = 200, where the ids 127
+    and 128 are in range: noisy 3-XOR (the spi route), 3-SAT (the majority
+    route of solve-csp) and 3-parity predicate constraints."""
+    tmp = tmp_path_factory.mktemp("edges")
+    for name, q in (("xor", noisy_xor_weights(3, 0.8)), ("sat", sat_clause_weights(3))):
+        files.write_csp(tmp / name, sample_planted_csp(q, 200, 40, seed=1), q, seed=1)
+    files.write_goldreich(tmp / "parity", sample_goldreich(parity_predicate(3), 200, 40, seed=1), seed=1)
+    return {name: [json.loads(line) for line in (tmp / name).read_text().splitlines()]
+            for name in ("xor", "sat", "parity")}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(["xor", "sat", "parity"]), data=st.data())
+def test_constraint_files_with_entries_at_the_dtype_edges_exit_cleanly(edge_files, tmp_path_factory, kind, data):
+    records = json.loads(json.dumps(edge_files[kind]))
+    for _ in range(data.draw(st.integers(1, 3))):
+        rec = records[data.draw(st.integers(2, len(records) - 1))]  # past the header and sigma
+        field = data.draw(st.sampled_from([f for f in ("vars", "signs", "value") if f in rec]))
+        value = data.draw(st.sampled_from(_DTYPE_EDGES))
+        if field == "value":
+            rec[field] = value
+        else:
+            rec[field][data.draw(st.integers(0, 2))] = value
+    f = tmp_path_factory.mktemp("mutated") / "in.jsonl"
+    f.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+    for command in ("reduce", "solve-csp"):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = _run(command, "-i", str(f), "-o", str(f.with_suffix(".out")), "-q")
+        assert code in (0, 1, 2) and "Traceback" not in err.getvalue()

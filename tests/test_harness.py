@@ -1,10 +1,13 @@
 """End-to-end pipeline and sweep tests."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from planted import files
+from planted.fourier import distribution_complexity, predicate_lowest_degree
 from planted.harness import (
     CSV_HEADER,
     SweepSpec,
@@ -15,6 +18,7 @@ from planted.harness import (
     write_sweep_csv,
 )
 from planted.instances import (
+    GoldreichInstance,
     PlantedCspInstance,
     majority_predicate,
     noisy_xor_weights,
@@ -24,8 +28,8 @@ from planted.instances import (
     sat_clause_weights,
     uniform_weights,
 )
-from planted.reduction import ReductionError
-from planted.solver import SolverConfig
+from planted.reduction import ReductionError, csp_to_bipartite, goldreich_to_bipartite
+from planted.solver import SolverConfig, majority_vote_r1
 
 
 def test_end_to_end_noisy_2xor():
@@ -102,6 +106,65 @@ def test_goldreich_end_to_end_majority():
     assignment, rep = solve_goldreich_end_to_end(inst, seed=9)
     assert rep.route == "majority" and rep.r == 1
     assert rep.overlap == 1.0
+
+
+def _same_reduction(a, b):
+    assert (a.graph.n1, a.graph.n2, a.delta, a.p_equiv) == (b.graph.n1, b.graph.n2, b.delta, b.p_equiv)
+    for x, y in ((a.graph.edges, b.graph.edges), (a.indexer.materialized(), b.indexer.materialized()),
+                 (a.truth.u, b.truth.u), (a.truth.v, b.truth.v)):
+        assert x.dtype == y.dtype and np.array_equal(x, y)
+
+
+def _same_solve(a, b):
+    (x, rep_x), (y, rep_y) = a, b
+    assert rep_x.status == "ok" and np.array_equal(x, y) and rep_x.to_dict() == rep_y.to_dict()
+
+
+def _head(instance, *names, m=3000):
+    """``instance`` with only its first m constraints, each array in its own dtype."""
+    return replace(instance, **{name: getattr(instance, name)[:m] for name in names})
+
+
+def test_compact_and_int64_instances_reduce_solve_and_write_alike(tmp_path):
+    # a sampler-made instance (int32 ids, int8 signs and values) and an int64
+    # rebuild of the same arrays, through every consumer of those arrays
+    n = 60
+    q = noisy_xor_weights(3, 0.8)
+    report = distribution_complexity(q)
+    csp = sample_planted_csp(q, n, math.floor(60 * n**1.5 * math.log(n)), seed=11)
+    wide = PlantedCspInstance(n, csp.sigma, csp.clause_vars.astype(np.int64), csp.clause_signs.astype(np.int64))
+    assert (csp.clause_vars.dtype, csp.clause_signs.dtype) == (np.int32, np.int8)
+    assert wide.clause_vars.dtype == wide.clause_signs.dtype == np.int64
+    for kw in ({}, {"thinning": "poisson", "left_literal": "random", "seed": 3}):
+        _same_reduction(csp_to_bipartite(csp, report, **kw), csp_to_bipartite(wide, report, **kw))
+    config = SolverConfig(T_factor=3.0)
+    _same_solve(*(solve_csp_end_to_end(x, q, seed=12, config=config) for x in (csp, wide)))
+    for subset in ((0,), (2,)):
+        got, want = majority_vote_r1(csp, subset, seed=13), majority_vote_r1(wide, subset, seed=13)
+        assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+    # the first 3000 clauses keep the file writes short
+    files.write_csp(tmp_path / "compact.jsonl", _head(csp, "clause_vars", "clause_signs"), q, seed=11)
+    files.write_csp(tmp_path / "wide.jsonl", _head(wide, "clause_vars", "clause_signs"), q, seed=11)
+    assert (tmp_path / "compact.jsonl").read_bytes() == (tmp_path / "wide.jsonl").read_bytes()
+    back = files.read_csp(tmp_path / "wide.jsonl").instance
+    for name, dtype in (("clause_vars", np.int32), ("clause_signs", np.int8)):
+        assert getattr(back, name).dtype == dtype and np.array_equal(getattr(back, name), getattr(csp, name)[:3000])
+
+    pred = parity_predicate(3)
+    tuples = sample_goldreich(pred, n, 40_000, seed=14)
+    wide = GoldreichInstance(n, pred, tuples.sigma, tuples.tuple_vars.astype(np.int64), tuples.values.astype(np.int64))
+    assert (tuples.tuple_vars.dtype, tuples.values.dtype, wide.values.dtype) == (np.int32, np.int8, np.int64)
+    witness = predicate_lowest_degree(pred)
+    for handling in ("fold", "discard"):
+        got, want = (goldreich_to_bipartite(x, witness, value_handling=handling) for x in (tuples, wide))
+        _same_reduction(got, want)
+    _same_solve(*(solve_goldreich_end_to_end(x, seed=15, config=config) for x in (tuples, wide)))
+    files.write_goldreich(tmp_path / "compact.jsonl", _head(tuples, "tuple_vars", "values"), seed=14)
+    files.write_goldreich(tmp_path / "wide.jsonl", _head(wide, "tuple_vars", "values"), seed=14)
+    assert (tmp_path / "compact.jsonl").read_bytes() == (tmp_path / "wide.jsonl").read_bytes()
+    back = files.read_goldreich(tmp_path / "wide.jsonl").instance
+    for name, dtype in (("tuple_vars", np.int32), ("values", np.int8)):
+        assert getattr(back, name).dtype == dtype and np.array_equal(getattr(back, name), getattr(tuples, name)[:3000])
 
 
 # ---------------------------------------------------------------------------

@@ -516,10 +516,12 @@ def test_integer_valued_inputs_become_int64_and_int64_edges_are_not_copied():
     part = HiddenPartition(np.array([1, -1], dtype=np.int8), [1.0, -1.0])
     assert part.u.dtype == part.v.dtype == np.int64 and part.u.tolist() == part.v.tolist() == [1, -1]
     csp = PlantedCspInstance(3, [1.0, -1.0, 1.0], [[0.0, 1.0, 2.0]], np.array([[1, -1, 1]], dtype=np.int8))
-    for arr, want in ((csp.sigma, [1, -1, 1]), (csp.clause_vars, [[0, 1, 2]]), (csp.clause_signs, [[1, -1, 1]])):
-        assert arr.dtype == np.int64 and arr.tolist() == want
+    for arr, want, dtype in (
+        (csp.sigma, [1, -1, 1], np.int64), (csp.clause_vars, [[0, 1, 2]], np.int32), (csp.clause_signs, [[1, -1, 1]], np.int8)
+    ):
+        assert arr.dtype == dtype and arr.tolist() == want
     pred = GoldreichInstance(3, [1.0, -1.0, -1.0, 1.0], None, np.array([[0, 2]], dtype=np.int8), [-1.0])
-    assert pred.predicate.dtype == pred.tuple_vars.dtype == pred.values.dtype == np.int64
+    assert (pred.predicate.dtype, pred.tuple_vars.dtype, pred.values.dtype) == (np.int64, np.int32, np.int8)
     assert predicate_lowest_degree([1.0, -1.0, -1.0, 1.0]).r == 2
 
 
@@ -530,14 +532,38 @@ def test_goldreich_instance_normalizes_to_int64():
     assert (inst.m, inst.k) == (1, 3)
 
 
+def test_sampled_instances_hold_5k_bytes_per_clause_and_share_compact_or_int64_input():
+    # the csp_3xor shape: int32 ids and int8 signs hold 15 B per clause, where
+    # int64 held 48
+    n, k = 150, 3
+    m = math.floor(100 * n**1.5 * math.log(n))
+    csp = sample_planted_csp(noisy_xor_weights(k, 0.8), n, m, 25)
+    assert csp.clause_vars.nbytes + csp.clause_signs.nbytes == 5 * k * m
+    pred = sample_goldreich(parity_predicate(k), n, m, 25)
+    assert pred.tuple_vars.nbytes == 4 * k * m and pred.values.nbytes == m
+    again = PlantedCspInstance(n, None, csp.clause_vars, csp.clause_signs)
+    assert np.shares_memory(again.clause_vars, csp.clause_vars) and np.shares_memory(again.clause_signs, csp.clause_signs)
+    wide = csp.clause_vars[:9].astype(np.int64)
+    assert np.shares_memory(PlantedCspInstance(n, None, wide, csp.clause_signs[:9]).clause_vars, wide)
+    again = GoldreichInstance(n, pred.predicate, pred.sigma, pred.tuple_vars, pred.values)
+    for name in ("predicate", "sigma", "tuple_vars", "values"):
+        assert np.shares_memory(getattr(again, name), getattr(pred, name))
+
+
 # ---------------------------------------------------------------------------
-# Against the reference samplers: bit-equal arrays, same dtypes
+# Against the reference samplers: bit-equal arrays, same dtypes but for the
+# compact per-clause ones
 # ---------------------------------------------------------------------------
 
 
-def _assert_same(got, want):
-    assert got.dtype == want.dtype and got.shape == want.shape
+def _assert_same(got, want, dtype=None):
+    """Equal values and shapes; the dtype is ``dtype`` when given, else ``want``'s."""
+    assert got.dtype == (want.dtype if dtype is None else dtype) and got.shape == want.shape
     assert np.array_equal(got, want)
+
+
+# the samplers' per-clause arrays, compact where the references' are int64
+_COMPACT = {"clause_vars": np.int32, "clause_signs": np.int8, "tuple_vars": np.int32, "values": np.int8}
 
 
 _ALTERNATING = HiddenPartition([1, -1, 1, -1, 1], [-1, 1, 1])
@@ -584,7 +610,7 @@ def test_csp_matches_reference_sampler(case, law, eta):
     q = {"uniform": uniform_weights(k), "sat": sat_clause_weights(k), "xor": noisy_xor_weights(k, eta)}[law]
     got, want = sample_planted_csp(q, n, m, seed), instances_oracle.sample_planted_csp(q, n, m, seed)
     for name in ("sigma", "clause_vars", "clause_signs"):
-        _assert_same(getattr(got, name), getattr(want, name))
+        _assert_same(getattr(got, name), getattr(want, name), _COMPACT.get(name))
 
 
 @pytest.mark.parametrize("n", [600, 20], ids=["iid", "cramped"])
@@ -606,7 +632,7 @@ def test_csp_matches_reference_sampler_over_several_rounds(n, monkeypatch):
     for seed in range(8):
         got, want = sample_planted_csp(q, n, 40, seed), instances_oracle.sample_planted_csp(q, n, 40, seed)
         for name in ("sigma", "clause_vars", "clause_signs"):
-            _assert_same(getattr(got, name), getattr(want, name))
+            _assert_same(getattr(got, name), getattr(want, name), _COMPACT.get(name))
     assert len(steps) >= 4 * 8
     assert any(hits > need for need, hits in steps)
 
@@ -626,7 +652,7 @@ def test_cramped_proposals_in_chunks_match_reference_sampler(kind, monkeypatch):
             got, want = sample_goldreich(table, n, 300, seed), instances_oracle.sample_goldreich(table, n, 300, seed)
             names = ("sigma", "tuple_vars", "values")
         for name in names:
-            _assert_same(getattr(got, name), getattr(want, name))
+            _assert_same(getattr(got, name), getattr(want, name), _COMPACT.get(name))
 
 
 def test_cramped_proposals_peak_below_200_mb():
@@ -706,7 +732,7 @@ def test_csp_in_small_chunks_over_several_batches_matches_reference_sampler(k, n
         got = sample_planted_csp(q, n, m, seed)
     want = instances_oracle.sample_planted_csp(q, n, m, seed)
     for name in ("sigma", "clause_vars", "clause_signs"):
-        _assert_same(getattr(got, name), getattr(want, name))
+        _assert_same(getattr(got, name), getattr(want, name), _COMPACT.get(name))
 
 
 def test_csp_sampler_holds_the_tuples_and_one_chunk_above_its_result(monkeypatch):
@@ -728,7 +754,7 @@ def test_csp_sampler_holds_the_tuples_and_one_chunk_above_its_result(monkeypatch
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert inst.m == m and inst.clause_vars.dtype == inst.clause_signs.dtype == np.int64
+    assert inst.m == m and (inst.clause_vars.dtype, inst.clause_signs.dtype) == (np.int32, np.int8)
     assert (peak - held) / max(batches) <= 14
 
 
@@ -739,7 +765,7 @@ def test_goldreich_matches_reference_sampler(case, data):
     table = np.array(data.draw(st.lists(st.sampled_from([-1, 1]), min_size=2**k, max_size=2**k)))
     got, want = sample_goldreich(table, n, m, seed), instances_oracle.sample_goldreich(table, n, m, seed)
     for name in ("predicate", "sigma", "tuple_vars", "values"):
-        _assert_same(getattr(got, name), getattr(want, name))
+        _assert_same(getattr(got, name), getattr(want, name), _COMPACT.get(name))
 
 
 @settings(max_examples=100, deadline=None)

@@ -342,6 +342,39 @@ def test_reduction_rejects_malformed_clauses(vars_row, signs_row, with_sigma):
         csp_to_bipartite(inst, distribution_complexity(q))
 
 
+_ROW = [[3, 1, 2]]
+
+
+@pytest.mark.parametrize(
+    "ids, signs, dtypes, named",
+    [
+        (np.array(_ROW + [[2**31, 1, 2]]), [[1] * 3] * 2, (np.int64, np.int64), "vars [2147483648, 1, 2], signs [1, 1, 1]"),
+        (_ROW + [[0, -(2**31) - 1, 2]], np.ones((2, 3), dtype=np.int8), (np.int64, np.int8),
+         "vars [0, -2147483649, 2], signs [1, 1, 1]"),
+        (np.array(_ROW + [[2.0**31, 1, 2]]), [[1] * 3] * 2, (np.int64, np.int64), "vars [2147483648, 1, 2], signs [1, 1, 1]"),
+        (np.array(_ROW * 2, dtype=np.int32), np.array([[1] * 3, [300, -129, 1]], dtype=np.int16), (np.int32, np.int64),
+         "vars [3, 1, 2], signs [300, -129, 1]"),
+        (np.array(_ROW * 2, dtype=np.int16), np.array([[1] * 3, [128, 1, -1]], dtype=np.float64), (np.int32, np.int64),
+         "vars [3, 1, 2], signs [128, 1, -1]"),
+        (np.array(_ROW * 2, dtype=np.int32), np.array([[1] * 3, [-128, 1, 1]], dtype=np.int8), (np.int32, np.int8),
+         "vars [3, 1, 2], signs [-128, 1, 1]"),
+    ],
+    ids=["int64-id-2^31", "list-id-below-int32", "float-id-2^31", "int16-signs-300-and-minus-129", "float-sign-128",
+         "int8-sign-minus-128"],
+)
+def test_entries_past_the_compact_dtypes_stay_int64_and_are_named_as_given(ids, signs, dtypes, named):
+    # an id past int32 or a sign past int8 is not narrowed, so nothing wraps
+    # and the reduction names the entry as it was given
+    inst = PlantedCspInstance(10, None, ids, signs)
+    assert (inst.clause_vars.dtype, inst.clause_signs.dtype) == dtypes
+    assert inst.clause_vars.tolist() == np.asarray(ids).astype(np.int64).tolist()
+    assert inst.clause_signs.tolist() == np.asarray(signs).astype(np.int64).tolist()
+    message = f"restricted clause 1 ({named}) needs distinct variable ids in [0, 10) and signs +1/-1"
+    with pytest.raises(ReductionError) as raised:
+        csp_to_bipartite(inst, distribution_complexity(noisy_xor_weights(3, 0.8)))
+    assert str(raised.value) == message
+
+
 # ---------------------------------------------------------------------------
 # Packed-key core against the dict / np.unique(axis=0) oracle
 # ---------------------------------------------------------------------------
@@ -678,6 +711,18 @@ def test_goldreich_discard_mode_matches_quoted_construction():
     assert red.p_equiv == pytest.approx(kept / (2.0 * red.graph.n1 * red.n2_nominal))
     # discarded constraints carry only positive literals
     assert (red.graph.edges[:, 0] % 2 == 0).all()
+
+
+@pytest.mark.parametrize("handling", ["fold", "discard"])
+def test_signed_clauses_hold_int8_signs_and_a_fold_shares_the_tuple_ids(handling):
+    pred = parity_predicate(3)
+    inst = sample_goldreich(pred, 12, 500, seed=1)
+    clauses = reduction._signed_clauses(inst, predicate_lowest_degree(pred), handling)
+    assert (clauses.clause_vars.dtype, clauses.clause_signs.dtype) == (np.int32, np.int8)
+    assert np.shares_memory(clauses.clause_vars, inst.tuple_vars) == (handling == "fold")
+    keep = slice(None) if handling == "fold" else inst.values == 1
+    assert np.array_equal(clauses.clause_signs[:, 0], inst.values[keep])
+    assert (clauses.clause_signs[:, 1:] == 1).all()
 
 
 def _noisy_witness3_predicate():
