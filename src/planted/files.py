@@ -17,6 +17,7 @@ from .instances import (
     HiddenPartition,
     PlantedCspInstance,
     PlantingDistribution,
+    _ids_dtype,
     _is_number,
     _narrow,
     _number_list,
@@ -319,9 +320,11 @@ def _sbm_header(line: str, where: str, path) -> dict:
 
 def _sbm_blocks(path, found: dict):
     """Yield the edges of a block-model file block by block: each block's
-    (k, 2) int64 ids in file order and the line number of each. The header
-    goes into ``found["header"]`` before the first block, and the truth and
-    reduced records into ``found["truth"]`` and ``found["reduced"]``."""
+    (k, 2) ids in file order, in ``_ids_dtype`` of the header's larger size,
+    the index of each edge's line among the block's lines, and the file line
+    number of the block's first line. The header goes into ``found["header"]``
+    before the first block, and the truth and reduced records into
+    ``found["truth"]`` and ``found["reduced"]``."""
     lineno = 0
     with _open_text(path) as fh:
         for line in fh:
@@ -332,6 +335,7 @@ def _sbm_blocks(path, found: dict):
         else:
             raise ValueError(f"{path}: not an SBM instance file")
         n1, n2 = found["header"]["n1"], found["header"]["n2"]
+        dtype = _ids_dtype(max(n1, n2))  # the ids are range-checked before they are narrowed
         j_end = min(n2, 2**63)  # an edge array holds no id past int64, whatever n2 allows
         # blocks of whole lines in text mode: universal newlines turn \r\n and
         # a lone \r into the \n that ends each line of the encoded bytes, and
@@ -339,6 +343,7 @@ def _sbm_blocks(path, found: dict):
         # line holds, so the line that holds it reaches _loads
         for text in iter(lambda: fh.read(_READ_BLOCK) + fh.readline(), ""):
             raw = (text if text.endswith("\n") else text + "\n").encode(errors="surrogateescape")
+            del text  # the block is parsed from its bytes alone
             ends, canon, ids = _canonical_edges(np.frombuffer(raw, dtype=np.uint8))
             breaks = np.concatenate(([-1], ends))  # line k ends at breaks[k + 1]
             other = np.ones(len(ends), dtype=bool)
@@ -378,7 +383,7 @@ def _sbm_blocks(path, found: dict):
                 order = np.argsort(canon, kind="stable")
                 canon = canon[order]
                 ids = np.concatenate((ids, np.array(rec_edges, dtype=np.int64)))[order]
-            yield ids, canon + (lineno + 1)
+            yield ids.astype(dtype, copy=False), canon, lineno + 1
             lineno += len(other)
 
 
@@ -394,20 +399,20 @@ def read_sbm(path) -> SbmFile:
     0 or n2 (right). No line number is kept per edge: a repeated edge is
     named by reading the blocks again up to it."""
     found = {}
-    chunks = [ids for ids, _ in _sbm_blocks(path, found)]  # (k, 2) int64 edges in file order
+    chunks = [ids for ids, *_ in _sbm_blocks(path, found)]  # (k, 2) edges in file order
     header = found["header"]
     n1, n2 = header["n1"], header["n2"]
-    # C order, one row per edge: the blocks' ids are column-major views
-    edges = np.empty((sum(map(len, chunks)), 2), dtype=np.int64)
+    # C order, one row per edge: the blocks' ids are column-major
+    edges = np.empty((sum(map(len, chunks)), 2), dtype=_ids_dtype(max(n1, n2)))
     if chunks:
         np.concatenate(chunks, out=edges)
     chunks.clear()  # freed before the duplicate check's keys are made
     k = _first_repeat(edges, n1, n2)
     if k is not None:
         i, j = edges[k]
-        for ids, lines in _sbm_blocks(path, {}):
+        for ids, lines, first in _sbm_blocks(path, {}):
             if k < len(ids):
-                raise ValueError(f"{path}, line {lines[k]}: duplicate edge ({i}, {j})")
+                raise ValueError(f"{path}, line {first + lines[k]}: duplicate edge ({i}, {j})")
             k -= len(ids)
         raise ValueError(f"{path}: duplicate edge ({i}, {j})")  # the file changed between the reads
     return SbmFile(BipartiteGraph(n1, n2, edges), header, found.get("truth"), found.get("reduced"))

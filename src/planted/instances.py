@@ -57,11 +57,12 @@ def _int64(x, what: str) -> np.ndarray:
     return out
 
 
-def _per_clause(x, what: str, dtype: type) -> np.ndarray:
-    """``x`` as a per-clause array: entries already in ``dtype`` (int32 ids, int8
-    signs) or int64 as they are (no copy, no scan), anything else through ``_int64``
-    and then ``_narrow``, so no entry wraps. int64 is kept because narrowing it
-    would copy an array its caller still holds."""
+def _compact(x, what: str, dtype: type) -> np.ndarray:
+    """``x`` as an integer array in ``dtype`` (int32 ids, int8 signs) when every
+    entry fits it, else int64: entries already in ``dtype`` or int64 are kept as
+    they are (no copy, no scan), anything else goes through ``_int64`` and then
+    ``_narrow``, so no entry wraps. int64 is kept because narrowing it would
+    copy an array its caller still holds."""
     a = np.asarray(x)
     return a if a.dtype in (dtype, np.int64) else _narrow(_int64(a, what), dtype)
 
@@ -143,10 +144,12 @@ def _ranks(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _pack(a: np.ndarray, a_size: int, b: np.ndarray, b_size: int):
     """``(key, size, unpack)``: keys ``a * b_size + b`` that sort as the pairs (a, b)
-    do, their exclusive bound and their decoder to (len, 2) int64 pairs. Where the
-    keys could pass int64, ``a`` and then, if still needed, ``b`` are ranked first;
-    the keys take ``_key_dtype`` of the sizes after that."""
+    do, their exclusive bound and their decoder to (len, 2) pairs in ``_ids_dtype``
+    of the larger size as given, so a ranked id past int32 decodes to int64. Where
+    the keys could pass int64, ``a`` and then, if still needed, ``b`` are ranked
+    first; the keys take ``_key_dtype`` of the sizes after that."""
     a_values = b_values = None
+    pairs_dtype = _ids_dtype(max(a_size, b_size))
     if a_size * b_size > _INT64_MAX:
         a_values, a = _ranks(a)
         a_size = len(a_values)
@@ -155,7 +158,7 @@ def _pack(a: np.ndarray, a_size: int, b: np.ndarray, b_size: int):
             b_size = len(b_values)
 
     def unpack(key: np.ndarray) -> np.ndarray:
-        pairs = _unpack(key, b_size)
+        pairs = _unpack(key, b_size, pairs_dtype)
         for j, values in enumerate((a_values, b_values)):
             if values is not None:
                 pairs[:, j] = values[pairs[:, j]]
@@ -168,10 +171,15 @@ def _pack(a: np.ndarray, a_size: int, b: np.ndarray, b_size: int):
     return key, a_size * b_size, unpack
 
 
-def _unpack(key: np.ndarray, b_size: int) -> np.ndarray:
-    """The (len, 2) int64 pairs (a, b) of the keys ``a * b_size + b``."""
-    pairs = np.empty((len(key), 2), dtype=np.int64)
-    np.divmod(key, b_size, out=(pairs[:, 0], pairs[:, 1]))
+def _unpack(key: np.ndarray, b_size: int, dtype: type) -> np.ndarray:
+    """The (len, 2) pairs (a, b) of the keys ``a * b_size + b``, in ``dtype``,
+    which holds every a and b. One floor divide and a multiply-subtract in the
+    keys' own dtype, where a * b_size <= key cannot wrap: faster than divmod."""
+    pairs = np.empty((len(key), 2), dtype=dtype)
+    a = key // b_size
+    pairs[:, 0] = a
+    a *= b_size
+    np.subtract(key, a, out=pairs[:, 1], casting="unsafe")
     return pairs
 
 
@@ -184,8 +192,14 @@ def _key_dtype(*sizes: int) -> type:
 
 @dataclass(frozen=True)
 class BipartiteGraph:
-    """Sparse bipartite graph: ``edges`` is an (m, 2) int array of 0-based
-    (left, right) pairs with no duplicates."""
+    """Sparse bipartite graph: ``edges`` is an (m, 2) array of 0-based
+    (left, right) pairs with no duplicates.
+
+    ``edges`` is int32 when every id fits, int64 otherwise; int32 or int64
+    arrays are kept as given, without a copy (``_compact``). The samplers,
+    the reduction and the file reader give int32 edges, 8 bytes per edge,
+    whenever n1 and n2 (for the reduction, 2n and the tuples it found) are
+    at most 2^31."""
 
     n1: int
     n2: int
@@ -194,7 +208,7 @@ class BipartiteGraph:
     def __post_init__(self):
         if self.n1 < 1 or self.n2 < 1:
             raise ValueError("n1 and n2 must be at least 1")
-        e = _int64(self.edges, "edges").reshape(-1, 2)
+        e = _compact(self.edges, "edges", np.int32).reshape(-1, 2)
         object.__setattr__(self, "edges", e)
         # one contiguous min covers both lower bounds; the columns are
         # looked at apart only to name the bad one
@@ -285,7 +299,7 @@ class PlantedCspInstance:
 
     ``clause_vars`` is int32 and ``clause_signs`` int8 when every entry fits,
     int64 otherwise; int64 or compact arrays are kept as given, without a
-    copy (``_per_clause``). The samplers and the file reader give compact
+    copy (``_compact``). The samplers and the file reader give compact
     arrays, 5k bytes per clause.
     """
 
@@ -295,8 +309,8 @@ class PlantedCspInstance:
     clause_signs: np.ndarray
 
     def __post_init__(self):
-        cv = _per_clause(self.clause_vars, "clause_vars", np.int32)
-        cs = _per_clause(self.clause_signs, "clause_signs", np.int8)
+        cv = _compact(self.clause_vars, "clause_vars", np.int32)
+        cs = _compact(self.clause_signs, "clause_signs", np.int8)
         if cv.ndim != 2 or cv.shape != cs.shape:
             raise ValueError("clause_vars and clause_signs must be (m, k) arrays")
         object.__setattr__(self, "clause_vars", cv)
@@ -328,7 +342,7 @@ class GoldreichInstance:
     values: np.ndarray
 
     def __post_init__(self):
-        tv = _per_clause(self.tuple_vars, "tuple_vars", np.int32)
+        tv = _compact(self.tuple_vars, "tuple_vars", np.int32)
         if tv.ndim != 2:
             raise ValueError("tuple_vars must be an (m, k) array")
         object.__setattr__(self, "tuple_vars", tv)
@@ -545,7 +559,7 @@ def sample_bipartite_block(
     # rows and columns), so a stable sort of the distinct keys only merges
     # four sorted runs.
     key.sort(kind="stable")
-    return BipartiteGraph(params.n1, n2, _unpack(key, n2)), partition
+    return BipartiteGraph(params.n1, n2, _unpack(key, n2, _ids_dtype(max(params.n1, n2)))), partition
 
 
 # ---------------------------------------------------------------------------

@@ -191,22 +191,22 @@ def _poisson_keep(m: int, epsilon: float, rng: np.random.Generator) -> int:
     return min(z, m)
 
 
-def _check_restricted(n: int, r_vars: np.ndarray, r_signs: np.ndarray, first_row: int = 0) -> np.ndarray:
-    """Reject restricted clauses with a variable id outside [0, n), a sign
-    other than +1/-1, or a variable repeated within the clause; the message
-    numbers rows from ``first_row``. Returns the ids transposed, an (r, rows)
-    int64 copy with one contiguous row per position, on which every check
-    but the sign one runs."""
-    ids = np.asarray(r_vars).T.astype(np.int64, order="C")
+def _check_clauses(n: int, clause_vars: np.ndarray, clause_signs: np.ndarray, first_row: int = 0) -> np.ndarray:
+    """Reject clauses with a variable id outside [0, n), a sign other than
+    +1/-1, or a variable repeated within the clause, at any of their k
+    positions; the message numbers rows from ``first_row``. Returns the ids
+    transposed, a (k, rows) int64 copy with one contiguous row per position,
+    on which every check but the sign one runs."""
+    ids = np.asarray(clause_vars).T.astype(np.int64, order="C")
     # viewed as unsigned, a negative id is huge, so one compare checks [0, n)
-    masks = [ids.view(np.uint64) >= n, (np.abs(r_signs) != 1).T]
+    masks = [ids.view(np.uint64) >= n, (np.abs(clause_signs) != 1).T]
     masks += [ids[a] == ids[b] for b in range(1, len(ids)) for a in range(b)]
     # whole-mask tests are cheap; only a failing check locates its first row
     bad_rows = [np.flatnonzero(np.atleast_2d(x).any(axis=0))[0] for x in masks if x.any()]
     if bad_rows:
         row = int(min(bad_rows))
         raise ReductionError(
-            f"restricted clause {first_row + row} (vars {ids[:, row].tolist()}, signs {r_signs[row].tolist()}) "
+            f"clause {first_row + row} (vars {ids[:, row].tolist()}, signs {clause_signs[row].tolist()}) "
             f"needs distinct variable ids in [0, {n}) and signs +1/-1"
         )
     return ids
@@ -225,8 +225,9 @@ def _sort_rows(a: np.ndarray, out: np.ndarray):
 
 def _build_reduced(
     n: int,
-    r_vars: np.ndarray,
-    r_signs: np.ndarray,
+    clause_vars: np.ndarray,
+    clause_signs: np.ndarray,
+    positions: list[int],
     sigma: np.ndarray | None,
     delta: float,
     thinning: str,
@@ -234,15 +235,17 @@ def _build_reduced(
     seed: int,
     left_literal: str,
 ) -> ReducedInstance:
-    """Shared core: restricted r-literal clauses -> edges + labels.
+    """Shared core: k-literal clauses restricted to the r witness
+    ``positions`` (sorted) -> edges + labels.
 
-    One pass over blocks of ``_CHUNK_ROWS`` rows checks every clause and
-    encodes the kept ones while the block is in cache: literal codes, the
-    pivot swapped to the front, the left code and the sorted tail written
-    into preallocated arrays, int32 when the 2n codes fit. Rows past a
-    Poisson prefix are checked but not encoded, so a bad clause anywhere is
-    reported before a thinning error."""
-    m, r = r_vars.shape
+    One pass over blocks of ``_CHUNK_ROWS`` rows checks every position of
+    every clause and encodes the kept ones, restricted, while the block is
+    in cache: literal codes, the pivot swapped to the front, the left code
+    and the sorted tail written into preallocated arrays, int32 when the 2n
+    codes fit. Rows past a Poisson prefix are checked but not encoded, so a
+    bad clause anywhere is reported before a thinning error."""
+    m, k = clause_vars.shape
+    r = len(positions)
     if m == 0:
         raise ReductionError("empty instance")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -253,11 +256,13 @@ def _build_reduced(
     left = np.empty(n_encoded, dtype=code_dtype)
     tails = np.empty((r - 1, n_encoded), dtype=code_dtype)  # by position, so each is contiguous
     for a in range(0, m, _CHUNK_ROWS):
-        s = r_signs[a : a + _CHUNK_ROWS]
-        ids = _check_restricted(n, r_vars[a : a + _CHUNK_ROWS], s, first_row=a)
+        s = clause_signs[a : a + _CHUNK_ROWS]
+        ids = _check_clauses(n, clause_vars[a : a + _CHUNK_ROWS], s, first_row=a)
         b = min(a + _CHUNK_ROWS, n_encoded)
         if b <= a:
             continue
+        if r < k:
+            ids, s = ids[positions], s[:, positions]
         codes = _literal_codes(ids[:, : b - a], s[: b - a].T)  # one row per position
         if left_literal == "random":
             # uniform pivot position per clause, swapped to the front; only
@@ -320,14 +325,11 @@ def csp_to_bipartite(
         raise ReductionError("witness size 1: use the majority-vote solver")
     if report.r > instance.k:
         raise ReductionError("witness wider than the clauses")
-    positions = sorted(report.subset)
-    r_vars, r_signs = instance.clause_vars, instance.clause_signs
-    if positions != list(range(instance.k)):  # a witness on every position takes the arrays as they are
-        r_vars, r_signs = r_vars[:, positions], r_signs[:, positions]
     return _build_reduced(
         instance.n,
-        r_vars,
-        r_signs,
+        instance.clause_vars,
+        instance.clause_signs,
+        sorted(report.subset),
         instance.sigma,
         report.delta,
         thinning,

@@ -28,10 +28,10 @@ from functools import partial
 import numpy as np
 
 from .instances import (
-    _INT64_MAX, BipartiteGraph, PlantedCspInstance, _is_number, _key_dtype, _number_list, _ranks,
+    _CHUNK_ROWS, _INT64_MAX, BipartiteGraph, PlantedCspInstance, _is_number, _key_dtype, _number_list, _ranks,
     _run_starts,
 )
-from .reduction import _check_restricted, _sign_or_coin
+from .reduction import _check_clauses, _sign_or_coin
 
 __all__ = [
     "SubGraph",
@@ -147,6 +147,7 @@ def _sub_graphs(n1: int, n2: int, edges: np.ndarray, T: int, rng) -> _Buckets:
     cols, present = edges[:, 1], None
     if T * n2 * n1 > _INT64_MAX:
         present, cols = _ranks(cols)
+        present = present.astype(np.int64, copy=False)  # supports are int64 whatever the edges' dtype
         n2 = len(present)
         if T * n2 * n1 > _INT64_MAX:
             raise ValueError(f"{T} buckets x {n2} right x {n1} left ids overflow int64 keys")
@@ -462,14 +463,18 @@ def majority_vote_r1(
     """Witness-size-1 solver: each variable takes the sign it shows more
     often at the witness position; zero counts fall back to a seeded coin.
     Returns (assignment, number of coin flips). The assignment matches the
-    planted one up to a global flip. A witness literal with a variable id
-    outside [0, n) or a sign other than +1/-1 raises ``ReductionError``."""
+    planted one up to a global flip. A clause with a variable id outside
+    [0, n), a sign other than +1/-1 or a repeated variable, at any position,
+    raises ``ReductionError``; the clauses are checked a block of rows at a
+    time, as the reduction checks them."""
     subset = tuple(subset)
     if len(subset) != 1:
         raise ValueError("majority vote needs a single witness position")
-    vars_, signs = instance.clause_vars[:, subset], instance.clause_signs[:, subset]
-    _check_restricted(instance.n, vars_, signs)
-    counts = np.bincount(vars_[:, 0], weights=signs[:, 0].astype(np.float64), minlength=instance.n)
+    cvars, csigns = instance.clause_vars, instance.clause_signs
+    for a in range(0, instance.m, _CHUNK_ROWS):
+        _check_clauses(instance.n, cvars[a : a + _CHUNK_ROWS], csigns[a : a + _CHUNK_ROWS], first_row=a)
+    (j,) = subset
+    counts = np.bincount(cvars[:, j], weights=csigns[:, j].astype(np.float64), minlength=instance.n)
     return _sign_or_coin(counts, seed)
 
 

@@ -55,7 +55,8 @@ class DictTupleIndexer:
         return idxr, rank[inv.ravel()]
 
 
-def build_reduced_oracle(n, r_vars, r_signs, sigma, delta, thinning, epsilon, seed, left_literal):
+def build_reduced_oracle(n, clause_vars, clause_signs, positions, sigma, delta, thinning, epsilon, seed, left_literal):
+    r_vars, r_signs = clause_vars[:, positions], clause_signs[:, positions]
     m, r = r_vars.shape
     if m == 0:
         raise ReductionError("empty instance")
@@ -106,5 +107,5 @@ def goldreich_to_bipartite_oracle(instance, report, thinning, epsilon, seed, val
     else:
         raise ReductionError(f"unknown value_handling mode: {value_handling!r}")
     return build_reduced_oracle(
-        instance.n, r_vars, r_signs, instance.sigma, report.delta, thinning, epsilon, seed, "first"
+        instance.n, r_vars, r_signs, list(range(len(positions))), instance.sigma, report.delta, thinning, epsilon, seed, "first"
     )

@@ -24,6 +24,8 @@ from planted.cli import _sweep_spec_from_config, main
 from planted.fourier import distribution_complexity
 from planted.harness import SweepSpec, solve_goldreich_end_to_end
 from planted.instances import (
+    PlantingDistribution,
+    majority_predicate,
     noisy_xor_weights,
     parity_predicate,
     sample_goldreich,
@@ -137,7 +139,7 @@ def test_reduce_rejects_malformed_clause(tmp_path, capsys):
     files.write_csp(f, inst, q, seed=0)
     assert _run("reduce", "-i", str(f), "-o", str(tmp_path / "x.jsonl"), "-q") == 2
     err = capsys.readouterr().err
-    assert "cannot reduce: restricted clause 7" in err
+    assert "cannot reduce: clause 7" in err
     assert "Traceback" not in err
     assert not (tmp_path / "x.jsonl").exists()
 
@@ -282,7 +284,7 @@ def test_solve_csp_rejects_malformed_clause(tmp_path, capsys, weights):
     files.write_csp(f, inst, weights, seed=0)
     assert _run("solve-csp", "-i", str(f), "-o", str(tmp_path / "r.json"), "-q") == 2
     err = capsys.readouterr().err
-    assert "cannot reduce: restricted clause 7" in err
+    assert "cannot reduce: clause 7" in err
     assert "Traceback" not in err
     assert not (tmp_path / "r.json").exists()
 
@@ -400,17 +402,17 @@ _XOR3_CLAUSE, _PARITY3_CLAUSE = '{"vars":[0,1,2],"signs":[1,-1,1]}', '{"vars":[0
     "head, good, bad, code, message",
     [
         (_XOR3_HEAD, _XOR3_CLAUSE, f'{{"vars":[{2**31},1,2],"signs":[1,1,1]}}', 2,
-         "cannot reduce: restricted clause 2 (vars [2147483648, 1, 2], signs [1, 1, 1])"),
+         "cannot reduce: clause 2 (vars [2147483648, 1, 2], signs [1, 1, 1])"),
         (_XOR3_HEAD, _XOR3_CLAUSE, f'{{"vars":[0,{-2**31 - 1},2],"signs":[1,1,1]}}', 2,
-         "cannot reduce: restricted clause 2 (vars [0, -2147483649, 2], signs [1, 1, 1])"),
+         "cannot reduce: clause 2 (vars [0, -2147483649, 2], signs [1, 1, 1])"),
         (_XOR3_HEAD, _XOR3_CLAUSE, '{"vars":[3,1,2],"signs":[1,300,1]}', 2,
-         "cannot reduce: restricted clause 2 (vars [3, 1, 2], signs [1, 300, 1])"),
+         "cannot reduce: clause 2 (vars [3, 1, 2], signs [1, 300, 1])"),
         (_XOR3_HEAD, _XOR3_CLAUSE, '{"vars":[3,1,2],"signs":[1,1,-129]}', 2,
-         "cannot reduce: restricted clause 2 (vars [3, 1, 2], signs [1, 1, -129])"),
+         "cannot reduce: clause 2 (vars [3, 1, 2], signs [1, 1, -129])"),
         (_XOR3_HEAD, _XOR3_CLAUSE, '{"vars":[3,1,2],"signs":[128,1,1]}', 2,
-         "cannot reduce: restricted clause 2 (vars [3, 1, 2], signs [128, 1, 1])"),
+         "cannot reduce: clause 2 (vars [3, 1, 2], signs [128, 1, 1])"),
         (_PARITY3_HEAD, _PARITY3_CLAUSE, f'{{"vars":[{2**31},1,2],"value":1}}', 2,
-         "cannot reduce: restricted clause 2 (vars [2147483648, 1, 2], signs [1, 1, 1])"),
+         "cannot reduce: clause 2 (vars [2147483648, 1, 2], signs [1, 1, 1])"),
         (_PARITY3_HEAD, _PARITY3_CLAUSE, '{"vars":[3,1,2],"value":300}', 1,
          "error: values must hold one +1 or -1 per tuple"),
     ],
@@ -427,6 +429,75 @@ def test_entries_past_the_compact_dtypes_are_named_as_written(tmp_path, capsys, 
     tail = " needs distinct variable ids in [0, 10) and signs +1/-1" if code == 2 else ""
     assert capsys.readouterr().err == message + tail + "\n"
     assert not (tmp_path / "out").exists()
+
+
+# laws whose witness leaves clause positions out: 3-SAT, witness (0,); a CSP
+# law built on positions 1 and 2, witness (1, 2); majority-3, witness (0,);
+# the parity of the first two of three entries, witness (0, 1)
+_SAT3_HEAD = json.dumps({"type": "csp", "n": 10, "k": 3, "m": 3, "seed": 0,
+                         "weights": sat_clause_weights(3).weights.tolist()})
+_TAIL2_HEAD = json.dumps({"type": "csp", "n": 10, "k": 3, "m": 3, "seed": 0,
+                          "weights": [1.8, 1.8, 0.2, 0.2, 0.2, 0.2, 1.8, 1.8]})
+_MAJ3_HEAD = json.dumps({"type": "goldreich", "n": 10, "k": 3, "m": 3, "seed": 0,
+                         "predicate": majority_predicate(3).tolist()})
+_PAR01_HEAD = json.dumps({"type": "goldreich", "n": 10, "k": 3, "m": 3, "seed": 0,
+                          "predicate": [1, -1, -1, 1, 1, -1, -1, 1]})
+_OFF_WITNESS = [
+    (_SAT3_HEAD, (0,), f'{{"vars":[3,{2**31},2],"signs":[-1,1,300]}}', "vars [3, 2147483648, 2], signs [-1, 1, 300]"),
+    (_SAT3_HEAD, (0,), '{"vars":[5,5,5],"signs":[-1,1,-1]}', "vars [5, 5, 5], signs [-1, 1, -1]"),
+    (_TAIL2_HEAD, (1, 2), '{"vars":[10,1,2],"signs":[1,1,1]}', "vars [10, 1, 2], signs [1, 1, 1]"),
+    (_TAIL2_HEAD, (1, 2), '{"vars":[2,1,2],"signs":[-1,1,1]}', "vars [2, 1, 2], signs [-1, 1, 1]"),
+    (_TAIL2_HEAD, (1, 2), '{"vars":[0,1,2],"signs":[2,1,1]}', "vars [0, 1, 2], signs [2, 1, 1]"),
+    (_MAJ3_HEAD, (0,), '{"vars":[3,10,2],"value":1}', "vars [3, 10, 2], signs [1, 1, 1]"),
+    (_MAJ3_HEAD, (0,), '{"vars":[3,2,3],"value":-1}', "vars [3, 2, 3], signs [-1, 1, 1]"),
+    (_PAR01_HEAD, (0, 1), '{"vars":[0,1,10],"value":-1}', "vars [0, 1, 10], signs [-1, 1, 1]"),
+    (_PAR01_HEAD, (0, 1), '{"vars":[4,1,4],"value":1}', "vars [4, 1, 4], signs [1, 1, 1]"),
+]
+
+
+@pytest.mark.parametrize(
+    "head, witness, bad, named", _OFF_WITNESS,
+    ids=["sat-id-2^31-sign-300", "sat-repeats", "csp-r2-id-10", "csp-r2-repeat", "csp-r2-sign-2",
+         "majority-id-10", "majority-repeat", "parity-r2-id-10", "parity-r2-repeat"],
+)
+def test_a_bad_entry_off_the_witness_exits_2_naming_the_clause(tmp_path, capsys, head, witness, bad, named):
+    # clause 2 is faulty only at positions its law's witness leaves out: the
+    # majority vote (witness size 1, solve-csp) and the reduction (r = 2,
+    # reduce and solve-csp) check all k
+    header = json.loads(head)
+    if header["type"] == "csp":
+        report = distribution_complexity(PlantingDistribution(3, np.array(header["weights"])))
+        good = '{"vars":[0,1,2],"signs":[1,-1,1]}'
+    else:
+        report = predicate_lowest_degree(header["predicate"])
+        good = '{"vars":[0,1,2],"value":1}'
+    assert report.identifiable and report.subset == witness
+    f = tmp_path / "bad.jsonl"
+    f.write_text("\n".join([head, good, good, bad]) + "\n")
+    for command in ["solve-csp"] + (["reduce"] if report.r > 1 else []):
+        assert _run(command, "-i", str(f), "-o", str(tmp_path / "out"), "-q") == 2, command
+        assert capsys.readouterr().err == (
+            f"cannot reduce: clause 2 ({named}) needs distinct variable ids in [0, 10) and signs +1/-1\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("bad, named", [
+    ('{"vars":[188,2147483648,28],"signs":[-1,1,300]}', "vars [188, 2147483648, 28], signs [-1, 1, 300]"),
+    ('{"vars":[188,188,188],"signs":[-1,1,-1]}', "vars [188, 188, 188], signs [-1, 1, -1]"),
+], ids=["id-2^31-sign-300", "one-variable-three-times"])
+def test_sat_file_with_a_bad_clause_off_the_witness_exits_2(tmp_path, capsys, bad, named):
+    # a generated 3-SAT file (witness (0,)) with clause 1234 replaced
+    f = tmp_path / "sat.jsonl"
+    assert _run("gen-csp", "--preset", "sat", "--n", "200", "--m", "3000", "-o", str(f), "-q") == 0
+    lines = f.read_text().splitlines()
+    assert json.loads(lines[1]).keys() == {"sigma"}
+    lines[2 + 1234] = bad
+    f.write_text("\n".join(lines) + "\n")
+    assert _run("solve-csp", "-i", str(f), "-q") == 2
+    assert capsys.readouterr().err == (
+        f"cannot reduce: clause 1234 ({named}) needs distinct variable ids in [0, 200) and signs +1/-1\n"
+    )
 
 
 def _edges_past_a_block() -> bytes:

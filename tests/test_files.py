@@ -29,6 +29,7 @@ from planted.instances import (
     sample_planted_csp,
 )
 from planted.reduction import csp_to_bipartite
+from planted.solver import SolverConfig, spi_solve
 
 _META = {"delta": 2.0, "p_equiv": 0.0014124293785310734, "n2_nominal": 1770, "indexer_size": 215}
 _BIG = 2**62  # ids of 19 digits: past the bulk edge pattern, still int64
@@ -78,7 +79,8 @@ def _assert_same_file(got, want):
     assert got.header == want.header
     assert got.reduced_meta == want.reduced_meta
     assert got.graph.n1 == want.graph.n1 and got.graph.n2 == want.graph.n2
-    assert got.graph.edges.dtype == want.graph.edges.dtype
+    # the oracle reads int64 edges; read_sbm int32 where both sizes are at most 2^31
+    assert got.graph.edges.dtype == (np.int32 if max(want.graph.n1, want.graph.n2) <= 2**31 else np.int64)
     assert np.array_equal(got.graph.edges, want.graph.edges)
     assert (got.truth is None) == (want.truth is None)
     if want.truth is not None:
@@ -224,6 +226,38 @@ def test_read_sbm_traced_peak_per_edge(tmp_path):
         tracemalloc.stop()
     assert data.graph.num_edges == graph.num_edges > 2**18
     assert peak <= 48 * graph.num_edges
+
+
+def test_read_sbm_holds_int32_edges_at_its_traced_peak(tmp_path):
+    # the 271k-edge file above: the blocks' ids are narrowed to int32 as they
+    # are parsed, so the joined edges and the blocks hold 16 B per edge, not
+    # 32; what is left is the temporaries of one 256 KiB block
+    graph, truth = sample_bipartite_block(BlockModelParams(1000, 1000, 1.8, 0.27, 3))
+    f = tmp_path / "g.jsonl"
+    files.write_sbm(f, graph, delta=1.8, p=0.27, seed=3, truth=truth)
+    tracemalloc.start()
+    try:
+        data = files.read_sbm(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 26 * graph.num_edges
+    assert data.graph.edges.dtype == np.int32 and np.array_equal(data.graph.edges, graph.edges)
+
+
+def test_an_id_past_int32_keeps_int64_edges_through_read_solve_and_write(tmp_path):
+    edges = [[0, 2**31], [1, 2**40 - 1], [2, 5], [3, 2**31 - 1], [3, 2**35]]
+    graph = BipartiteGraph(4, 2**40, edges)
+    assert graph.edges.dtype == np.int64
+    f, again = tmp_path / "g.jsonl", tmp_path / "again.jsonl"
+    files.write_sbm(f, graph, delta=1.8, p=0.5, seed=1)
+    assert '{"i":0,"j":2147483648}' in f.read_text().splitlines()
+    data = files.read_sbm(f)
+    assert data.graph.edges.dtype == np.int64 and data.graph.edges.tolist() == edges
+    res = spi_solve(data.graph, SolverConfig(seed=2))
+    assert res.edges_used == len(edges) and res.to_dict() == spi_solve(graph, SolverConfig(seed=2)).to_dict()
+    files.write_sbm(again, data.graph, delta=1.8, p=0.5, seed=1)
+    assert again.read_bytes() == f.read_bytes()
 
 
 @pytest.mark.parametrize("k, n, m, full", [(3, 12, 300, False), (2, 3, 200, True)],

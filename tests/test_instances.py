@@ -186,7 +186,9 @@ _WRAPPING = _pair_case([[1, 0], [0, 2**31], [2**31, 5], [1, 2**31 + 1]], 2**32, 
 
 def _assert_pack_round_trips(a, a_size, b, b_size):
     """_pack's keys take _key_dtype of the sizes after its ranking rule, stay
-    below their bound, sort as np.lexsort does, and unpack to the int64 pairs."""
+    below their bound, sort as np.lexsort does, and unpack to the pairs: int32
+    where both sizes as given are at most 2^31, else int64."""
+    pairs_dtype = np.int32 if max(a_size, b_size) <= 2**31 else np.int64
     key, size, unpack = _pack(a, a_size, b, b_size)
     if a_size * b_size > _INT64_MAX:
         a_size = len(np.unique(a))
@@ -196,7 +198,7 @@ def _assert_pack_round_trips(a, a_size, b, b_size):
     assert size == a_size * b_size and (key < size).all()
     assert np.array_equal(np.argsort(key, kind="stable"), np.lexsort((b, a)))
     pairs = unpack(key)
-    assert pairs.dtype == np.int64 and np.array_equal(pairs, np.column_stack([a, b]).reshape(-1, 2))
+    assert pairs.dtype == pairs_dtype and np.array_equal(pairs, np.column_stack([a, b]).reshape(-1, 2))
 
 
 @settings(max_examples=200, deadline=None)
@@ -512,7 +514,7 @@ def test_integer_valued_inputs_become_int64_and_int64_edges_are_not_copied():
     assert np.shares_memory(BipartiteGraph(2, 2, edges).edges, edges)
     for e in ([[0.0, 1.0]], np.array([[0, 1]], dtype=np.int8), np.array([[0, 1]], dtype=np.uint64)):
         g = BipartiteGraph(2, 2, e)
-        assert g.edges.dtype == np.int64 and g.edges.tolist() == [[0, 1]]
+        assert g.edges.dtype == np.int32 and g.edges.tolist() == [[0, 1]]
     part = HiddenPartition(np.array([1, -1], dtype=np.int8), [1.0, -1.0])
     assert part.u.dtype == part.v.dtype == np.int64 and part.u.tolist() == part.v.tolist() == [1, -1]
     csp = PlantedCspInstance(3, [1.0, -1.0, 1.0], [[0.0, 1.0, 2.0]], np.array([[1, -1, 1]], dtype=np.int8))
@@ -523,6 +525,24 @@ def test_integer_valued_inputs_become_int64_and_int64_edges_are_not_copied():
     pred = GoldreichInstance(3, [1.0, -1.0, -1.0, 1.0], None, np.array([[0, 2]], dtype=np.int8), [-1.0])
     assert (pred.predicate.dtype, pred.tuple_vars.dtype, pred.values.dtype) == (np.int64, np.int32, np.int8)
     assert predicate_lowest_degree([1.0, -1.0, -1.0, 1.0]).r == 2
+
+
+def test_int32_edges_are_not_copied_and_an_id_past_int32_keeps_int64():
+    narrow = np.array([[0, 1], [1, 0]], dtype=np.int32)
+    assert np.shares_memory(BipartiteGraph(2, 2, narrow).edges, narrow)
+    # an id past int32 keeps the whole array int64, with every id as given
+    for ids in ([[0, 2**31], [1, 2**31 - 1]], np.array([[0, 2**31], [1, 2**31 - 1]], dtype=np.uint64)):
+        g = BipartiteGraph(2, 2**40, ids)
+        assert g.edges.dtype == np.int64 and g.edges.tolist() == [[0, 2**31], [1, 2**31 - 1]]
+    with pytest.raises(ValueError, match="right endpoint out of range"):
+        BipartiteGraph(2, 2**31, [[0, 2**31]])
+
+
+def test_block_sampler_holds_8_bytes_per_edge():
+    # int32 pairs, where int64 held 16 B per edge
+    g, _ = sample_bipartite_block(BlockModelParams(400, 4000, 1.8, 0.05, 7))
+    assert g.num_edges > 50_000
+    assert g.edges.dtype == np.int32 and g.edges.nbytes == 8 * g.num_edges
 
 
 def test_goldreich_instance_normalizes_to_int64():
@@ -578,7 +598,7 @@ _ALTERNATING = HiddenPartition([1, -1, 1, -1, 1], [-1, 1, 1])
 @example(case=(BlockModelParams(1, 7, 1.8, 0.4, 5), HiddenPartition([-1], [1] * 7)))  # n1 = 1
 def test_sbm_matches_reference_sampler(case):
     (g, part), (g_ref, part_ref) = sample_bipartite_block(*case), instances_oracle.sample_bipartite_block(*case)
-    _assert_same(g.edges, g_ref.edges)
+    _assert_same(g.edges, g_ref.edges, np.int32)
     _assert_same(part.u, part_ref.u)
     _assert_same(part.v, part_ref.v)
 
@@ -590,7 +610,7 @@ def test_sbm_matches_reference_sampler_at_scale(p):
     for seed in range(3):
         case = (BlockModelParams(300, 1400, 1.6, p, seed), None)
         (g, part), (g_ref, part_ref) = sample_bipartite_block(*case), instances_oracle.sample_bipartite_block(*case)
-        _assert_same(g.edges, g_ref.edges)
+        _assert_same(g.edges, g_ref.edges, np.int32)
         _assert_same(part.u, part_ref.u)
         _assert_same(part.v, part_ref.v)
 

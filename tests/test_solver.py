@@ -14,14 +14,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from planted import files
+from planted.fourier import distribution_complexity
 from planted.instances import (
     BipartiteGraph,
     BlockModelParams,
+    PlantedCspInstance,
+    noisy_xor_weights,
     overlap,
     sample_bipartite_block,
     sample_planted_csp,
     sat_clause_weights,
 )
+from planted.reduction import csp_to_bipartite
 from planted.solver import (
     SolverConfig,
     SolverError,
@@ -148,7 +153,7 @@ def test_split_past_the_uint16_limit_matches_int64_sort():
     assignment = np.random.default_rng(5).integers(0, T, size=g.num_edges)
     assert (assignment >= 2**16).sum() > 20
     assert [s.num_edges for s in split.subs] == np.bincount(assignment, minlength=T).tolist()
-    _assert_same_subs(split.subs, _split_edges_int64(g, T, 5))
+    _assert_same_subs(split.subs, _split_edges_int64(BipartiteGraph(g.n1, g.n2, g.edges.astype(np.int64)), T, 5))
     for sub in split.subs:
         assert np.array_equal(sub.support[sub.col_rank], sub.cols)
 
@@ -563,6 +568,47 @@ def test_spi_solve_holds_one_sorted_key_per_edge(n1, n2, p, dtype):
     finally:
         tracemalloc.stop()
     assert res.ok and per_edge <= 16
+
+
+def test_spi_solve_with_its_graph_holds_at_most_16_bytes_per_edge():
+    # the sbm_square shape, 1.55M edges, the graph traced from the sampler on:
+    # int32 pairs hold 8 B per edge, the split's uint32 key 4 and one pair of
+    # decoded sub-graphs the rest, 13.3-13.8 B per edge in all; int64 pairs
+    # held 21.3
+    tracemalloc.start()
+    try:
+        g, part = sample_bipartite_block(BlockModelParams(4000, 4000, 1.8, 0.097, 3))
+        tracemalloc.reset_peak()
+        res = spi_solve(g, SolverConfig(seed=4), truth=part)
+        per_edge = tracemalloc.get_traced_memory()[1] / g.num_edges
+    finally:
+        tracemalloc.stop()
+    assert res.ok and per_edge <= 16
+
+
+def test_int32_graphs_split_solve_and_write_as_their_int64_rebuilds(tmp_path):
+    g, part = sample_bipartite_block(BlockModelParams(60, 90, 1.8, 0.3, 5))
+    q = noisy_xor_weights(3, 0.8)
+    inst = sample_planted_csp(q, 12, 400, seed=5)
+    red = csp_to_bipartite(inst, distribution_complexity(q))
+    wide_inst = PlantedCspInstance(inst.n, inst.sigma, inst.clause_vars.astype(np.int64),
+                                   inst.clause_signs.astype(np.int64))
+    red_wide = csp_to_bipartite(wide_inst, distribution_complexity(q))
+    assert red_wide.graph.edges.dtype == np.int32 and np.array_equal(red_wide.graph.edges, red.graph.edges)
+    # ids that fit int32 under an n2 that makes the split rank them, as a
+    # reduction's tuple ids do under a nominal n2 past int64
+    ranked = BipartiteGraph(4, 2**62, np.array([[0, 5], [1, 7], [3, 5], [3, 2**31 - 1]], dtype=np.int32))
+    for graph, truth in ((g, part), (red.graph, red.truth), (ranked, None)):
+        wide = BipartiteGraph(graph.n1, graph.n2, graph.edges.astype(np.int64))
+        assert graph.edges.dtype == np.int32 and wide.edges.dtype == np.int64
+        _assert_same_subs(split_edges(graph, 6, 3).subs, split_edges(wide, 6, 3).subs)
+        config = SolverConfig(seed=1)
+        assert spi_solve(graph, config, truth=truth).to_dict() == spi_solve(wide, config, truth=truth).to_dict()
+        assert np.array_equal(power_iteration_baseline(graph, 5, 0), power_iteration_baseline(wide, 5, 0))
+        paths = tmp_path / "narrow.jsonl", tmp_path / "wide.jsonl"
+        for path, written in zip(paths, (graph, wide)):
+            files.write_sbm(path, written, delta=1.8, p=0.3, seed=5, truth=truth)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 def test_spi_recovers_lopsided_aspect_ratio_100():
