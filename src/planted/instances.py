@@ -567,36 +567,39 @@ def sample_bipartite_block(
 # ---------------------------------------------------------------------------
 
 
-def _propose_tuples(n: int, k: int, batch: int, rng: np.random.Generator) -> np.ndarray:
-    """Propose `batch` ordered k-tuples of variables, uniform once the rows
-    with a repeat (`_distinct_rows`) are dropped.
-
-    For n well above k, i.i.d. draws filtered for repeats are cheapest; for
-    cramped n every proposal is made distinct by taking the first k entries
-    of a random permutation. Proposals are int32 when n <= 2^31
-    (``_ids_dtype``), the samplers' output dtype: numpy draws a range that
-    fits 32 bits from the same 32-bit stream whatever the output dtype, so
-    the values and the generator state match the int64 draws. The cramped keys are drawn and sorted about
-    ``_CRAMPED_KEY_BYTES`` at a time: ``rng.random`` fills rows in C order, so
-    row chunks drawn one after another are the rows of one whole draw.
-    """
-    if not _cramped(n, k):
-        return rng.integers(0, n, size=(batch, k), dtype=_ids_dtype(n))
-    out = np.empty((batch, k), dtype=_ids_dtype(n))
-    step = max(1, _CRAMPED_KEY_BYTES // (8 * n))
-    keys = np.empty((min(step, batch), n))
-    for a in range(0, batch, step):
-        chunk = rng.random(out=keys[: min(step, batch - a)])
-        out[a : a + len(chunk)] = np.argsort(chunk, axis=1, kind="stable")[:, :k]
-    return out
-
-
-_CRAMPED_KEY_BYTES = 1 << 24  # bytes of float64 keys per chunk of the cramped proposals
+_CHUNK_ROWS = 1 << 15  # rows per cache-sized block: the samplers' proposals, the reduction's encoding
+_CRAMPED_KEY_BYTES = 1 << 24  # bytes of float64 keys at most per chunk of the cramped proposals
 
 
 def _cramped(n: int, k: int) -> bool:
     """True when k-tuples over n variables are proposed by permutation, not i.i.d. draws."""
     return n < 4 * k * k
+
+
+def _proposals(n: int, k: int, rng: np.random.Generator):
+    """Endless chunks of proposed ordered k-tuples of variables, uniform once
+    the rows with a repeat (``_distinct_rows``) are dropped, read from ``rng``
+    in order: the chunks are the rows of one whole draw, whatever their size.
+
+    For n well above k the rows are i.i.d. draws, filtered for repeats by the
+    caller; for cramped n every row is made distinct by taking the first k
+    entries of a per-row argsort of random keys. The first chunk has 256
+    rows and each next one twice as many, up to ``_CHUNK_ROWS`` rows, and
+    for cramped n up to the rows whose keys fit ``_CRAMPED_KEY_BYTES``, so
+    a small instance does not pay for a whole chunk. Proposals are int32
+    when n <= 2^31 (``_ids_dtype``), the samplers' output dtype: numpy draws
+    a range that fits 32 bits from the generator's own 32-bit stream
+    whatever the output dtype, and ``rng.random`` fills rows in C order."""
+    dtype, cramped = _ids_dtype(n), _cramped(n, k)
+    most = min(_CHUNK_ROWS, max(1, _CRAMPED_KEY_BYTES // (8 * n))) if cramped else _CHUNK_ROWS
+    rows = 256
+    while True:
+        rows = min(rows, most)
+        if cramped:
+            yield np.argsort(rng.random((rows, n)), axis=1, kind="stable")[:, :k].astype(dtype)
+        else:
+            yield rng.integers(0, n, size=(rows, k), dtype=dtype)
+        rows *= 2
 
 
 def _distinct_rows(cand: np.ndarray) -> np.ndarray:
@@ -619,26 +622,6 @@ def _keep_first(mask: np.ndarray, need: int) -> int:
     return need
 
 
-_CHUNK_ROWS = 1 << 15  # rows per cache-sized block: sample_planted_csp's acceptance, the reduction's encoding
-
-
-def _after_uint32s(rng: np.random.Generator, count: int) -> np.random.Generator:
-    """A new generator at the PCG64 state ``count`` more 32-bit draws would
-    leave ``rng`` in, reached in O(log count) steps: a draw takes the half
-    word ``rng`` holds (``has_uint32``) first, then one 64-bit word per two.
-    Its own 32-bit buffer is empty."""
-    bits = np.random.PCG64(0)
-    bits.state = rng.bit_generator.state
-    return np.random.Generator(bits.advance((count - bits.state["has_uint32"] + 1) // 2))
-
-
-def _resume(rng: np.random.Generator, ahead: np.random.Generator):
-    """Move ``rng`` to ``ahead``'s PCG64 state, keeping ``rng``'s own 32-bit buffer."""
-    own, state = rng.bit_generator.state, ahead.bit_generator.state
-    state["has_uint32"], state["uinteger"] = own["has_uint32"], own["uinteger"]
-    rng.bit_generator.state = state
-
-
 def sample_planted_csp(
     q_dist: PlantingDistribution, n: int, m: int, seed: int
 ) -> PlantedCspInstance:
@@ -649,17 +632,12 @@ def sample_planted_csp(
     Rejection sampling: propose a uniform ordered distinct k-tuple with
     uniform signs, accept with probability w(pattern) / max(w). The proposal
     is uniform over all clauses, so accepted clauses follow the target law
-    exactly. Seed substreams: 0 = sigma, 1 = clause proposals.
+    exactly.
 
-    A batch takes the stream one whole draw of it would: its tuples, then
-    b*k int32 signs, then b uniforms. Only the tuples are drawn whole: a
-    range of n can reject in numpy's bounded draw, so their stream use
-    depends on the values. A range of 2 never rejects, so each sign takes
-    exactly one 32-bit draw, and ``random`` takes one 64-bit word per value
-    and leaves the 32-bit buffer alone. Each chunk's signs therefore come
-    from ``rng`` when the chunk is reached, and its uniforms from a copy
-    moved past the words of the b*k signs. Chunks past the need-th accepted
-    row are never drawn.
+    Seed substreams: 0 = sigma, 1 = tuples, 2 = signs, 3 = uniforms. Each
+    is read in order, so proposal i takes the i-th tuple, the i-th k signs
+    and the i-th uniform, however the proposals are chunked. The sampler
+    walks the ``_proposals`` chunks until m clauses are accepted.
     """
     k = q_dist.k
     if n < k:
@@ -668,43 +646,34 @@ def sample_planted_csp(
         raise ValueError(f"m must be nonnegative, got {m}")
     w = q_dist.weights
     wmax = float(w.max())
-    sig_ss, clause_ss = np.random.SeedSequence(seed).spawn(2)
+    sig_ss, tuple_ss, sign_ss, uniform_ss = np.random.SeedSequence(seed).spawn(4)
     sigma = np.random.default_rng(sig_ss).integers(0, 2, size=n) * 2 - 1
-    rng = np.random.default_rng(clause_ss)
+    proposals = _proposals(n, k, np.random.default_rng(tuple_ss))
+    sign_rng, uniform_rng = np.random.default_rng(sign_ss), np.random.default_rng(uniform_ss)
 
-    accept_rate = float(w.mean()) / wmax
     bit = (sigma > 0).astype(np.int8)
     out_vars = np.empty((m, k), dtype=_ids_dtype(n))
     out_signs = np.empty((m, k), dtype=np.int8)
     got = 0
     while got < m:
-        need = m - got
-        batch = int(need / max(accept_rate, 1e-3) * 1.2) + 16
-        row_cost = n if _cramped(n, k) else k  # see _propose_tuples
-        batch = min(batch, max(4096, 30_000_000 // row_cost))
-        cand = _propose_tuples(n, k, batch, rng)
-        uniforms = _after_uint32s(rng, batch * k)
-        for a in range(0, batch, _CHUNK_ROWS):
-            c = cand[a : a + _CHUNK_ROWS]
-            s = rng.integers(0, 2, size=c.shape, dtype=np.int32)  # 1 = positive
-            draw = uniforms.random(len(c))
-            draw *= wmax
-            # the literal sigma_v * (2 * sign - 1) is true iff bit(sigma_v) == sign;
-            # the ids are in range, and take skips the index conversion and
-            # bounds check of fancy indexing
-            idx = _bit_index(np.take(bit, c, mode="clip") == s)
-            accept = draw < w[idx]
-            accept &= _distinct_rows(c)
-            kept = _keep_first(accept, m - got)
-            out_vars[got : got + kept] = c.compress(accept, axis=0)
-            out = out_signs[got : got + kept]
-            np.multiply(s.compress(accept, axis=0), 2, out=out)
-            out -= 1
-            got += kept
-            if got == m:
-                break
-        else:  # the batch ran out short of m: the next one starts after its uniforms
-            _resume(rng, uniforms)
+        c = next(proposals)
+        # int32: an int8 draw splits 32-bit words within one call and drops
+        # the rest, so its stream would depend on the chunk size
+        s = sign_rng.integers(0, 2, size=c.shape, dtype=np.int32)  # 1 = positive
+        draw = uniform_rng.random(len(c))
+        draw *= wmax
+        # the literal sigma_v * (2 * sign - 1) is true iff bit(sigma_v) == sign;
+        # the ids are in range, and take skips the index conversion and
+        # bounds check of fancy indexing
+        idx = _bit_index(np.take(bit, c, mode="clip") == s)
+        accept = draw < w[idx]
+        accept &= _distinct_rows(c)
+        kept = _keep_first(accept, m - got)
+        out_vars[got : got + kept] = c.compress(accept, axis=0)
+        out = out_signs[got : got + kept]
+        np.multiply(s.compress(accept, axis=0), 2, out=out)
+        out -= 1
+        got += kept
     return PlantedCspInstance(n, sigma, out_vars, out_signs)
 
 
@@ -714,7 +683,8 @@ def sample_goldreich(
     """Draw m uniform ordered distinct k-tuples and record the predicate's
     value on the planted assignment at each tuple.
 
-    Seed substreams: 0 = sigma, 1 = tuples.
+    Seed substreams: 0 = sigma, 1 = tuples. The tuples are the first m
+    distinct ``_proposals`` rows, so they do not depend on the chunking.
     """
     table, k = _predicate_table(predicate)
     if n < k:
@@ -723,16 +693,15 @@ def sample_goldreich(
         raise ValueError(f"m must be nonnegative, got {m}")
     sig_ss, tup_ss = np.random.SeedSequence(seed).spawn(2)
     sigma = np.random.default_rng(sig_ss).integers(0, 2, size=n) * 2 - 1
-    rng = np.random.default_rng(tup_ss)
+    proposals = _proposals(n, k, np.random.default_rng(tup_ss))
 
     out = np.empty((m, k), dtype=_ids_dtype(n))
     got = 0
     while got < m:
-        batch = (m - got) + (m - got) // 4 + 16
-        cand = _propose_tuples(n, k, batch, rng)
-        valid = _distinct_rows(cand)
+        c = next(proposals)
+        valid = _distinct_rows(c)
         kept = _keep_first(valid, m - got)
-        out[got : got + kept] = cand.compress(valid, axis=0)
+        out[got : got + kept] = c.compress(valid, axis=0)
         got += kept
     values = table.astype(np.int8)[_bit_index((sigma > 0)[out])]
     return GoldreichInstance(n, table, sigma, out, values)

@@ -165,13 +165,6 @@ def _sub_graphs(n1: int, n2: int, edges: np.ndarray, T: int, rng) -> _Buckets:
     return _Buckets(key, [0, *starts.tolist(), m], n1, n2, present)
 
 
-def _make_sub(n1: int, rows: np.ndarray, cols: np.ndarray) -> SubGraph:
-    """One sub-graph holding all the given edges."""
-    edges = np.column_stack([rows, cols]).astype(np.int64, copy=False)
-    n2 = int(edges[:, 1].max()) + 1 if len(edges) else 1
-    return _sub_graphs(n1, n2, edges, 1, None)[0]
-
-
 def split_edges(graph: BipartiteGraph, T: int, seed, p: float | None = None) -> SplitGraphs:
     """Assign each edge to one of T sub-graphs uniformly and independently.
     Within a sub-graph the edges are sorted by (col, row). The result holds
@@ -493,7 +486,7 @@ def power_iteration_baseline(
     if m == 0:
         raise SolverError("graph has no edges")
     q = _density(graph, p)
-    sub = _make_sub(n1, graph.edges[:, 0], graph.edges[:, 1])
+    sub = _sub_graphs(n1, n2, graph.edges, 1, None)[0]
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     x = (rng.integers(0, 2, size=n1) * 2 - 1) / math.sqrt(n1)
     for _ in range(iterations):

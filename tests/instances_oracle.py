@@ -2,9 +2,13 @@
 ``_distinct_tuples``, ``sample_planted_csp``, ``sample_goldreich`` and
 ``pattern_index`` as ``planted.instances`` had them before its samplers
 stopped sorting rows, gathering through an argsort and building pattern
-indices with an integer matmul. They make the same generator calls in the
+indices with an integer matmul. They read the same generator streams in the
 same order, so tests require the production samplers to return bit-equal
-arrays of the same dtypes for every seed."""
+arrays of the same dtypes for every seed. The CSP and predicate references
+still draw their proposals in batches sized by the number of rows they
+still need, which differ from the production samplers' fixed chunks, so
+their equality also shows that an instance does not depend on its
+chunking."""
 from __future__ import annotations
 
 import math
@@ -100,9 +104,10 @@ def sample_planted_csp(
         raise ValueError("need n >= k")
     w = q_dist.weights
     wmax = float(w.max())
-    sig_ss, clause_ss = np.random.SeedSequence(seed).spawn(2)
+    sig_ss, tuple_ss, sign_ss, uniform_ss = np.random.SeedSequence(seed).spawn(4)
     sigma = np.random.default_rng(sig_ss).integers(0, 2, size=n) * 2 - 1
-    rng = np.random.default_rng(clause_ss)
+    rng = np.random.default_rng(tuple_ss)
+    sign_rng, uniform_rng = np.random.default_rng(sign_ss), np.random.default_rng(uniform_ss)
 
     accept_rate = float(w.mean()) / wmax
     out_vars = np.empty((m, k), dtype=np.int64)
@@ -115,9 +120,9 @@ def sample_planted_csp(
         row_cost = k if n >= 4 * k * k else n
         batch = min(batch, max(4096, 30_000_000 // row_cost))
         cand, valid = _distinct_tuples(n, k, batch, rng)
-        signs = rng.integers(0, 2, size=(batch, k)) * 2 - 1
+        signs = sign_rng.integers(0, 2, size=(batch, k)) * 2 - 1
         idx = ((sigma[cand] * signs) > 0).astype(np.int64) @ powers
-        accept = valid & (rng.random(batch) * wmax < w[idx])
+        accept = valid & (uniform_rng.random(batch) * wmax < w[idx])
         rows = np.flatnonzero(accept)[:need]
         out_vars[got : got + len(rows)] = cand[rows]
         out_signs[got : got + len(rows)] = signs[rows]

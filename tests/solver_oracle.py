@@ -5,9 +5,10 @@ products and the whole solve against it. It splits the edges with the same
 ``split_edges`` call and draws from the same ``SeedSequence(seed).spawn(2)``
 streams, so a seed gives both solvers the same sub-graphs and start vector.
 Every matrix is n1 x n2, so keep n2 small. Also here: ``apply_m`` as it
-was when it looked yhat up once per edge, and ``split_edges`` as it was
+was when it looked yhat up once per edge, ``split_edges`` as it was
 when every key was int64 and the bucket counts and row degrees came from
-bincounts over the keys."""
+bincounts over the keys, and ``_make_sub``, which builds one sub-graph
+from given edge columns."""
 from __future__ import annotations
 
 import math
@@ -22,8 +23,16 @@ from planted.solver import (
     SparseRightVec,
     SubGraph,
     _run_starts,
+    _sub_graphs,
     split_edges,
 )
+
+
+def _make_sub(n1: int, rows: np.ndarray, cols: np.ndarray) -> SubGraph:
+    """One sub-graph holding all the given edges."""
+    edges = np.column_stack([rows, cols]).astype(np.int64, copy=False)
+    n2 = int(edges[:, 1].max()) + 1 if len(edges) else 1
+    return _sub_graphs(n1, n2, edges, 1, None)[0]
 
 
 def _sub_graphs_int64(n1: int, n2: int, edges: np.ndarray, key: np.ndarray, T: int) -> list[SubGraph]:

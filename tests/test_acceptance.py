@@ -38,9 +38,9 @@ from planted.solver import (
     majority_vote_r1,
     power_iteration_baseline,
     spi_solve,
-    _make_sub,
 )
 from planted.instances import pattern_index
+from solver_oracle import _make_sub
 
 # Frozen calibration (desk-scale pilot sweeps; see README for the protocol):
 C_SQUARE = 30.0        # criterion 4; pilots: 16/20 at C=20, 20/20 at C>=25

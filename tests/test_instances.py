@@ -1,4 +1,5 @@
 """Generator tests: trivial edge cases, Monte Carlo laws, determinism."""
+import hashlib
 import itertools
 import math
 import tracemalloc
@@ -617,7 +618,7 @@ def test_sbm_matches_reference_sampler_at_scale(p):
 
 @st.composite
 def csp_cases(draw):
-    """(k, n, m, seed) with n on either side of _propose_tuples' 4 k^2 cut."""
+    """(k, n, m, seed) with n on either side of _cramped's 4 k^2 cut."""
     k = draw(st.integers(1, 6))
     n = draw(st.one_of(st.integers(k, max(k, 4 * k * k - 1)), st.integers(4 * k * k, 4 * k * k + 40)))
     return k, n, draw(st.integers(0, 40)), draw(st.integers(0, 2**63))
@@ -659,8 +660,7 @@ def test_csp_matches_reference_sampler_over_several_rounds(n, monkeypatch):
 
 @pytest.mark.parametrize("kind", ["csp", "goldreich"])
 def test_cramped_proposals_in_chunks_match_reference_sampler(kind, monkeypatch):
-    # 112 bytes of keys per chunk: 7, 4 and 2 proposal rows at n = 2, 3 and 5,
-    # with a shorter last chunk
+    # 112 bytes of keys per chunk: 7, 4 and 2 proposal rows at n = 2, 3 and 5
     monkeypatch.setattr(instances, "_CRAMPED_KEY_BYTES", 112)
     for n, seed in ((2, 0), (3, 1), (5, 2)):
         if kind == "csp":
@@ -694,44 +694,13 @@ def test_cramped_proposals_peak_below_200_mb():
     high=st.sampled_from([1, 2, 150, 2**31]),
 )
 def test_int32_draws_match_int64_draws_and_leave_the_same_state(seed, size, high):
-    # _propose_tuples and sample_planted_csp draw int32 in place of int64;
+    # _proposals and sample_planted_csp draw int32 in place of int64;
     # numpy draws both from one 32-bit stream when the range fits 32 bits
     narrow, wide = np.random.default_rng(seed), np.random.default_rng(seed)
     a = narrow.integers(0, high, size, dtype=np.int32)
     b = wide.integers(0, high, size, dtype=np.int64)
     assert np.array_equal(a, b)
     assert narrow.random() == wide.random()
-
-
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(
-    seed=st.integers(0, 2**63),
-    pre=st.integers(0, 3),
-    rows=st.integers(0, 300),
-    k=st.integers(1, 6),
-    chunk=st.integers(1, 70),
-)
-def test_chunked_signs_and_skipped_uniforms_match_one_whole_draw(seed, pre, rows, k, chunk):
-    # sample_planted_csp draws a batch's signs chunk by chunk from rng and its
-    # uniforms from a generator moved past the signs' words; a pre-draw of
-    # 0-3 range-150 values leaves the 32-bit buffer full or empty
-    whole, chunked = np.random.default_rng(seed), np.random.default_rng(seed)
-    whole.integers(0, 150, pre, dtype=np.int32)
-    chunked.integers(0, 150, pre, dtype=np.int32)
-    want_signs = whole.integers(0, 2, (rows, k), dtype=np.int32)
-    want_uniforms = whole.random(rows)
-    uniforms = instances._after_uint32s(chunked, rows * k)
-    got_signs, got_uniforms = [], []
-    for a in range(0, rows, chunk):
-        got_signs.append(chunked.integers(0, 2, (min(chunk, rows - a), k), dtype=np.int32))
-        got_uniforms.append(uniforms.random(min(chunk, rows - a)))
-    instances._resume(chunked, uniforms)
-    assert np.array_equal(np.concatenate(got_signs or [np.empty((0, k), np.int32)]), want_signs)
-    assert np.array_equal(np.concatenate(got_uniforms or [np.empty(0)]), want_uniforms)
-    got, want = chunked.bit_generator.state, whole.bit_generator.state
-    assert got["state"] == want["state"] and got["has_uint32"] == want["has_uint32"]
-    if want["has_uint32"]:
-        assert got["uinteger"] == want["uinteger"]
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -742,9 +711,11 @@ def test_chunked_signs_and_skipped_uniforms_match_one_whole_draw(seed, pre, rows
     chunk=st.integers(300, 5000),
     seed=st.integers(0, 2**63),
 )
+@example(k=9, n=30, m=3, chunk=1, seed=5)  # one proposal per chunk, cramped
+@example(k=9, n=600, m=3, chunk=1, seed=6)  # one proposal per chunk, i.i.d.
 def test_csp_in_small_chunks_over_several_batches_matches_reference_sampler(k, n, m, chunk, seed):
-    # a one-hot law accepts 1 proposal in 2^k, so most cases take several
-    # batches, each ending in a part-drawn chunk or a run-out one
+    # a one-hot law accepts 1 proposal in 2^k, so most cases take several of
+    # the reference's batches and many chunks, the last one cut at the m-th hit
     weights = np.zeros(2**k)
     weights[2**k - 1] = 1.0
     q = PlantingDistribution(k, weights)
@@ -755,27 +726,69 @@ def test_csp_in_small_chunks_over_several_batches_matches_reference_sampler(k, n
         _assert_same(getattr(got, name), getattr(want, name), _COMPACT.get(name))
 
 
-def test_csp_sampler_holds_the_tuples_and_one_chunk_above_its_result(monkeypatch):
-    # the csp_3xor shape: int32 tuples are 12 B per batch row; the signs and
-    # uniforms of a whole batch held 32.5 B per row above the result
-    batches = []
-    propose = instances._propose_tuples
+_CSP_3XOR_M = math.floor(100 * 150**1.5 * math.log(150))
 
-    def recording(n, k, batch, rng):
-        batches.append(batch)
-        return propose(n, k, batch, rng)
 
-    monkeypatch.setattr(instances, "_propose_tuples", recording)
-    n = 150
-    m = math.floor(100 * n**1.5 * math.log(n))
+@pytest.mark.parametrize("sample, bound_mb", [
+    (lambda: sample_planted_csp(noisy_xor_weights(3, 0.8), 150, _CSP_3XOR_M, 23), 4),
+    (lambda: sample_goldreich(parity_predicate(3), 150, _CSP_3XOR_M, 23), 6),
+    (lambda: sample_planted_csp(noisy_xor_weights(3, 0.8), 20, 10**6, 0), 16),
+], ids=["csp-3xor", "goldreich-3xor", "csp-cramped"])
+def test_constraint_samplers_peak_a_few_chunks_above_their_result(sample, bound_mb):
+    # the csp_3xor shape and a cramped one: whole-batch proposals peaked at
+    # 24, 31 and 54 MB above the result, one chunk's temporaries take 2-12 MB
     tracemalloc.start()
     try:
-        inst = sample_planted_csp(noisy_xor_weights(3, 0.8), n, m, 23)
+        inst = sample()
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert inst.m == m and (inst.clause_vars.dtype, inst.clause_signs.dtype) == (np.int32, np.int8)
-    assert (peak - held) / max(batches) <= 14
+    assert inst.k == 3 and inst.m in (_CSP_3XOR_M, 10**6)
+    assert peak - held <= bound_mb * 2**20
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 300])
+def test_goldreich_in_small_chunks_matches_reference_sampler(chunk, monkeypatch):
+    monkeypatch.setattr(instances, "_CHUNK_ROWS", chunk)
+    for table, n, m, seed in ((parity_predicate(3), 40, 500, 0), (majority_predicate(3), 7, 200, 1),
+                              (parity_predicate(2), 3, 50, 2)):
+        got, want = sample_goldreich(table, n, m, seed), instances_oracle.sample_goldreich(table, n, m, seed)
+        for name in ("predicate", "sigma", "tuple_vars", "values"):
+            _assert_same(getattr(got, name), getattr(want, name), _COMPACT.get(name))
+
+
+@pytest.mark.parametrize("n", [600, 20], ids=["iid", "cramped"])
+def test_csp_sampler_does_not_depend_on_its_chunking(n, monkeypatch):
+    q = noisy_xor_weights(3, 0.6)
+    want = sample_planted_csp(q, n, 2000, 11)
+    for chunk, key_bytes in ((1, 2**24), (7, 112), (2**15, 112), (7, 2**24)):
+        monkeypatch.setattr(instances, "_CHUNK_ROWS", chunk)
+        monkeypatch.setattr(instances, "_CRAMPED_KEY_BYTES", key_bytes)
+        got = sample_planted_csp(q, n, 2000, 11)
+        for name in ("sigma", "clause_vars", "clause_signs"):
+            _assert_same(getattr(got, name), getattr(want, name))
+
+
+def _digest(*arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(a.dtype.str.encode())
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()[:16]
+
+
+def test_sigma_and_predicate_instances_keep_their_per_seed_digests():
+    # the CSP sampler's clauses come from their own substreams; sigma (child 0
+    # of the seed) and the predicate sampler's tuples, the first m distinct
+    # proposals of child 1, are the arrays the whole-batch samplers drew
+    g = sample_goldreich(parity_predicate(3), 150, _CSP_3XOR_M, 23)
+    assert _digest(g.sigma, g.tuple_vars, g.values) == "45833f7253ccfb4e"
+    g = sample_goldreich(majority_predicate(3), 20, 50_000, 5)  # cramped
+    assert _digest(g.sigma, g.tuple_vars, g.values) == "493a7e988ca67f74"
+    g = sample_goldreich(parity_predicate(2), 7, 300, 1)
+    assert _digest(g.sigma, g.tuple_vars, g.values) == "ed1689699266065b"
+    assert _digest(sample_planted_csp(noisy_xor_weights(3, 0.8), 150, 1000, 23).sigma) == "bce7c3c82f4b99ad"
+    assert _digest(sample_planted_csp(uniform_weights(3), 20, 1000, 4).sigma) == "853aa9c049e71251"
 
 
 @settings(max_examples=150, deadline=None)

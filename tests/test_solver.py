@@ -41,9 +41,9 @@ from planted.solver import (
     spi_solve,
     split_edges,
     _key_dtype,
-    _make_sub,
 )
 from solver_oracle import (
+    _make_sub,
     apply_m_edgewise,
     dense_centered,
     dense_spi_solve,
@@ -237,6 +237,21 @@ def test_baseline_with_a_2_to_the_32_key_bound_decodes_its_edges(n1, n2, dtype):
     assert sub.rows.tolist() == edges[order, 0].tolist() and sub.cols.tolist() == edges[order, 1].tolist()
     signs = power_iteration_baseline(BipartiteGraph(n1, n2, edges), 2, 0)
     assert len(signs) == n1 and np.isin(signs, [-1, 1]).all()
+
+
+def test_baseline_peaks_at_36_bytes_per_edge_above_its_graph():
+    # ~300k int32 edges: an (m, 2) int64 copy of the edges before the split
+    # peaked at 49 B per edge
+    g, _ = sample_bipartite_block(BlockModelParams(2000, 2000, 2.0, 0.075, 4))
+    assert g.edges.dtype == np.int32
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        power_iteration_baseline(g, 3, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - held) / g.num_edges <= 36
 
 
 def test_split_traced_peak_is_no_higher_than_the_int64_split():
