@@ -8,6 +8,7 @@ zeroed runtime column unless --timing wall is passed).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -116,6 +117,7 @@ def _emit(args, text: str):
         print(text)
 
 
+@functools.cache  # parsing leaves the parser as it was, so a process builds it once
 def _build_parser() -> _Parser:
     parser = _Parser(prog="planted", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="command", required=True)

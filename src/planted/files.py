@@ -142,13 +142,16 @@ _WRITE_CHUNK = 1 << 16
 # line: small enough that a block's text and byte masks stay in L2 cache.
 _READ_BLOCK = 1 << 18
 
-# The non-digit bytes of an edge line exactly as write_sbm writes it,
-# {"i":<i>,"j":<j>}\n. Ids of at most 18 digits fit int64; read_sbm parses
-# such lines in bulk and sends longer ids and every other line through json.
-_EDGE_LINE = np.frombuffer(b'{"i":,"j":}\n', dtype=np.uint8)
+# An edge line exactly as write_sbm writes it, {"i":<i>,"j":<j>}\n, with its
+# digits deleted. read_sbm parses the lines whose ids have at most 18 digits,
+# which fit int64, in bulk, and sends longer ids and every other line through
+# json.
+_EDGE_LINE = b'{"i":,"j":}\n'
 _MAX_BULK_DIGITS = 18
-# The bytes of _EDGE_LINE that a canonical line holds once each, in order.
-_ANCHORS = _EDGE_LINE[[4, 5, 9, 10, 11]]
+# _EDGE_LINE as the two little-endian words that start at its bytes 0 and 4.
+_EDGE_WORDS = tuple(int.from_bytes(_EDGE_LINE[at : at + 8], "little") for at in (0, 4))
+# _TOP[d] keeps the top d bytes of a little-endian word, 0 <= d <= 8.
+_TOP = np.array([(2**64 - 1) ^ (2 ** (64 - 8 * d) - 1) for d in range(9)], dtype=np.uint64)
 # 10, 100, ..., 10^18: an id v >= 0 has 1 + (number of these <= v) digits.
 _POW10 = 10 ** np.arange(1, 19, dtype=np.int64)
 
@@ -197,6 +200,7 @@ def _edge_lines(edges: np.ndarray) -> np.ndarray:
     """The canonical lines of a nonempty (k, 2) array of nonnegative ids, as
     one uint8 buffer."""
     digits = np.searchsorted(_POW10, edges, side="right") + 1
+    template = np.frombuffer(_EDGE_LINE, dtype=np.uint8)
     width = int(digits.max())
     # row c holds byte c of every line, each line padded to the widest id as
     # {"i":<width>,"j":<width>}\n with both ids right-aligned; the rows are
@@ -205,14 +209,14 @@ def _edge_lines(edges: np.ndarray) -> np.ndarray:
     keep = np.ones(text.shape, dtype=bool)
     for side in range(2):
         at = side * (width + 5)
-        text[at : at + 5] = _EDGE_LINE[5 * side : 5 * side + 5, None]
+        text[at : at + 5] = template[5 * side : 5 * side + 5, None]
         values = edges[:, side]
         for k in range(width):  # from the last digit backwards
             quot = values // 10
             text[at + 4 + width - k] = values - quot * 10 + 48
             keep[at + 4 + width - k] = digits[:, side] > k
             values = quot
-    text[-2:] = _EDGE_LINE[10:, None]
+    text[-2:] = template[10:, None]
     return text.T[keep.T]
 
 
@@ -259,49 +263,74 @@ def _first_repeat(edges: np.ndarray, n1: int, n2: int) -> int | None:
     return int(order[~_run_starts(key[order])].min())
 
 
+def _words(data) -> np.ndarray:
+    """The little-endian uint64 that starts at each byte of ``data`` with 8
+    bytes to go, as an unaligned read-only view."""
+    return np.ndarray((max(len(data) - 7, 0),), dtype="<u8", buffer=data, strides=(1,))
+
+
+def _eight_digits(word: np.ndarray, digits: np.ndarray) -> np.ndarray:
+    """``word``, little-endian uint64 of decimal text, turned in place into the
+    value of the top min(``digits``, 8) bytes of each, the top byte the least
+    significant digit: the SWAR parse of Langdale and Lemire, "Parsing
+    gigabytes of JSON per second", on the word masked to those bytes."""
+    word ^= 0x3030303030303030  # '0'..'9' to 0..9
+    word &= _TOP[np.minimum(digits, 8)]
+    word *= 10 * 2**8 + 1  # byte pairs into 2-digit values
+    word >>= 8
+    word &= 0x00FF00FF00FF00FF
+    word *= 100 * 2**16 + 1  # then 4-digit values
+    word >>= 16
+    word &= 0x0000FFFF0000FFFF
+    word *= 10**4 * 2**32 + 1  # then the 8-digit value
+    word >>= 32
+    return word
+
+
 def _canonical_edges(buf: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The line breaks of ``buf``, uint8 bytes of whole lines that each end in
     one, and its canonical edge lines: their indices among its lines, in
     order, and their (k, 2) int64 ids. A line is canonical when it is exactly
     ``{"i":<i>,"j":<j>}`` with ids of 1 to 18 digits and no leading zero.
 
-    Such a line holds each of ``_ANCHORS`` once, in that order, so one scan
-    for those bytes finds the candidates, and every other byte sits at a
-    fixed offset from an anchor. The arrays are position-major: row r of a
-    (5, k) array holds anchor r of every candidate."""
-    at = np.flatnonzero((buf == 58) | (buf == 44) | (buf == 125) | (buf == 10))  # ':' ',' '}' break
-    anchors = buf[at]
-    breaks = np.flatnonzero(anchors == 10)  # index into `at` of each line break
-    ends = at[breaks]
-    lines = np.flatnonzero(np.diff(breaks, prepend=-1) == len(_ANCHORS))
-    idx = breaks[lines] + np.arange(1 - len(_ANCHORS), 1)[:, None]
-    pos = at[idx]
-    colon, comma, colon2, brace, end = pos
-    start = np.where(lines > 0, ends[lines - 1] + 1, 0)
-    ok = (anchors[idx[:-1]] == _ANCHORS[:-1, None]).all(axis=0)
-    # '{"i"' opens the line up to the first colon, '"j"' fills the comma to
-    # the second, and the break follows the brace
-    ok &= (colon - start == 4) & (colon2 - comma == 4) & (end - brace == 1)
-    ok &= (buf[colon + np.arange(-4, 0)[:, None]] == _EDGE_LINE[:4, None]).all(axis=0)
-    ok &= (buf[comma + np.arange(1, 4)[:, None]] == _EDGE_LINE[6:9, None]).all(axis=0)
-    first = pos[0:4:2] + 1  # (2, k): first digit of i and of j
-    last = pos[1:4:2] - 1
-    digits = last - first + 1
-    ok &= ((digits >= 1) & (digits <= _MAX_BULK_DIGITS)).all(axis=0)
+    With its digits deleted a canonical line is ``_EDGE_LINE``; that, a colon
+    4 bytes past the line's start and past its one comma, and a ``}`` just
+    before its break leave digits only in the two id slots. Their lengths
+    follow from the start, the comma and the break, and each id is read from
+    the 8-byte words that end at its last digit. The arrays are
+    position-major: row 0 of a (2, k) array is about i, row 1 about j."""
+    ends = np.flatnonzero(buf == 10)
+    starts = np.concatenate(([0], ends + 1))[:-1]
+    # 7 bytes in front, so that each id has 8 bytes that end at its last
+    # digit; the pad is digits, which the skeleton drops
+    text = b"0000000" + buf.data
+    skeleton = text.translate(None, b"0123456789")
+    if skeleton == _EDGE_LINE * len(ends):  # every line a candidate
+        lines, start, end = np.arange(len(ends)), starts, ends
+        comma = np.flatnonzero(buf == 44)
+    else:  # the lines whose own skeleton is _EDGE_LINE
+        tails = np.flatnonzero(np.frombuffer(skeleton, dtype=np.uint8) == 10)
+        lines = np.flatnonzero(np.diff(tails, prepend=-1) == len(_EDGE_LINE))
+        at = tails[lines] + 1 - len(_EDGE_LINE)
+        form = _words(skeleton)
+        lines = lines[(form[at] == _EDGE_WORDS[0]) & (form[at + 4] == _EDGE_WORDS[1])]
+        start, end = starts[lines], ends[lines]
+        comma = np.flatnonzero(buf == 44)
+        comma = comma[np.searchsorted(comma, start)]  # the line's one comma
+    ok = (buf[start + 4] == 58) & (buf[comma + 4] == 58) & (buf[end - 1] == 125)  # ':' ':' '}'
+    last = np.stack((comma - 1, end - 2))  # each id's last digit
+    digits = last - np.stack((start + 4, comma + 4))
+    lead = buf[last + 1 - digits]  # each id's first digit, if it has one
+    ok &= ((digits >= 1) & (digits <= _MAX_BULK_DIGITS) & ((lead != 48) | (digits == 1))).all(axis=0)
     if not ok.all():
-        lines, first, last, digits = lines[ok], first[:, ok], last[:, ok], digits[:, ok]
-    ids = np.zeros(first.shape, dtype=np.int64)
-    good = np.ones(first.shape, dtype=bool)
-    for k in range(digits.max(initial=0)):  # Horner's rule, one digit column at a time
-        d = buf[np.minimum(first + k, last)] - 48  # uint8: every non-digit byte wraps past 9
-        good &= d <= 9
-        if k == 0:
-            good &= (d > 0) | (digits == 1)  # no leading zero
-        ids = np.where(k < digits, ids * 10 + d, ids)
-    ok = good.all(axis=0)
-    if not ok.all():
-        lines, ids = lines[ok], ids[:, ok]
-    return ends, lines, ids.T
+        lines, last, digits = lines[ok], last[:, ok], digits[:, ok]
+    words = _words(text)  # word L ends at byte L of buf
+    ids = _eight_digits(words[last], digits)
+    for shift in (8, 16):  # the digits of longer ids, 8 at a time
+        long = digits > shift
+        if long.any():
+            ids[long] += _eight_digits(words[last[long] - shift], digits[long] - shift) * 10**shift
+    return ends, lines, ids.view(np.int64).T
 
 
 def _sbm_header(line: str, where: str, path) -> dict:

@@ -2,6 +2,7 @@
 import builtins
 import contextlib
 import gc
+import hashlib
 import io
 import json
 import math
@@ -24,10 +25,12 @@ from planted.cli import _sweep_spec_from_config, main
 from planted.fourier import distribution_complexity
 from planted.harness import SweepSpec, solve_goldreich_end_to_end
 from planted.instances import (
+    BlockModelParams,
     PlantingDistribution,
     majority_predicate,
     noisy_xor_weights,
     parity_predicate,
+    sample_bipartite_block,
     sample_goldreich,
     sample_planted_csp,
     sat_clause_weights,
@@ -49,6 +52,43 @@ def test_gen_sbm_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
     data = files.read_sbm(a)
     assert data.graph.n1 == 100 and data.truth is not None
+
+
+def _sha(*parts) -> str:
+    """The first 16 hex digits of the sha256 of byte strings and of arrays
+    with their dtypes."""
+    h = hashlib.sha256()
+    for part in parts:
+        if not isinstance(part, bytes):
+            h.update(part.dtype.str.encode())
+            part = np.ascontiguousarray(part).tobytes()
+        h.update(part)
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("seed, digests", [
+    (3, ("daf0270438ac9234", "5a69b8d42c3e2de4", "774a31d8f55d6d7c", "8f7f30cfd0461795")),
+    (11, ("c18282529646d9c6", "3795c47501465192", "1c9f1ffb30c335ec", "e0dea3beab06d767")),
+])
+def test_block_model_path_keeps_its_per_seed_digests(tmp_path, seed, digests):
+    # the block sampler, the split and the iterations, the file writer, and
+    # the reader behind `planted solve`, on a file of three read blocks
+    graph, truth = sample_bipartite_block(BlockModelParams(300, 300, 1.8, 0.5, seed))
+    res = spi_solve(graph, SolverConfig(seed=seed + 1))
+    f, out = tmp_path / "g.jsonl", tmp_path / "s.json"
+    assert _run("gen-sbm", "--n1", "300", "--n2", "300", "--delta", "1.8", "--p", "0.5",
+                "--seed", str(seed), "-o", str(f), "-q") == 0
+    assert _run("solve", "-i", str(f), "--seed", str(seed + 1), "-o", str(out), "-q") == 0
+    assert f.stat().st_size > 2 * files._READ_BLOCK
+    solve = json.loads(out.read_text())
+    assert solve["status"] == "ok" and solve["overlap"] == 1.0
+    # the truth traces are float sums: rounded, so that a platform whose
+    # summation differs in the last bits keeps the digest
+    for key in ("U_trace", "V_trace"):
+        solve[key] = [round(x, 9) for x in solve[key]]
+    got = (_sha(graph.edges, truth.u, truth.v), _sha(res.signs, np.array([res.ops_edge_touches])),
+           _sha(f.read_bytes()), _sha(json.dumps(solve).encode()))
+    assert got == digests
 
 
 def test_analyze_q_uniform_reports_inf(tmp_path, capsys):

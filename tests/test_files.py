@@ -4,6 +4,7 @@ canonical file and on valid variants of it. Constraint files against pinned
 bytes."""
 import dataclasses
 import json
+import random
 import re
 import tracemalloc
 from unittest import mock
@@ -208,6 +209,80 @@ def test_bulk_parser_takes_exactly_the_canonical_lines(block):
     assert ends.tolist() == [m.start() for m in re.finditer(b"\n", block)]
     assert canon.tolist() == [k for k, _ in want]
     assert ids.dtype == np.int64 and ids.tolist() == [list(edge) for _, edge in want]
+
+
+def _assert_bulk_parse_matches_oracle(block: bytes, shortcut: bool):
+    """``_canonical_edges`` takes exactly the lines ``canonical_edge`` takes,
+    with their ids; ``shortcut`` says whether the block's skeleton, its bytes
+    without digits, is ``_EDGE_LINE`` once a line, the parser's whole-block
+    shortcut."""
+    lines = block.split(b"\n")[:-1]
+    assert (block.translate(None, b"0123456789") == files._EDGE_LINE * len(lines)) is shortcut
+    want = [(k, ids) for k, line in enumerate(lines) if (ids := files_oracle.canonical_edge(line)) is not None]
+    ends, canon, ids = files._canonical_edges(np.frombuffer(block, dtype=np.uint8))
+    assert ends.tolist() == [m.start() for m in re.finditer(b"\n", block)]
+    assert canon.tolist() == [k for k, _ in want]
+    assert ids.dtype == np.int64 and ids.tolist() == [list(edge) for _, edge in want]
+
+
+def _ids_of_width(width: int) -> list[int]:
+    """The smallest and largest ids of ``width`` decimal digits, and some
+    between them: inner zeros, all ten digits, and random ones."""
+    low, high = (0 if width == 1 else 10 ** (width - 1)), 10**width - 1
+    rng = random.Random(width)
+    return [low, high, low + 9, int("9876543210123456789"[:width]), *(rng.randint(low, high) for _ in range(3))]
+
+
+_RECORD = b'{"j": 1, "i": 2}\n'  # a line the bulk parser leaves to json
+
+
+@pytest.mark.parametrize("shortcut", [True, False], ids=["all-canonical", "with-a-record"])
+@pytest.mark.parametrize("width", range(1, 20))
+def test_bulk_parser_reads_ids_of_every_width(width, shortcut):
+    # ids of 1 to 18 digits are parsed in 8-digit words: 8/9 and 16/17 digits
+    # are where a second and a third word start, and ids of 19 digits are left
+    # to json; each width meets every other in both slots of a line
+    others = [i for w in range(1, 20) for i in _ids_of_width(w)[:2]]
+    lines = [b'{"i":%d,"j":%d}\n' % pair for i in _ids_of_width(width) for j in others for pair in ((i, j), (j, i))]
+    if not shortcut:
+        lines.insert(len(lines) // 2, _RECORD)
+    block = b"".join(lines)
+    _assert_bulk_parse_matches_oracle(block, shortcut)
+
+
+# a digit put before each byte of a canonical line and after its last: in
+# the id slots the line stays canonical, anywhere else only the skeleton does
+_DIGIT_PUT_IN = [b'{"i":1,"j":2}'[:at] + b"7" + b'{"i":1,"j":2}'[at:] for at in range(14)]
+# the lines whose bytes without digits are _EDGE_LINE's
+_EDGE_SKELETON = [line for line in [*_NEAR_MISSES, *_DIGIT_PUT_IN]
+                  if (line + b"\n").translate(None, b"0123456789") == files._EDGE_LINE]
+
+
+@pytest.mark.parametrize("line", _EDGE_SKELETON, ids=[line.decode() for line in _EDGE_SKELETON])
+@pytest.mark.parametrize("shortcut", [True, False], ids=["all-canonical", "with-a-record"])
+def test_lines_with_the_edge_skeleton_parse_as_the_oracle_says(line, shortcut):
+    # among canonical lines the block's skeleton is _EDGE_LINE once a line,
+    # so only the slot and digit checks can tell the line apart
+    around = b'{"i":4,"j":5}\n{"i":123,"j":45678}\n'
+    block = around + line + b"\n" + (around if shortcut else _RECORD + around)
+    _assert_bulk_parse_matches_oracle(block, shortcut)
+
+
+def test_one_block_of_canonical_lines_peaks_below_3_mib_above_its_input():
+    # 256 KiB of short lines, ~14.8k of them: the parser's temporaries and
+    # its result come to about 2.2 MiB
+    edges = np.random.default_rng(0).integers(0, 1000, size=(40_000, 2))
+    text = files._edge_lines(edges).tobytes()
+    buf = np.frombuffer(text[: text.index(b"\n", files._READ_BLOCK) + 1], dtype=np.uint8)
+    tracemalloc.start()
+    try:
+        ends, canon, ids = files._canonical_edges(buf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(canon) == len(ends) > 14_000
+    assert np.array_equal(ids, edges[: len(ends)])
+    assert peak <= 3 * 2**20
 
 
 def test_read_sbm_traced_peak_per_edge(tmp_path):
