@@ -11,8 +11,12 @@ implicitly:
         the full vector being yhat - q L everywhere;
     x' = (A - qJ) y   expands to  A yhat - q (sum yhat) - q L deg + q^2 L n2,
 
-so one iteration costs O(edges + support + n1) regardless of n2: no array
-the solver allocates has n2 entries. The split holds one sorted packed key
+so one iteration costs O(edges + support + n1) regardless of n2. A right
+vertex of one sub-graph is found in the previous one's support by its id in
+a table of one int32 slot per right vertex, and the right-side truth trace
+gathers from 1-byte labels, only when n2 is at most the edge count; when
+n2 is larger the vertex is found by binary search, and no array the solver
+allocates has n2 entries. The split holds one sorted packed key
 per edge, and each read of a sub-graph decodes it anew from its slice of
 those keys, so the solve, which uses each sub-graph once, holds the keys
 and one pair of decoded sub-graphs at a time.
@@ -29,7 +33,7 @@ import numpy as np
 
 from .instances import (
     _CHUNK_ROWS, _INT64_MAX, BipartiteGraph, PlantedCspInstance, _is_number, _key_dtype, _number_list, _ranks,
-    _run_starts,
+    _run_starts, _seed,
 )
 from .reduction import _check_clauses, _sign_or_coin
 
@@ -51,6 +55,7 @@ __all__ = [
 
 # Any intermediate with norm below this aborts the solve.
 NORM_ABORT = 1e-12
+_INT32_MAX = 2**31 - 1
 
 
 class SolverError(RuntimeError):
@@ -238,15 +243,47 @@ def right_dot(
     return _dot(yhat.values, dense[yhat.support].astype(np.float64)) - q * L * dense_sum
 
 
-def _lookup(yhat: SparseRightVec, sub: SubGraph) -> np.ndarray:
+class _SlotTable:
+    """One int32 slot per right vertex, to find the vertices of one support in
+    another by id. Each ``find`` stamps the slots of the keys base+1, base+2,
+    ... and moves the base past them, so a slot an earlier find stamped reads
+    at most the base and no pass zeroes the table; the table is zeroed anew
+    only when the stamps would pass int32. Keys are unique ids below the
+    table's length, which must be below 2^31."""
+
+    def __init__(self, n2: int):
+        self._slots = np.zeros(n2, dtype=np.int32)
+        self._base = 0
+
+    def find(self, keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
+        """1 + the index in ``keys`` of each query present there; 0 or less
+        for each absent one."""
+        if self._base > _INT32_MAX - len(keys):
+            self._slots[:] = 0
+            self._base = 0
+        base = self._base
+        np.put(self._slots, keys, np.arange(base + 1, base + len(keys) + 1, dtype=np.int32))
+        self._base += len(keys)
+        pos = np.take(self._slots, queries)
+        pos -= base
+        return pos
+
+
+def _lookup(yhat: SparseRightVec, sub: SubGraph, slots: _SlotTable | None = None) -> np.ndarray:
     """yhat's value at each edge's right endpoint (0 off yhat's support),
-    looked up once per support vertex of ``sub`` and expanded to its edges."""
+    looked up once per support vertex of ``sub`` and expanded to its edges.
+    Each vertex is found in yhat's support by its id in ``slots`` when given,
+    else by binary search; both give the same values and zeros."""
     if len(yhat.support) == 0:
         return np.zeros(sub.num_edges)
-    pos = np.searchsorted(yhat.support, sub.support)
-    np.minimum(pos, len(yhat.support) - 1, out=pos)
-    hit = yhat.support[pos] == sub.support
-    return np.where(hit, yhat.values[pos], 0.0)[sub.col_rank]
+    if slots is None:
+        pos = np.searchsorted(yhat.support, sub.support)
+        np.minimum(pos, len(yhat.support) - 1, out=pos)
+        hit = yhat.support[pos] == sub.support
+        return np.where(hit, yhat.values[pos], 0.0)[sub.col_rank]
+    # a 0.0 in front of the values, which every absent vertex's position clips to
+    at = np.concatenate(([0.0], yhat.values)).take(slots.find(yhat.support, sub.support), mode="clip")
+    return at[sub.col_rank]
 
 
 def apply_m(
@@ -257,8 +294,18 @@ def apply_m(
         A yhat - q (sum yhat) 1 - q L (A 1) + q^2 L n2 1
 
     Cost is linear in the sub-graph's edges plus the support of yhat plus n1.
+    Each support vertex of the sub-graph is found in yhat's support by binary
+    search; ``spi_solve`` finds it by id in a slot table instead, when n2 is
+    at most the edges.
     """
-    vals_at_edges = _lookup(yhat, sub)
+    return _apply_m(sub, yhat, L, q, n2_nominal)
+
+
+def _apply_m(
+    sub: SubGraph, yhat: SparseRightVec, L: float, q: float, n2_nominal: int, slots: _SlotTable | None = None
+) -> np.ndarray:
+    """``apply_m``, with yhat found by id in ``slots`` when given."""
+    vals_at_edges = _lookup(yhat, sub, slots)
     n1 = len(sub.row_degrees)
     out = _weighted_bincount(sub.rows, vals_at_edges, n1)
     ssum = float(yhat.values.sum())
@@ -294,6 +341,7 @@ class SolverConfig:
         # NaN compares false and passes: the solve then reports "degenerate"
         if p is not None and (isinstance(p, bool) or not isinstance(p, numbers.Real) or p < 0.0 or p > 1.0):
             raise ValueError(f"p_override must be a number in [0, 1], got {p!r}")
+        _seed(self.seed)
 
     def resolve_T(self, n1: int) -> int:
         """T for n1 left vertices. Raises ``ValueError`` naming ``T_factor``
@@ -392,7 +440,7 @@ def spi_solve(
     if truth is not None:
         u = np.asarray(truth.u, dtype=np.float64)
         if len(truth.v) == n2:
-            v = truth.v  # read support-sized slices only; never copied whole
+            v = truth.v  # read support-sized slices only; copied only under the slot rule below
 
     def failed(ops: int) -> RecoveryResult:
         return RecoveryResult(None, "degenerate", None, [], None if v is None else [],
@@ -419,12 +467,19 @@ def spi_solve(
     v_trace: list[float] = []
     zs = np.empty((n_it, n1), dtype=np.int8)
     vsum = float(v.sum()) if v is not None else 0.0
+    slots = None
+    if n2 <= min(m, _INT32_MAX):
+        # a 4-byte slot and a 1-byte label per right vertex, only when n2 is at
+        # most the edges; the +/-1 labels gather 8 times fewer bytes as int8
+        slots = _SlotTable(n2)
+        if v is not None:
+            v = v.astype(np.int8)
 
     for i in range(n_it):
         first, second = split.subs[2 * i], split.subs[2 * i + 1]
         ops += first.num_edges + second.num_edges
         step = _power_step(
-            partial(apply_mt, first, q=q), partial(apply_m, second, q=q, n2_nominal=n2), x, q, n2
+            partial(apply_mt, first, q=q), partial(_apply_m, second, q=q, n2_nominal=n2, slots=slots), x, q, n2
         )
         if step is None:
             return failed(ops)

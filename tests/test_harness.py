@@ -1,4 +1,6 @@
 """End-to-end pipeline and sweep tests."""
+import hashlib
+import json
 import math
 from dataclasses import replace
 
@@ -42,6 +44,37 @@ def test_end_to_end_noisy_2xor():
     assert rep.delta == pytest.approx(1.9)
     assert rep.overlap == 1.0
     assert rep.solver is not None and rep.solver.ok
+
+
+def _sha(*parts) -> str:
+    """The first 16 hex digits of the sha256 of byte strings and of arrays
+    with their dtypes."""
+    h = hashlib.sha256()
+    for part in parts:
+        if not isinstance(part, bytes):
+            h.update(part.dtype.str.encode())
+            part = np.ascontiguousarray(part).tobytes()
+        h.update(part)
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("seed, digests", [
+    (3, ("51c7218c5b882707", "375d6e11ef562cff")),
+    (11, ("be7ae086d6432123", "e2b78991b00b96ff")),
+])
+def test_csp_route_keeps_its_per_seed_digests(seed, digests):
+    # the reduction's edges, and the reduce-split-iterate-decode stream behind
+    # solve_csp_end_to_end, on noisy 3-XOR with n = 60 (95k clauses)
+    n, q = 60, noisy_xor_weights(3, 0.8)
+    inst = sample_planted_csp(q, n, math.floor(50 * n**1.5 * math.log(n)), seed)
+    reduced = csp_to_bipartite(inst, distribution_complexity(q), seed=seed + 1)
+    assignment, rep = solve_csp_end_to_end(inst, q, seed=seed + 1, config=SolverConfig(T_factor=6.0))
+    report = rep.to_dict()
+    assert report["status"] == "ok" and report["overlap"] == 1.0
+    # the truth trace is a float sum: rounded, so that a platform whose
+    # summation differs in the last bits keeps the digest
+    report["solver"]["U_trace"] = [round(x, 9) for x in report["solver"]["U_trace"]]
+    assert (_sha(reduced.graph.edges), _sha(json.dumps(report).encode(), assignment)) == digests
 
 
 def test_end_to_end_majority_route():

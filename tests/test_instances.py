@@ -37,6 +37,7 @@ from planted.instances import (
     uniform_weights,
 )
 from planted.fourier import predicate_lowest_degree
+from planted.solver import SolverConfig
 
 
 # ---------------------------------------------------------------------------
@@ -808,6 +809,28 @@ def test_pattern_index_matches_reference(shape, seed):
     got, want = pattern_index(z), instances_oracle.pattern_index(z)
     assert type(got) is type(want)
     _assert_same(np.asarray(got), np.asarray(want))
+
+
+_SEEDED = {
+    "SolverConfig": lambda seed: SolverConfig(seed=seed),
+    "sample_bipartite_block": lambda seed: sample_bipartite_block(BlockModelParams(20, 20, 1.8, 0.3, seed)),
+    "sample_planted_csp": lambda seed: sample_planted_csp(noisy_xor_weights(3, 0.8), 10, 20, seed),
+    "sample_goldreich": lambda seed: sample_goldreich(parity_predicate(3), 10, 20, seed),
+}
+
+
+@pytest.mark.parametrize("entry", _SEEDED)
+@pytest.mark.parametrize("seed", [None, True, -1, 1.5, "3"], ids=repr)
+def test_seeded_entry_points_reject_a_seed_that_is_not_a_non_negative_integer(entry, seed):
+    # None would draw fresh entropy, so two calls would give two instances
+    with pytest.raises(ValueError, match=r"seed must be a non-negative integer, got "):
+        _SEEDED[entry](seed)
+
+
+@pytest.mark.parametrize("entry", _SEEDED)
+def test_seeded_entry_points_take_integers_of_any_size_and_numpy_ints(entry):
+    _SEEDED[entry](2**70)
+    _SEEDED[entry](np.uint32(5))
 
 
 def test_block_params_reject_sizes_past_int64():

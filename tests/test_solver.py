@@ -40,9 +40,13 @@ from planted.solver import (
     right_norm,
     spi_solve,
     split_edges,
+    _INT32_MAX,
     _key_dtype,
+    _lookup,
+    _SlotTable,
 )
 from solver_oracle import (
+    _lookup_edgewise,
     _make_sub,
     apply_m_edgewise,
     dense_centered,
@@ -428,6 +432,46 @@ def test_apply_m_support_lookup_equals_edgewise_lookup(case):
     assert np.array_equal(got, apply_m_edgewise(sub, yhat, L, q, n2))
 
 
+@st.composite
+def slot_lookups(draw):
+    """(n2, first base, [(yhat, sub-graph), ...]): lookups to run in a row on
+    one slot table. Each yhat's support is empty, the sub-graph's own,
+    disjoint from it or interleaved with it, and ids 0 and n2 - 1 are drawn
+    often. A first base near 2^31 makes the table zero itself mid-run."""
+    n1, n2 = 3, draw(st.integers(1, 40))
+    ids = st.one_of(st.sampled_from([0, n2 - 1]), st.integers(0, n2 - 1))
+    vals = st.floats(-4.0, 4.0, allow_nan=False)
+    lookups = []
+    for _ in range(draw(st.integers(1, 6))):
+        cols = sorted(draw(st.sets(ids, min_size=1)))
+        edges = [(r, c) for c in cols for r in sorted(draw(st.sets(st.integers(0, n1 - 1), min_size=1)))]
+        edges = np.array(edges, dtype=np.int64)
+        sub = _make_sub(n1, edges[:, 0], edges[:, 1])
+        kind = draw(st.sampled_from(["empty", "identical", "disjoint", "interleaved"]))
+        ysupp = {"empty": set(), "identical": set(cols)}.get(kind)
+        if kind == "disjoint":
+            ysupp = draw(st.sets(ids)) - set(cols)
+        elif kind == "interleaved":
+            ysupp = set(cols[::2]) | (draw(st.sets(ids)) - set(cols))
+        ysupp = sorted(ysupp)
+        values = draw(st.lists(vals, min_size=len(ysupp), max_size=len(ysupp)))
+        lookups.append((SparseRightVec(np.array(ysupp, dtype=np.int64), np.array(values)), sub))
+    return n2, draw(st.one_of(st.just(0), st.integers(_INT32_MAX - 40, _INT32_MAX))), lookups
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=slot_lookups())
+def test_slot_table_lookups_equal_binary_search_and_edgewise_lookup(case):
+    n2, base, lookups = case
+    slots = _SlotTable(n2)
+    slots._base = base
+    for yhat, sub in lookups:
+        got = _lookup(yhat, sub, slots)
+        assert got.dtype == np.float64
+        assert got.tobytes() == _lookup(yhat, sub).tobytes()
+        assert np.array_equal(got, _lookup_edgewise(yhat, sub.cols))
+
+
 # ---------------------------------------------------------------------------
 # Subsampled power iteration
 # ---------------------------------------------------------------------------
@@ -569,6 +613,7 @@ def test_spi_lopsided_never_allocates_right_side():
     (100, 10**5, 0.0569, np.uint32),  # m = 569k
     (600, 600, 0.5, np.uint32),  # m = 180k
     (100, 10**6, 0.003, np.int64),  # m = 300k
+    (100, 10**6, 0.018, np.int64),  # m = 1.8M, n2 <= m: a slot and an int8 label per right vertex
 ])
 def test_spi_solve_holds_one_sorted_key_per_edge(n1, n2, p, dtype):
     # the split holds its sorted keys, 4 or 8 B per edge, and the loop
