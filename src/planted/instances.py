@@ -90,14 +90,13 @@ def _signs(x, message: str, length: int | None = None, dtype: type = np.int64) -
     return a if a.dtype in (dtype, np.int64) else a.astype(dtype)
 
 
-def _seed(seed) -> int:
-    """``seed`` when it is a non-negative integer, a Python or numpy int of any
-    size but not a bool; ``ValueError`` naming ``seed`` otherwise. ``None``
-    would draw fresh entropy in ``SeedSequence`` and -1 or 1.5 fail only
-    inside numpy, so every seeded entry point checks its seed here first."""
+def _check_seed(seed) -> None:
+    """``ValueError`` naming ``seed`` unless it is a non-negative integer, a
+    Python or numpy int of any size but not a bool. ``None`` would draw fresh
+    entropy in ``SeedSequence`` and -1 or 1.5 fail only inside numpy, so every
+    seeded entry point checks its seed here first."""
     if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-    return seed
 
 
 def _predicate_table(table, k: int | None = None) -> tuple[np.ndarray, int]:
@@ -266,7 +265,7 @@ class BlockModelParams:
             raise ValueError("n1 * n2 must not exceed the int64 maximum")
         if require_even and (self.n1 % 2 or self.n2 % 2):
             raise ValueError("n1 and n2 must be even to draw a balanced partition")
-        _seed(self.seed)
+        _check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -655,7 +654,7 @@ def sample_planted_csp(
         raise ValueError("need n >= k")
     if m < 0:
         raise ValueError(f"m must be nonnegative, got {m}")
-    _seed(seed)
+    _check_seed(seed)
     w = q_dist.weights
     wmax = float(w.max())
     sig_ss, tuple_ss, sign_ss, uniform_ss = np.random.SeedSequence(seed).spawn(4)
@@ -703,7 +702,7 @@ def sample_goldreich(
         raise ValueError("need n >= k")
     if m < 0:
         raise ValueError(f"m must be nonnegative, got {m}")
-    _seed(seed)
+    _check_seed(seed)
     sig_ss, tup_ss = np.random.SeedSequence(seed).spawn(2)
     sigma = np.random.default_rng(sig_ss).integers(0, 2, size=n) * 2 - 1
     proposals = _proposals(n, k, np.random.default_rng(tup_ss))

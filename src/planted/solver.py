@@ -33,7 +33,7 @@ import numpy as np
 
 from .instances import (
     _CHUNK_ROWS, _INT64_MAX, BipartiteGraph, PlantedCspInstance, _is_number, _key_dtype, _number_list, _ranks,
-    _run_starts, _seed,
+    _run_starts, _check_seed,
 )
 from .reduction import _check_clauses, _sign_or_coin
 
@@ -341,7 +341,7 @@ class SolverConfig:
         # NaN compares false and passes: the solve then reports "degenerate"
         if p is not None and (isinstance(p, bool) or not isinstance(p, numbers.Real) or p < 0.0 or p > 1.0):
             raise ValueError(f"p_override must be a number in [0, 1], got {p!r}")
-        _seed(self.seed)
+        _check_seed(self.seed)
 
     def resolve_T(self, n1: int) -> int:
         """T for n1 left vertices. Raises ``ValueError`` naming ``T_factor``
