@@ -29,7 +29,7 @@ import numpy as np
 from .fourier import FourierReport
 from .instances import (
     _CHUNK_ROWS, BipartiteGraph, GoldreichInstance, HiddenPartition, PlantedCspInstance, _distinct, _ids_dtype,
-    _int64, _pack, _ranks, _sigma, _signs,
+    _check_seed, _int64, _pack, _ranks, _sigma, _signs,
 )
 
 __all__ = [
@@ -315,6 +315,7 @@ def csp_to_bipartite(
     edges independent at the cost of discarding constraints. ``epsilon``
     must lie in [0, 1] whatever the mode (``ValueError`` otherwise).
     """
+    _check_seed(seed)
     if not (isinstance(epsilon, numbers.Real) and 0.0 <= epsilon <= 1.0):  # NaN fails too
         raise ValueError(f"epsilon must be a number in [0, 1], got {epsilon!r}")
     if instance.n >= 2**62:  # n1 = 2n literals must fit int64, as the graph files require
@@ -373,6 +374,7 @@ def goldreich_to_bipartite(
     only value +1 constraints with all-positive literals. Either way the
     constraints become signed clauses reduced by ``csp_to_bipartite``.
     """
+    _check_seed(seed)
     if report.r == 0:
         raise ReductionError("constant predicate carries no information")
     if not report.identifiable:
@@ -400,6 +402,7 @@ def partition_to_assignment(result: np.ndarray, seed: int = 0) -> tuple[np.ndarr
     number of inconsistent literal pairs (both literals on the same side),
     a cheap quality diagnostic.
     """
+    _check_seed(seed)
     message = "expected a +1/-1 sign vector over 2n literals"
     result = _signs(result, message, np.size(result))
     if len(result) % 2:

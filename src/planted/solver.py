@@ -11,7 +11,8 @@ implicitly:
         the full vector being yhat - q L everywhere;
     x' = (A - qJ) y   expands to  A yhat - q (sum yhat) - q L deg + q^2 L n2,
 
-so one iteration costs O(edges + support + n1) regardless of n2. A right
+so one iteration costs O(edges + support + n1) regardless of n2, and one
+driver runs it for the subsampled solve and for the plain baseline alike. A right
 vertex of one sub-graph is found in the previous one's support by its id in
 a table of one int32 slot per right vertex, and the right-side truth trace
 gathers from 1-byte labels, only when n2 is at most the edge count; when
@@ -23,11 +24,11 @@ and one pair of decoded sub-graphs at a time.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -177,8 +178,12 @@ def split_edges(graph: BipartiteGraph, T: int, seed, p: float | None = None) -> 
     sub-graph t from its slice of those keys.
 
     The centering constant is q = p / T with p the given overall density or,
-    when omitted, the observed density m / (n1 n2).
+    when omitted, the observed density m / (n1 n2). ``seed`` is a
+    non-negative integer or a ``np.random.SeedSequence`` (``spi_solve``
+    passes one of its substreams).
     """
+    if not isinstance(seed, np.random.SeedSequence):
+        _check_seed(seed)
     if T < 2:
         raise ValueError("need T >= 2")
     subs = _sub_graphs(graph.n1, graph.n2, graph.edges, T, np.random.default_rng(seed))
@@ -295,8 +300,8 @@ def apply_m(
 
     Cost is linear in the sub-graph's edges plus the support of yhat plus n1.
     Each support vertex of the sub-graph is found in yhat's support by binary
-    search; ``spi_solve`` finds it by id in a slot table instead, when n2 is
-    at most the edges.
+    search; ``spi_solve`` and ``power_iteration_baseline`` find it by id in a
+    slot table instead, when n2 is at most the edges.
     """
     return _apply_m(sub, yhat, L, q, n2_nominal)
 
@@ -398,19 +403,46 @@ def _signs_of(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1, -1).astype(np.int8)
 
 
-def _power_step(forward, backward, x: np.ndarray, q: float, n2: int):
-    """One power-iteration round: y = forward(x) as (yhat, L), then
-    x' = backward(yhat, L) normalized. Returns (x', yhat, L, |y|), or None
-    when |y| or |x'| before normalization is below NORM_ABORT."""
-    yhat, L = forward(x)
-    ny = right_norm(yhat, L, q, n2)
-    if not ny >= NORM_ABORT:  # NaN-safe
-        return None
-    xu = backward(yhat, L)
-    nx = _norm(xu)
-    if not nx >= NORM_ABORT * max(ny, 1.0):
-        return None
-    return xu / nx, yhat, L, ny
+def _iterate(pairs, x: np.ndarray, q: float, n2: int, m: int, window: slice, u=None, v=None):
+    """The power iteration: each pair (first, second) of sub-graphs takes x
+    to (second - qJ)(first - qJ)^T x, normalized in between and after, and the
+    result is the majority of the iterates' signs over ``window``, a slice of
+    the iterate list. Given truth labels ``u`` (left, float) or ``v`` (right,
+    n2 entries), each iterate's correlation with them is traced. Returns
+    (signs, u_trace, v_trace, ops), v_trace None without ``v`` and ops 2m
+    (split and degrees) plus the edges of every pair taken; signs is None and
+    the traces empty when a norm falls below NORM_ABORT. n2 <= m, the graph's
+    edge count, gives the slot table and the int8 labels."""
+    u_trace, v_trace, zs = [], [], []
+    vsum = float(v.sum()) if v is not None else 0.0
+    slots = None
+    if n2 <= min(m, _INT32_MAX):
+        # a 4-byte slot and a 1-byte label per right vertex, only when n2 is at
+        # most the edges; the +/-1 labels gather 8 times fewer bytes as int8
+        slots = _SlotTable(n2)
+        if v is not None:
+            v = v.astype(np.int8)
+    ops = 2 * m
+    for first, second in pairs:
+        ops += first.num_edges + second.num_edges
+        yhat, L = apply_mt(first, x, q)
+        ny = right_norm(yhat, L, q, n2)
+        if not ny >= NORM_ABORT:  # NaN-safe
+            break
+        xu = _apply_m(second, yhat, L, q, n2, slots)
+        nx = _norm(xu)
+        if not nx >= NORM_ABORT * max(ny, 1.0):
+            break
+        x = xu / nx
+        if v is not None:
+            v_trace.append(right_dot(yhat, L, q, v, vsum) / ny)
+        if u is not None:
+            u_trace.append(_dot(u, x))
+        zs.append(_signs_of(x))
+    else:
+        signs = _signs_of(np.sum(zs[window], axis=0, dtype=np.int64)).astype(np.int64)
+        return signs, u_trace, None if v is None else v_trace, ops
+    return None, [], None if v is None else [], ops
 
 
 def spi_solve(
@@ -440,11 +472,7 @@ def spi_solve(
     if truth is not None:
         u = np.asarray(truth.u, dtype=np.float64)
         if len(truth.v) == n2:
-            v = truth.v  # read support-sized slices only; copied only under the slot rule below
-
-    def failed(ops: int) -> RecoveryResult:
-        return RecoveryResult(None, "degenerate", None, [], None if v is None else [],
-                              0, m, T, ops)
+            v = truth.v  # read support-sized slices only; copied only under the slot rule
 
     split_ss, x0_ss = np.random.SeedSequence(config.seed).spawn(2)
     if x0 is None:
@@ -456,48 +484,15 @@ def spi_solve(
             raise ValueError(f"x0 must have shape ({n1},) and a finite nonzero norm")
         x = x / norm
 
-    if m == 0:
-        return failed(0)
-
-    split = split_edges(graph, T, split_ss, p=config.p_override)
-    q = split.q
-    ops = 2 * m  # split assignment + per-sub degree pre-computation
-
-    u_trace: list[float] = []
-    v_trace: list[float] = []
-    zs = np.empty((n_it, n1), dtype=np.int8)
-    vsum = float(v.sum()) if v is not None else 0.0
-    slots = None
-    if n2 <= min(m, _INT32_MAX):
-        # a 4-byte slot and a 1-byte label per right vertex, only when n2 is at
-        # most the edges; the +/-1 labels gather 8 times fewer bytes as int8
-        slots = _SlotTable(n2)
-        if v is not None:
-            v = v.astype(np.int8)
-
-    for i in range(n_it):
-        first, second = split.subs[2 * i], split.subs[2 * i + 1]
-        ops += first.num_edges + second.num_edges
-        step = _power_step(
-            partial(apply_mt, first, q=q), partial(_apply_m, second, q=q, n2_nominal=n2, slots=slots), x, q, n2
-        )
-        if step is None:
-            return failed(ops)
-        x, yhat, L, ny = step
-        if v is not None:
-            v_trace.append(right_dot(yhat, L, q, v, vsum) / ny)
-        if u is not None:
-            u_trace.append(_dot(u, x))
-        zs[i] = _signs_of(x)
-
-    window = config.window_slice(n_it)
-    signs = _signs_of(zs[window].sum(axis=0, dtype=np.int64)).astype(np.int64)
-
-    ov = None
-    if u is not None:
-        ov = float(abs(signs @ u) / n1)
-    return RecoveryResult(signs, "ok", ov, u_trace, None if v is None else v_trace,
-                          n_it, m, T, ops)
+    signs, u_trace, v_trace, ops = None, [], None if v is None else [], 0
+    if m > 0:
+        split = split_edges(graph, T, split_ss, p=config.p_override)
+        subs = iter(split.subs)  # zipped with itself: consecutive pairs, each decoded once
+        signs, u_trace, v_trace, ops = _iterate(zip(subs, subs), x, split.q, n2, m, config.window_slice(n_it), u, v)
+    if signs is None:
+        return RecoveryResult(None, "degenerate", None, u_trace, v_trace, 0, m, T, ops)
+    ov = None if u is None else float(abs(signs @ u) / n1)
+    return RecoveryResult(signs, "ok", ov, u_trace, v_trace, n_it, m, T, ops)
 
 
 # ---------------------------------------------------------------------------
@@ -515,6 +510,7 @@ def majority_vote_r1(
     [0, n), a sign other than +1/-1 or a repeated variable, at any position,
     raises ``ReductionError``; the clauses are checked a block of rows at a
     time, as the reduction checks them."""
+    _check_seed(seed)
     subset = tuple(subset)
     if len(subset) != 1:
         raise ValueError("majority vote needs a single witness position")
@@ -530,23 +526,23 @@ def power_iteration_baseline(
     graph: BipartiteGraph, iterations: int, seed: int, p: float | None = None
 ) -> np.ndarray:
     """Plain power iteration on the full centered matrix (no subsampling):
-    x <- normalize(M M^T x). Returns the signs of the final iterate.
+    x <- normalize(M M^T x), on the solve's driver with the one sub-graph as
+    both halves of every pair. Returns the signs of the final iterate.
 
     When (delta-1)^2 p n1 < 1 (below the spectral barrier) the ~p n2 noise on
     the diagonal of the centered M M^T squeezes its top-two eigenvalue ratio to
     ~1 + (delta-1)^2 p n1, so O(log n1) products barely move the start."""
+    _check_seed(seed)
     if iterations < 1:
         raise ValueError("need iterations >= 1")
     n1, n2, m = graph.n1, graph.n2, graph.num_edges
     if m == 0:
         raise SolverError("graph has no edges")
-    q = _density(graph, p)
     sub = _sub_graphs(n1, n2, graph.edges, 1, None)[0]
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     x = (rng.integers(0, 2, size=n1) * 2 - 1) / math.sqrt(n1)
-    for _ in range(iterations):
-        step = _power_step(partial(apply_mt, sub, q=q), partial(apply_m, sub, q=q, n2_nominal=n2), x, q, n2)
-        if step is None:
-            raise SolverError("zero-norm iterate")
-        x = step[0]
-    return _signs_of(x).astype(np.int64)
+    # a vote over the last iterate alone is its signs
+    signs = _iterate(itertools.repeat((sub, sub), iterations), x, _density(graph, p), n2, m, slice(-1, None))[0]
+    if signs is None:
+        raise SolverError("zero-norm iterate")
+    return signs

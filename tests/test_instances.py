@@ -36,8 +36,10 @@ from planted.instances import (
     sat_clause_weights,
     uniform_weights,
 )
-from planted.fourier import predicate_lowest_degree
-from planted.solver import SolverConfig
+from planted.fourier import distribution_complexity, predicate_lowest_degree
+from planted.harness import solve_csp_end_to_end, solve_goldreich_end_to_end
+from planted.reduction import csp_to_bipartite, goldreich_to_bipartite, partition_to_assignment
+from planted.solver import SolverConfig, majority_vote_r1, power_iteration_baseline, split_edges
 
 
 # ---------------------------------------------------------------------------
@@ -811,11 +813,25 @@ def test_pattern_index_matches_reference(shape, seed):
     _assert_same(np.asarray(got), np.asarray(want))
 
 
+_GRAPH = sample_bipartite_block(BlockModelParams(20, 20, 1.8, 0.3, 0))[0]
+_XOR = noisy_xor_weights(3, 0.8)
+_CLAUSES = sample_planted_csp(_XOR, 10, 200, 0)
+_PARITY = sample_goldreich(parity_predicate(3), 10, 200, 0)
 _SEEDED = {
     "SolverConfig": lambda seed: SolverConfig(seed=seed),
     "sample_bipartite_block": lambda seed: sample_bipartite_block(BlockModelParams(20, 20, 1.8, 0.3, seed)),
     "sample_planted_csp": lambda seed: sample_planted_csp(noisy_xor_weights(3, 0.8), 10, 20, seed),
     "sample_goldreich": lambda seed: sample_goldreich(parity_predicate(3), 10, 20, seed),
+    "power_iteration_baseline": lambda seed: power_iteration_baseline(_GRAPH, 2, seed),
+    "split_edges": lambda seed: split_edges(_GRAPH, 4, seed),
+    "majority_vote_r1": lambda seed: majority_vote_r1(_CLAUSES, (0,), seed),
+    "partition_to_assignment": lambda seed: partition_to_assignment(np.array([1, -1, 1, 1]), seed),
+    "csp_to_bipartite": lambda seed: csp_to_bipartite(
+        _CLAUSES, distribution_complexity(_XOR), thinning="poisson", seed=seed),
+    "goldreich_to_bipartite": lambda seed: goldreich_to_bipartite(
+        _PARITY, predicate_lowest_degree(_PARITY.predicate), seed=seed),
+    "solve_csp_end_to_end": lambda seed: solve_csp_end_to_end(_CLAUSES, _XOR, seed=seed),
+    "solve_goldreich_end_to_end": lambda seed: solve_goldreich_end_to_end(_PARITY, seed=seed),
 }
 
 

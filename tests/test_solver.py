@@ -1,5 +1,6 @@
 """Solver tests: splitting, implicit products vs dense oracle, recovery,
 determinism, and the baselines."""
+import hashlib
 import json
 import math
 import os
@@ -543,9 +544,17 @@ def test_spi_rejects_a_bad_start_vector(x0):
 
 def test_spi_nan_iterate_is_degenerate():
     # a NaN density makes every iterate NaN, which no norm check may pass
-    g, _ = sample_bipartite_block(BlockModelParams(40, 40, 1.8, 0.3, 0))
-    res = spi_solve(g, SolverConfig(seed=0, p_override=math.nan))
+    g, part = sample_bipartite_block(BlockModelParams(40, 40, 1.8, 0.3, 0))
+    config = SolverConfig(seed=0, p_override=math.nan)
+    res = spi_solve(g, config)
     assert res.status == "degenerate" and res.signs is None
+    # with truth, the whole result: no iterate, empty traces, and the edges
+    # touched up to the first pair, whose first norm aborts
+    res = spi_solve(g, config, truth=part).to_dict()
+    subs = split_edges(g, res["T"], np.random.SeedSequence(0).spawn(2)[0]).subs
+    assert res["status"] == "degenerate" and res["signs"] is None and res["overlap"] is None
+    assert res["iterations"] == 0 and res["U_trace"] == [] and res["V_trace"] == []
+    assert res["ops_edge_touches"] == 2 * g.num_edges + subs[0].num_edges + subs[1].num_edges
 
 
 @pytest.mark.parametrize("p", [-0.5, 5.0, math.inf, -math.inf, True, "0.5"])
@@ -595,16 +604,22 @@ def test_dense_reference_matches_implicit():
         assert np.allclose(imp.v_trace, ref.v_trace, atol=1e-9)
 
 
+def _lopsided_and_wide():
+    """A lopsided block model (n1 = 64, n2 = 10^4) with its density p and
+    truth, and the same edges spread over n2 = 2^62 right vertices."""
+    n1, n2, delta = 64, 10_000, 1.8  # n2 > 100 * n1
+    p = 25 * math.log(n1) / ((delta - 1) ** 2 * math.sqrt(n1 * n2))
+    g, part = sample_bipartite_block(BlockModelParams(n1, n2, delta, p, 0))
+    return g, p, part, BipartiteGraph(n1, 2**62, g.edges * np.array([1, 2**62 // n2]))
+
+
 def test_spi_lopsided_never_allocates_right_side():
     # The same edges spread over n2 = 2^62 right vertices: an array with n2
     # entries cannot be allocated ("array is too big"), so a solve that
     # finishes has built nothing of size n2.
-    n1, n2, delta = 64, 10_000, 1.8  # n2 > 100 * n1
-    p = 25 * math.log(n1) / ((delta - 1) ** 2 * math.sqrt(n1 * n2))
-    g, part = sample_bipartite_block(BlockModelParams(n1, n2, delta, p, 0))
+    g, p, part, wide = _lopsided_and_wide()
     res = spi_solve(g, SolverConfig(seed=1, p_override=p), truth=part)
     assert res.overlap == 1.0
-    wide = BipartiteGraph(n1, 2**62, g.edges * np.array([1, 2**62 // n2]))
     res = spi_solve(wide, SolverConfig(seed=1))
     assert res.status == "ok" and res.iterations == res.T // 2
 
@@ -768,6 +783,25 @@ def test_power_iteration_baseline_trivial_dense():
     g, part = sample_bipartite_block(BlockModelParams(40, 40, 2.0, 0.5, 8))
     signs = power_iteration_baseline(g, iterations=10, seed=0, p=0.5)
     assert overlap(signs, part.u) == 1.0
+
+
+@pytest.mark.parametrize("case, digest", [
+    ("table", "4f838c3deced5923"),  # n2 = 300 <= m: right vertices found in the slot table
+    ("search", "335bdb97b8bd556b"),  # n2 = 20000 > m: found by binary search
+    ("wide", "9a78301694c2f8e2"),  # n2 = 2^62: binary search, nothing of size n2
+])
+def test_power_iteration_baseline_keeps_its_per_seed_digests(case, digest):
+    # digests taken with binary search on every graph: the slot table must
+    # give the same signs
+    if case == "wide":
+        graph, iterations = _lopsided_and_wide()[3], 5
+    else:
+        shape = (200, 300, 1.8, 0.3) if case == "table" else (60, 20_000, 1.8, 0.01)
+        graph, iterations = sample_bipartite_block(BlockModelParams(*shape, 2))[0], 6
+    assert (graph.n2 <= graph.num_edges) == (case == "table")
+    signs = power_iteration_baseline(graph, iterations, 3)
+    h = hashlib.sha256(signs.dtype.str.encode() + signs.tobytes())
+    assert h.hexdigest()[:16] == digest
 
 
 def test_power_iteration_baseline_errors():
