@@ -23,7 +23,6 @@ from .instances import (
     GoldreichInstance,
     PlantedCspInstance,
     PlantingDistribution,
-    _check_seed,
     _is_number,
     _number_list,
     overlap,
@@ -95,7 +94,6 @@ def _solve_clauses(
     the subsampled iteration, once per candidate witness, and the decoding
     with the fewest inconsistent literal pairs wins. ``instance`` may be None
     only when ``report`` is unidentifiable."""
-    _check_seed(seed)
     chosen, res, flips, bad = report, None, 0, 0
     if not report.identifiable:
         status, route, assignment = "unidentifiable", "none", None

@@ -484,11 +484,11 @@ def spi_solve(
             raise ValueError(f"x0 must have shape ({n1},) and a finite nonzero norm")
         x = x / norm
 
-    signs, u_trace, v_trace, ops = None, [], None if v is None else [], 0
-    if m > 0:
-        split = split_edges(graph, T, split_ss, p=config.p_override)
-        subs = iter(split.subs)  # zipped with itself: consecutive pairs, each decoded once
-        signs, u_trace, v_trace, ops = _iterate(zip(subs, subs), x, split.q, n2, m, config.window_slice(n_it), u, v)
+    if m == 0:
+        return RecoveryResult(None, "degenerate", None, [], None if v is None else [], 0, m, T, 0)
+    split = split_edges(graph, T, split_ss, p=config.p_override)
+    subs = iter(split.subs)  # zipped with itself: consecutive pairs, each decoded once
+    signs, u_trace, v_trace, ops = _iterate(zip(subs, subs), x, split.q, n2, m, config.window_slice(n_it), u, v)
     if signs is None:
         return RecoveryResult(None, "degenerate", None, u_trace, v_trace, 0, m, T, ops)
     ov = None if u is None else float(abs(signs @ u) / n1)
