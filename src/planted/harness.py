@@ -76,7 +76,7 @@ def _run_reduced(reduced, seed, config):
     res = spi_solve(reduced.graph, replace(config, seed=seed), truth=reduced.truth)
     if not res.ok:
         return None, res, 0
-    assignment, bad = partition_to_assignment(res.signs, seed=seed + 1)
+    assignment, bad = partition_to_assignment(res.signs, seed=int(seed) + 1)
     return assignment, res, bad
 
 

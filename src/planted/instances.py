@@ -234,14 +234,18 @@ class BipartiteGraph:
 
 @dataclass(frozen=True)
 class HiddenPartition:
-    """Ground-truth sign labels for the two vertex sets."""
+    """Ground-truth sign labels for the two vertex sets.
+
+    The +/-1 labels are int8, as the block sampler draws them: ``v`` has n2
+    entries, about as many as the edges when n2 >> n1. int8 or int64 arrays
+    are kept as given, without a copy; other inputs are cast to int8."""
 
     u: np.ndarray
     v: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "u", _signs(self.u, "u entries must be +/-1"))
-        object.__setattr__(self, "v", _signs(self.v, "v entries must be +/-1"))
+        object.__setattr__(self, "u", _signs(self.u, "u entries must be +/-1", dtype=np.int8))
+        object.__setattr__(self, "v", _signs(self.v, "v entries must be +/-1", dtype=np.int8))
 
 
 @dataclass(frozen=True)

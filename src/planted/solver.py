@@ -412,16 +412,10 @@ def _iterate(pairs, x: np.ndarray, q: float, n2: int, m: int, window: slice, u=N
     (signs, u_trace, v_trace, ops), v_trace None without ``v`` and ops 2m
     (split and degrees) plus the edges of every pair taken; signs is None and
     the traces empty when a norm falls below NORM_ABORT. n2 <= m, the graph's
-    edge count, gives the slot table and the int8 labels."""
+    edge count, gives the slot table."""
     u_trace, v_trace, zs = [], [], []
     vsum = float(v.sum()) if v is not None else 0.0
-    slots = None
-    if n2 <= min(m, _INT32_MAX):
-        # a 4-byte slot and a 1-byte label per right vertex, only when n2 is at
-        # most the edges; the +/-1 labels gather 8 times fewer bytes as int8
-        slots = _SlotTable(n2)
-        if v is not None:
-            v = v.astype(np.int8)
+    slots = _SlotTable(n2) if n2 <= min(m, _INT32_MAX) else None
     ops = 2 * m
     for first, second in pairs:
         ops += first.num_edges + second.num_edges
@@ -470,9 +464,11 @@ def spi_solve(
     n_it = T // 2
     u = v = None
     if truth is not None:
+        if len(truth.u) != n1:
+            raise ValueError(f"truth.u must have n1 = {n1} labels, got {len(truth.u)}")
         u = np.asarray(truth.u, dtype=np.float64)
         if len(truth.v) == n2:
-            v = truth.v  # read support-sized slices only; copied only under the slot rule
+            v = truth.v  # read as stored, in support-sized slices only
 
     split_ss, x0_ss = np.random.SeedSequence(config.seed).spawn(2)
     if x0 is None:

@@ -46,6 +46,14 @@ def test_end_to_end_noisy_2xor():
     assert rep.solver is not None and rep.solver.ok
 
 
+def test_a_numpy_seed_at_its_dtypes_top_decodes_as_its_python_int():
+    # the decode's coin takes seed + 1, which must not wrap to 0 in uint32
+    q = noisy_xor_weights(2, 0.9)
+    inst = sample_planted_csp(q, 60, int(100 * 60 * math.log(60)), seed=2)
+    config = SolverConfig(T_factor=3.0)
+    _same_solve(*(solve_csp_end_to_end(inst, q, seed=s, config=config) for s in (np.uint32(2**32 - 1), 2**32 - 1)))
+
+
 def _sha(*parts) -> str:
     """The first 16 hex digits of the sha256 of byte strings and of arrays
     with their dtypes."""

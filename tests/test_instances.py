@@ -519,8 +519,13 @@ def test_integer_valued_inputs_become_int64_and_int64_edges_are_not_copied():
     for e in ([[0.0, 1.0]], np.array([[0, 1]], dtype=np.int8), np.array([[0, 1]], dtype=np.uint64)):
         g = BipartiteGraph(2, 2, e)
         assert g.edges.dtype == np.int32 and g.edges.tolist() == [[0, 1]]
-    part = HiddenPartition(np.array([1, -1], dtype=np.int8), [1.0, -1.0])
-    assert part.u.dtype == part.v.dtype == np.int64 and part.u.tolist() == part.v.tolist() == [1, -1]
+    # +/-1 labels keep int8 or int64 as given, without a copy, and cast the rest to int8
+    labels = np.array([1, -1], dtype=np.int8)
+    part = HiddenPartition(labels, [1.0, -1.0])
+    assert part.u.dtype == part.v.dtype == np.int8 and part.u.tolist() == part.v.tolist() == [1, -1]
+    assert np.shares_memory(part.u, labels)
+    wide = np.array([1, -1], dtype=np.int64)
+    assert np.shares_memory(HiddenPartition(wide, wide).v, wide)
     csp = PlantedCspInstance(3, [1.0, -1.0, 1.0], [[0.0, 1.0, 2.0]], np.array([[1, -1, 1]], dtype=np.int8))
     for arr, want, dtype in (
         (csp.sigma, [1, -1, 1], np.int64), (csp.clause_vars, [[0, 1, 2]], np.int32), (csp.clause_signs, [[1, -1, 1]], np.int8)

@@ -20,6 +20,7 @@ from planted.fourier import distribution_complexity
 from planted.instances import (
     BipartiteGraph,
     BlockModelParams,
+    HiddenPartition,
     PlantedCspInstance,
     noisy_xor_weights,
     overlap,
@@ -542,6 +543,15 @@ def test_spi_rejects_a_bad_start_vector(x0):
         spi_solve(g, SolverConfig(seed=0), x0=x0)
 
 
+def test_spi_rejects_left_truth_of_the_wrong_length():
+    g, part = sample_bipartite_block(BlockModelParams(40, 40, 1.8, 0.3, 0))
+    with pytest.raises(ValueError, match="truth.u"):
+        spi_solve(g, SolverConfig(seed=0), truth=HiddenPartition(part.u[:38], part.v))
+    # right labels of neither 0 nor n2 entries only skip the right trace
+    res = spi_solve(g, SolverConfig(seed=0), truth=HiddenPartition(part.u, part.v[:38]))
+    assert res.ok and res.v_trace is None and len(res.u_trace) == res.iterations
+
+
 def test_spi_nan_iterate_is_degenerate():
     # a NaN density makes every iterate NaN, which no norm check may pass
     g, part = sample_bipartite_block(BlockModelParams(40, 40, 1.8, 0.3, 0))
@@ -628,7 +638,7 @@ def test_spi_lopsided_never_allocates_right_side():
     (100, 10**5, 0.0569, np.uint32),  # m = 569k
     (600, 600, 0.5, np.uint32),  # m = 180k
     (100, 10**6, 0.003, np.int64),  # m = 300k
-    (100, 10**6, 0.018, np.int64),  # m = 1.8M, n2 <= m: a slot and an int8 label per right vertex
+    (100, 10**6, 0.018, np.int64),  # m = 1.8M, n2 <= m: a 4-byte slot per right vertex
 ])
 def test_spi_solve_holds_one_sorted_key_per_edge(n1, n2, p, dtype):
     # the split holds its sorted keys, 4 or 8 B per edge, and the loop
@@ -636,13 +646,21 @@ def test_spi_solve_holds_one_sorted_key_per_edge(n1, n2, p, dtype):
     # 20-33 B per edge on these shapes
     g, part = sample_bipartite_block(BlockModelParams(n1, n2, 1.8, p, 3))
     assert _key_dtype(n1, n2, SolverConfig().resolve_T(n1)) is dtype
-    tracemalloc.start()
-    try:
-        res = spi_solve(g, SolverConfig(seed=4), truth=part)
-        per_edge = tracemalloc.get_traced_memory()[1] / g.num_edges
-    finally:
-        tracemalloc.stop()
-    assert res.ok and per_edge <= 16
+
+    def traced_peak(truth):
+        tracemalloc.start()
+        try:
+            res = spi_solve(g, SolverConfig(seed=4), truth=truth)
+            return res, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    res, peak = traced_peak(part)
+    assert res.ok and peak / g.num_edges <= 16
+    if n2 == 10**6 and n2 <= g.num_edges:
+        # the truth's right labels are read as stored, with no n2-long copy;
+        # only at this shape would n2 bytes stand clear of the traces' few KB
+        assert peak - traced_peak(None)[1] < n2 / 4
 
 
 def test_spi_solve_with_its_graph_holds_at_most_16_bytes_per_edge():
