@@ -43,7 +43,10 @@ __all__ = [
 
 
 def _dumps(obj) -> str:
-    return json.dumps(obj, separators=(",", ":"))
+    """``obj`` as compact JSON. A numpy scalar, such as a seed or size the
+    integer rule accepts, is written as the Python value it holds; any other
+    object json cannot write raises ``TypeError`` from ``np.generic.item``."""
+    return json.dumps(obj, separators=(",", ":"), default=np.generic.item)
 
 
 def _write_lines(path, records):

@@ -128,7 +128,9 @@ def solve_csp_end_to_end(
     try_all_witnesses: bool = False,
 ) -> tuple[np.ndarray | None, EndToEndReport]:
     """Analyze -> reduce -> solve -> decode. Returns (assignment, report);
-    the assignment matches the planted one up to a global flip.
+    the assignment matches the planted one up to a global flip. ``seed``
+    replaces ``config.seed``: the majority vote, the reduction and the solve
+    take ``seed`` and the decode ``seed + 1``; ``config.seed`` is not read.
 
     With ``try_all_witnesses`` every minimal-size witness subset is tried and
     the decoding with the fewest inconsistent literal pairs wins (for laws
@@ -152,7 +154,8 @@ def solve_goldreich_end_to_end(
     """Predicate-constraint pipeline: the constraints become signed clauses
     (see ``goldreich_to_bipartite``) and take the CSP route. Witness size 1
     always folds the observed value, so the majority vote sees every
-    constraint."""
+    constraint. ``seed`` replaces ``config.seed``, as in
+    ``solve_csp_end_to_end``."""
     report = predicate_lowest_degree(instance.predicate)
     clauses = None
     if report.identifiable:

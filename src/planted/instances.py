@@ -90,13 +90,16 @@ def _signs(x, message: str, length: int | None = None, dtype: type = np.int64) -
     return a if a.dtype in (dtype, np.int64) else a.astype(dtype)
 
 
-def _check_seed(seed) -> None:
-    """``ValueError`` naming ``seed`` unless it is a non-negative integer, a
-    Python or numpy int of any size but not a bool. ``None`` would draw fresh
-    entropy in ``SeedSequence`` and -1 or 1.5 fail only inside numpy, so every
-    seeded entry point checks its seed here first."""
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+def _check_int(value, name: str, low: int) -> int:
+    """``value`` as a Python int when it is an integer >= ``low``, a Python or
+    numpy int of any size but not a bool; else ``ValueError`` naming ``name``.
+    Every seed, size and count is checked here: a seed of ``None`` would draw
+    fresh entropy in ``SeedSequence``, and a size of 10.0 or 2.5 fails only
+    inside numpy or in a file reader. The int lets a size product past int64
+    be compared exactly."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
 
 
 def _predicate_table(table, k: int | None = None) -> tuple[np.ndarray, int]:
@@ -142,15 +145,6 @@ def _distinct(a: np.ndarray) -> np.ndarray:
     return a[_run_starts(a)]
 
 
-def _ranks(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The sorted distinct values of a 1-D array, and each entry's index among them."""
-    order = np.argsort(a)
-    starts = _run_starts(a[order])
-    rank = np.empty(len(a), dtype=np.int64)
-    rank[order] = np.cumsum(starts) - 1
-    return a[order[starts]], rank
-
-
 def _pack(a: np.ndarray, a_size: int, b: np.ndarray, b_size: int):
     """``(key, size, unpack)``: keys ``a * b_size + b`` that sort as the pairs (a, b)
     do, their exclusive bound and their decoder to (len, 2) pairs in ``_ids_dtype``
@@ -160,10 +154,10 @@ def _pack(a: np.ndarray, a_size: int, b: np.ndarray, b_size: int):
     a_values = b_values = None
     pairs_dtype = _ids_dtype(max(a_size, b_size))
     if a_size * b_size > _INT64_MAX:
-        a_values, a = _ranks(a)
+        a_values, a = np.unique(a, return_inverse=True)
         a_size = len(a_values)
         if max(a_size, 1) * b_size > _INT64_MAX:  # with no ids at all, b_size must fit alone
-            b_values, b = _ranks(b)
+            b_values, b = np.unique(b, return_inverse=True)
             b_size = len(b_values)
 
     def unpack(key: np.ndarray) -> np.ndarray:
@@ -215,8 +209,8 @@ class BipartiteGraph:
     edges: np.ndarray
 
     def __post_init__(self):
-        if self.n1 < 1 or self.n2 < 1:
-            raise ValueError("n1 and n2 must be at least 1")
+        object.__setattr__(self, "n1", _check_int(self.n1, "n1", 1))
+        object.__setattr__(self, "n2", _check_int(self.n2, "n2", 1))
         e = _compact(self.edges, "edges", np.int32).reshape(-1, 2)
         object.__setattr__(self, "edges", e)
         # one contiguous min covers both lower bounds; the columns are
@@ -263,13 +257,11 @@ class BlockModelParams:
             raise ValueError(f"p must be finite and nonnegative, got {self.p}")
         if self.delta * self.p > 1.0 or (2.0 - self.delta) * self.p > 1.0:
             raise ValueError("delta*p and (2-delta)*p must be probabilities")
-        if self.n1 < 1 or self.n2 < 1:
-            raise ValueError("n1 and n2 must be at least 1")
-        if int(self.n1) * int(self.n2) > _INT64_MAX:
+        if _check_int(self.n1, "n1", 1) * _check_int(self.n2, "n2", 1) > _INT64_MAX:
             raise ValueError("n1 * n2 must not exceed the int64 maximum")
         if require_even and (self.n1 % 2 or self.n2 % 2):
             raise ValueError("n1 and n2 must be even to draw a balanced partition")
-        _check_seed(self.seed)
+        _check_int(self.seed, "seed", 0)
 
 
 @dataclass(frozen=True)
@@ -285,8 +277,7 @@ class PlantingDistribution:
     weights: np.ndarray
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be at least 1")
+        object.__setattr__(self, "k", _check_int(self.k, "k", 1))
         w = np.asarray(self.weights, dtype=np.float64)
         if w.shape != (2**self.k,):
             raise ValueError(f"weights must have length 2^k = {2**self.k}")
@@ -329,6 +320,7 @@ class PlantedCspInstance:
             raise ValueError("clause_vars and clause_signs must be (m, k) arrays")
         object.__setattr__(self, "clause_vars", cv)
         object.__setattr__(self, "clause_signs", cs)
+        object.__setattr__(self, "n", _check_int(self.n, "n", 1))
         object.__setattr__(self, "sigma", _sigma(self.sigma, self.n))
 
     @property
@@ -363,6 +355,7 @@ class GoldreichInstance:
         values = _signs(self.values, "values must hold one +1 or -1 per tuple", len(tv), np.int8)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "predicate", _predicate_table(self.predicate, tv.shape[1])[0])
+        object.__setattr__(self, "n", _check_int(self.n, "n", 1))
         object.__setattr__(self, "sigma", _sigma(self.sigma, self.n))
 
     @property
@@ -379,22 +372,15 @@ class GoldreichInstance:
 # ---------------------------------------------------------------------------
 
 
-def _check_width(k: int):
-    """Raises ``ValueError`` for a preset width below 1, before 2**k becomes
-    a fraction that no table length can be."""
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
-
-
 def uniform_weights(k: int) -> PlantingDistribution:
     """Flat table: the uninformative planting law."""
-    _check_width(k)
+    k = _check_int(k, "k", 1)
     return PlantingDistribution(k, np.ones(2**k))
 
 
 def noisy_xor_weights(k: int, eta: float) -> PlantingDistribution:
     """Parity-tilted table w(z) = 1 + eta * prod(z); induced bias is 1 + eta."""
-    _check_width(k)
+    k = _check_int(k, "k", 1)
     if not -1.0 <= eta <= 1.0:
         raise ValueError("eta must lie in [-1, 1]")
     z = _pattern_table(k)
@@ -403,18 +389,18 @@ def noisy_xor_weights(k: int, eta: float) -> PlantingDistribution:
 
 def sat_clause_weights(k: int) -> PlantingDistribution:
     """Uniform over the 2^k - 1 patterns with at least one true literal."""
-    _check_width(k)
+    k = _check_int(k, "k", 1)
     w = np.ones(2**k)
     w[0] = 0.0  # index 0 is the all-false pattern
     return PlantingDistribution(k, w)
 
 
 def parity_predicate(k: int) -> np.ndarray:
-    return _pattern_table(k).prod(axis=1)
+    return _pattern_table(_check_int(k, "k", 1)).prod(axis=1)
 
 
 def majority_predicate(k: int) -> np.ndarray:
-    if k % 2 == 0:
+    if _check_int(k, "k", 1) % 2 == 0:
         raise ValueError("majority needs odd k")
     return np.where(_pattern_table(k).sum(axis=1) > 0, 1, -1).astype(np.int64)
 
@@ -422,7 +408,7 @@ def majority_predicate(k: int) -> np.ndarray:
 def constant_predicate(k: int, value: int = 1) -> np.ndarray:
     if value not in (-1, 1):
         raise ValueError("value must be +/-1")
-    return np.full(2**k, value, dtype=np.int64)
+    return np.full(2 ** _check_int(k, "k", 1), value, dtype=np.int64)
 
 
 def _pattern_table(k: int) -> np.ndarray:
@@ -654,11 +640,8 @@ def sample_planted_csp(
     walks the ``_proposals`` chunks until m clauses are accepted.
     """
     k = q_dist.k
-    if n < k:
-        raise ValueError("need n >= k")
-    if m < 0:
-        raise ValueError(f"m must be nonnegative, got {m}")
-    _check_seed(seed)
+    n, m = _check_int(n, "n", k), _check_int(m, "m", 0)
+    _check_int(seed, "seed", 0)
     w = q_dist.weights
     wmax = float(w.max())
     sig_ss, tuple_ss, sign_ss, uniform_ss = np.random.SeedSequence(seed).spawn(4)
@@ -702,11 +685,8 @@ def sample_goldreich(
     distinct ``_proposals`` rows, so they do not depend on the chunking.
     """
     table, k = _predicate_table(predicate)
-    if n < k:
-        raise ValueError("need n >= k")
-    if m < 0:
-        raise ValueError(f"m must be nonnegative, got {m}")
-    _check_seed(seed)
+    n, m = _check_int(n, "n", k), _check_int(m, "m", 0)
+    _check_int(seed, "seed", 0)
     sig_ss, tup_ss = np.random.SeedSequence(seed).spawn(2)
     sigma = np.random.default_rng(sig_ss).integers(0, 2, size=n) * 2 - 1
     proposals = _proposals(n, k, np.random.default_rng(tup_ss))

@@ -29,7 +29,7 @@ import numpy as np
 from .fourier import FourierReport
 from .instances import (
     _CHUNK_ROWS, BipartiteGraph, GoldreichInstance, HiddenPartition, PlantedCspInstance, _distinct, _ids_dtype,
-    _check_seed, _int64, _pack, _ranks, _sigma, _signs,
+    _check_int, _int64, _pack, _sigma, _signs,
 )
 
 __all__ = [
@@ -129,7 +129,7 @@ def _group_first_seen(key: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarr
     """
     m = len(key)
     if bound > m:
-        values, key = _ranks(key)
+        values, key = np.unique(key, return_inverse=True)
         bound = len(values)
     row = np.int32 if m < 2**31 else np.int64  # rows and numbers are at most m
     first_at = np.full(bound, m, dtype=row)
@@ -250,15 +250,13 @@ def _build_reduced(
         raise ReductionError("empty instance")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     m_kept = _poisson_keep(m, epsilon, rng) if thinning == "poisson" else m
-    modes_known = thinning in ("dedup", "poisson") and left_literal in ("first", "random")
-    n_encoded = m_kept if modes_known else 0
     code_dtype = _ids_dtype(2 * n)
-    left = np.empty(n_encoded, dtype=code_dtype)
-    tails = np.empty((r - 1, n_encoded), dtype=code_dtype)  # by position, so each is contiguous
+    left = np.empty(m_kept, dtype=code_dtype)
+    tails = np.empty((r - 1, m_kept), dtype=code_dtype)  # by position, so each is contiguous
     for a in range(0, m, _CHUNK_ROWS):
         s = clause_signs[a : a + _CHUNK_ROWS]
         ids = _check_clauses(n, clause_vars[a : a + _CHUNK_ROWS], s, first_row=a)
-        b = min(a + _CHUNK_ROWS, n_encoded)
+        b = min(a + _CHUNK_ROWS, m_kept)
         if b <= a:
             continue
         if r < k:
@@ -275,12 +273,8 @@ def _build_reduced(
             codes[0] = front
         left[a:b] = codes[0]
         _sort_rows(codes[1:].T, tails[:, a:b].T)
-    if thinning not in ("dedup", "poisson"):
-        raise ReductionError(f"unknown thinning mode: {thinning!r}")
     if m_kept == 0:
         raise ReductionError("thinning kept no constraints")
-    if left_literal not in ("first", "random"):
-        raise ReductionError(f"unknown left_literal mode: {left_literal!r}")
 
     indexer, tuple_ids = TupleIndexer._from_rows(r, n, tails.T)
     del tails  # the indexer holds its own copy of the distinct rows
@@ -313,11 +307,17 @@ def csp_to_bipartite(
     ``thinning="dedup"`` keeps every constraint and drops duplicate edges;
     ``"poisson"`` first keeps a Poisson((1-epsilon) m) prefix, which makes
     edges independent at the cost of discarding constraints. ``epsilon``
-    must lie in [0, 1] whatever the mode (``ValueError`` otherwise).
+    must lie in [0, 1] whatever the mode (``ValueError`` otherwise), and an
+    unknown ``thinning`` or ``left_literal`` raises ``ReductionError`` before
+    any clause is read.
     """
-    _check_seed(seed)
+    _check_int(seed, "seed", 0)
     if not (isinstance(epsilon, numbers.Real) and 0.0 <= epsilon <= 1.0):  # NaN fails too
         raise ValueError(f"epsilon must be a number in [0, 1], got {epsilon!r}")
+    if thinning not in ("dedup", "poisson"):
+        raise ReductionError(f"unknown thinning mode: {thinning!r}")
+    if left_literal not in ("first", "random"):
+        raise ReductionError(f"unknown left_literal mode: {left_literal!r}")
     if instance.n >= 2**62:  # n1 = 2n literals must fit int64, as the graph files require
         raise ReductionError(f"n = {instance.n} variables: the 2n literals must fit int64 (n < 2^62)")
     if not report.identifiable:
@@ -374,7 +374,7 @@ def goldreich_to_bipartite(
     only value +1 constraints with all-positive literals. Either way the
     constraints become signed clauses reduced by ``csp_to_bipartite``.
     """
-    _check_seed(seed)
+    _check_int(seed, "seed", 0)
     if report.r == 0:
         raise ReductionError("constant predicate carries no information")
     if not report.identifiable:
@@ -402,7 +402,7 @@ def partition_to_assignment(result: np.ndarray, seed: int = 0) -> tuple[np.ndarr
     number of inconsistent literal pairs (both literals on the same side),
     a cheap quality diagnostic.
     """
-    _check_seed(seed)
+    _check_int(seed, "seed", 0)
     message = "expected a +1/-1 sign vector over 2n literals"
     result = _signs(result, message, np.size(result))
     if len(result) % 2:

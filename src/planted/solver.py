@@ -33,8 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .instances import (
-    _CHUNK_ROWS, _INT64_MAX, BipartiteGraph, PlantedCspInstance, _is_number, _key_dtype, _number_list, _ranks,
-    _run_starts, _check_seed,
+    _CHUNK_ROWS, _INT64_MAX, BipartiteGraph, PlantedCspInstance, _check_int, _is_number, _key_dtype, _number_list,
+    _run_starts,
 )
 from .reduction import _check_clauses, _sign_or_coin
 
@@ -152,7 +152,7 @@ def _sub_graphs(n1: int, n2: int, edges: np.ndarray, T: int, rng) -> _Buckets:
     m = len(edges)
     cols, present = edges[:, 1], None
     if T * n2 * n1 > _INT64_MAX:
-        present, cols = _ranks(cols)
+        present, cols = np.unique(cols, return_inverse=True)
         present = present.astype(np.int64, copy=False)  # supports are int64 whatever the edges' dtype
         n2 = len(present)
         if T * n2 * n1 > _INT64_MAX:
@@ -183,9 +183,8 @@ def split_edges(graph: BipartiteGraph, T: int, seed, p: float | None = None) -> 
     passes one of its substreams).
     """
     if not isinstance(seed, np.random.SeedSequence):
-        _check_seed(seed)
-    if T < 2:
-        raise ValueError("need T >= 2")
+        _check_int(seed, "seed", 0)
+    T = _check_int(T, "T", 2)
     subs = _sub_graphs(graph.n1, graph.n2, graph.edges, T, np.random.default_rng(seed))
     return SplitGraphs(graph.n1, graph.n2, T, _density(graph, p) / T, subs)
 
@@ -346,7 +345,7 @@ class SolverConfig:
         # NaN compares false and passes: the solve then reports "degenerate"
         if p is not None and (isinstance(p, bool) or not isinstance(p, numbers.Real) or p < 0.0 or p > 1.0):
             raise ValueError(f"p_override must be a number in [0, 1], got {p!r}")
-        _check_seed(self.seed)
+        _check_int(self.seed, "seed", 0)
 
     def resolve_T(self, n1: int) -> int:
         """T for n1 left vertices. Raises ``ValueError`` naming ``T_factor``
@@ -506,7 +505,7 @@ def majority_vote_r1(
     [0, n), a sign other than +1/-1 or a repeated variable, at any position,
     raises ``ReductionError``; the clauses are checked a block of rows at a
     time, as the reduction checks them."""
-    _check_seed(seed)
+    _check_int(seed, "seed", 0)
     subset = tuple(subset)
     if len(subset) != 1:
         raise ValueError("majority vote needs a single witness position")
@@ -528,9 +527,8 @@ def power_iteration_baseline(
     When (delta-1)^2 p n1 < 1 (below the spectral barrier) the ~p n2 noise on
     the diagonal of the centered M M^T squeezes its top-two eigenvalue ratio to
     ~1 + (delta-1)^2 p n1, so O(log n1) products barely move the start."""
-    _check_seed(seed)
-    if iterations < 1:
-        raise ValueError("need iterations >= 1")
+    _check_int(seed, "seed", 0)
+    _check_int(iterations, "iterations", 1)
     n1, n2, m = graph.n1, graph.n2, graph.num_edges
     if m == 0:
         raise SolverError("graph has no edges")

@@ -647,15 +647,15 @@ def test_bad_header_table_values_name_file_and_line(tmp_path, capsys, head, tabl
     [(["gen-sbm", "--n1", "10", "--n2", "10", "--delta", "1.8", "--p", "nan"], "p must be finite"),
      (["gen-sbm", "--n1", "10", "--n2", "10", "--delta", "1.8", "--p", "inf"], "p must be finite"),
      (["gen-sbm", "--n1", "10", "--n2", "10", "--delta", "nan", "--p", "0.1"], "delta must lie in [0, 2]"),
-     (["gen-csp", "--n", "10", "--m", "-5", "--preset", "noisy-xor"], "m must be nonnegative, got -5"),
-     (["gen-goldreich", "--n", "10", "--m", "-3", "--predicate", "1,-1,-1,1"], "m must be nonnegative, got -3"),
+     (["gen-csp", "--n", "10", "--m", "-5", "--preset", "noisy-xor"], "m must be an integer >= 0, got -5"),
+     (["gen-goldreich", "--n", "10", "--m", "-3", "--predicate", "1,-1,-1,1"], "m must be an integer >= 0, got -3"),
      (["gen-csp", "--n", "10", "--m", "5", "--weights", "inf,1,1,1"], "weights must be finite"),
      (["analyze-q", "--weights", "nan,1,1,1"], "weights must be finite"),
      (["gen-goldreich", "--n", "10", "--m", "5", "--predicate", "1"], "length 2^k with k >= 1"),
-     (["gen-csp", "--n", "10", "--m", "5", "--preset", "uniform", "--k", "-1"], "k must be at least 1, got -1"),
-     (["gen-csp", "--n", "10", "--m", "5", "--preset", "noisy-xor", "--k", "-2"], "k must be at least 1, got -2"),
-     (["analyze-q", "--preset", "sat", "--k", "-1"], "k must be at least 1, got -1"),
-     (["analyze-q", "--preset", "uniform", "--k", "0"], "k must be at least 1, got 0")],
+     (["gen-csp", "--n", "10", "--m", "5", "--preset", "uniform", "--k", "-1"], "k must be an integer >= 1, got -1"),
+     (["gen-csp", "--n", "10", "--m", "5", "--preset", "noisy-xor", "--k", "-2"], "k must be an integer >= 1, got -2"),
+     (["analyze-q", "--preset", "sat", "--k", "-1"], "k must be an integer >= 1, got -1"),
+     (["analyze-q", "--preset", "uniform", "--k", "0"], "k must be an integer >= 1, got 0")],
     ids=["nan-p", "inf-p", "nan-delta", "negative-csp-m", "negative-goldreich-m", "inf-weight",
          "nan-weight", "goldreich-k-zero", "gen-csp-uniform-negative-k", "gen-csp-noisy-xor-negative-k",
          "analyze-q-sat-negative-k", "analyze-q-uniform-zero-k"],

@@ -26,7 +26,9 @@ from planted.instances import (
     PlantedCspInstance,
     PlantingDistribution,
     noisy_xor_weights,
+    parity_predicate,
     sample_bipartite_block,
+    sample_goldreich,
     sample_planted_csp,
 )
 from planted.reduction import csp_to_bipartite
@@ -391,6 +393,31 @@ def test_constraint_file_bytes_and_roundtrip(tmp_path, write, text, reader, othe
         assert np.array_equal(data.weights.weights, _CSP_WEIGHTS.weights)
     with pytest.raises(ValueError, match=re.escape(message)):
         other_reader(f)
+
+
+@pytest.mark.parametrize("writer", ["sbm", "csp", "goldreich", "reduced"])
+def test_writers_take_numpy_seeds_and_sizes(tmp_path, writer):
+    # json.dumps once refused a numpy seed: "Object of type uint32 is not JSON serializable"
+    q = noisy_xor_weights(3, 0.8)
+
+    def write(f, i):
+        if writer == "sbm":
+            g, part = sample_bipartite_block(BlockModelParams(i(20), i(20), 1.8, 0.3, i(7)))
+            files.write_sbm(f, BipartiteGraph(i(g.n1), i(g.n2), g.edges), 1.8, 0.3, seed=i(7), truth=part)
+        elif writer == "csp":
+            files.write_csp(f, sample_planted_csp(q, i(12), i(300), i(7)), q, i(7))
+        elif writer == "goldreich":
+            files.write_goldreich(f, sample_goldreich(parity_predicate(i(3)), i(12), i(300), i(7)), i(7))
+        else:
+            inst = sample_planted_csp(q, i(12), i(300), i(7))
+            files.write_reduced(f, csp_to_bipartite(inst, distribution_complexity(q), seed=i(7)), i(7))
+        return f
+
+    numpy_file, python_file = write(tmp_path / "numpy.jsonl", np.uint32), write(tmp_path / "python.jsonl", int)
+    assert numpy_file.read_bytes() == python_file.read_bytes()
+    read = files.read_sbm if writer in ("sbm", "reduced") else files.read_constraints
+    seed = read(numpy_file).header["seed"]
+    assert type(seed) is int and seed == 7
 
 
 def test_read_constraints_rejects_other_files(tmp_path):

@@ -54,6 +54,22 @@ def test_a_numpy_seed_at_its_dtypes_top_decodes_as_its_python_int():
     _same_solve(*(solve_csp_end_to_end(inst, q, seed=s, config=config) for s in (np.uint32(2**32 - 1), 2**32 - 1)))
 
 
+@pytest.mark.parametrize("pipeline", ["csp", "goldreich"])
+def test_the_pipelines_seed_replaces_the_configs_seed(pipeline):
+    # config.seed 99, 4 and 5 give one solve: the split and start vector take seed = 4
+    n, q = 40, noisy_xor_weights(3, 0.8)
+    configs = [SolverConfig(T_factor=6.0, seed=s) for s in (99, 4, 5)]
+    if pipeline == "csp":
+        inst = sample_planted_csp(q, n, math.floor(50 * n**1.5 * math.log(n)), seed=3)
+        solves = [solve_csp_end_to_end(inst, q, seed=4, config=config) for config in configs]
+    else:
+        inst = sample_goldreich(parity_predicate(3), n, 30_000, seed=3)
+        solves = [solve_goldreich_end_to_end(inst, seed=4, config=config) for config in configs]
+    _same_solve(solves[0], solves[1])
+    _same_solve(solves[0], solves[2])
+    assert solves[0][1].route == "spi"
+
+
 def _sha(*parts) -> str:
     """The first 16 hex digits of the sha256 of byte strings and of arrays
     with their dtypes."""

@@ -2,6 +2,7 @@
 import hashlib
 import itertools
 import math
+import re
 import tracemalloc
 import unittest.mock
 import warnings
@@ -39,7 +40,7 @@ from planted.instances import (
 from planted.fourier import distribution_complexity, predicate_lowest_degree
 from planted.harness import solve_csp_end_to_end, solve_goldreich_end_to_end
 from planted.reduction import csp_to_bipartite, goldreich_to_bipartite, partition_to_assignment
-from planted.solver import SolverConfig, majority_vote_r1, power_iteration_baseline, split_edges
+from planted.solver import SolverConfig, majority_vote_r1, power_iteration_baseline, spi_solve, split_edges
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +394,7 @@ def test_csp_noisy_2xor_satisfied_fraction():
                          ids=["uniform", "sat", "noisy-xor"])
 @pytest.mark.parametrize("k", [0, -1, -5])
 def test_weight_presets_reject_width_below_1(preset, k):
-    with pytest.raises(ValueError, match=f"k must be at least 1, got {k}"):
+    with pytest.raises(ValueError, match=f"k must be an integer >= 1, got {k}"):
         preset(k)
 
 
@@ -844,7 +845,7 @@ _SEEDED = {
 @pytest.mark.parametrize("seed", [None, True, -1, 1.5, "3"], ids=repr)
 def test_seeded_entry_points_reject_a_seed_that_is_not_a_non_negative_integer(entry, seed):
     # None would draw fresh entropy, so two calls would give two instances
-    with pytest.raises(ValueError, match=r"seed must be a non-negative integer, got "):
+    with pytest.raises(ValueError, match=r"seed must be an integer >= 0, got "):
         _SEEDED[entry](seed)
 
 
@@ -852,6 +853,67 @@ def test_seeded_entry_points_reject_a_seed_that_is_not_a_non_negative_integer(en
 def test_seeded_entry_points_take_integers_of_any_size_and_numpy_ints(entry):
     _SEEDED[entry](2**70)
     _SEEDED[entry](np.uint32(5))
+
+
+# entry point -> (argument, least value, a value it takes, call with the value there)
+_SIZED = {
+    "BipartiteGraph.n1": ("n1", 1, 20, lambda v: BipartiteGraph(v, 10, [[0, 0]])),
+    "BipartiteGraph.n2": ("n2", 1, 20, lambda v: BipartiteGraph(10, v, [[0, 0]])),
+    "BlockModelParams.n1": ("n1", 1, 20, lambda v: sample_bipartite_block(BlockModelParams(v, 10, 1.8, 0.3, 1))),
+    "BlockModelParams.n2": ("n2", 1, 20, lambda v: sample_bipartite_block(BlockModelParams(10, v, 1.8, 0.3, 1))),
+    "PlantedCspInstance.n": ("n", 1, 20, lambda v: PlantedCspInstance(v, None, [[0, 1]], [[1, -1]])),
+    "GoldreichInstance.n": ("n", 1, 20, lambda v: GoldreichInstance(v, parity_predicate(2), None, [[0, 1]], [1])),
+    "PlantingDistribution.k": ("k", 1, 2, lambda v: PlantingDistribution(v, np.ones(4))),
+    "uniform_weights": ("k", 1, 3, uniform_weights),
+    "noisy_xor_weights": ("k", 1, 3, lambda v: noisy_xor_weights(v, 0.5)),
+    "sat_clause_weights": ("k", 1, 3, sat_clause_weights),
+    "parity_predicate": ("k", 1, 3, parity_predicate),
+    "majority_predicate": ("k", 1, 3, majority_predicate),
+    "constant_predicate": ("k", 1, 3, constant_predicate),
+    "sample_planted_csp.n": ("n", 3, 10, lambda v: sample_planted_csp(_XOR, v, 50, 1)),
+    "sample_planted_csp.m": ("m", 0, 50, lambda v: sample_planted_csp(_XOR, 10, v, 1)),
+    "sample_goldreich.n": ("n", 3, 10, lambda v: sample_goldreich(parity_predicate(3), v, 50, 1)),
+    "sample_goldreich.m": ("m", 0, 50, lambda v: sample_goldreich(parity_predicate(3), 10, v, 1)),
+    "split_edges.T": ("T", 2, 4, lambda v: split_edges(_GRAPH, v, 0)),
+    "power_iteration_baseline.iterations": ("iterations", 1, 2, lambda v: power_iteration_baseline(_GRAPH, v, 0)),
+}
+
+
+@pytest.mark.parametrize("entry", _SIZED)
+@pytest.mark.parametrize("bad", ["integral-float", "fraction", "bool", "below-least", "None", "str"])
+def test_sizes_and_counts_reject_non_integers_and_values_below_their_least(entry, bad):
+    # 10.0 and 2.5 were once kept as sizes, or failed only inside numpy
+    name, low, _, call = _SIZED[entry]
+    value = {"integral-float": 10.0, "fraction": 2.5, "bool": True, "below-least": low - 1, "None": None,
+             "str": "3"}[bad]
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer >= {low}, got {value!r}")):
+        call(value)
+
+
+@pytest.mark.parametrize("entry", _SIZED)
+def test_sizes_and_counts_take_numpy_ints(entry):
+    _, _, good, call = _SIZED[entry]
+    for value in (np.int64(good), np.uint8(good)):
+        call(value)
+
+
+def test_domain_types_hold_their_sizes_as_python_ints():
+    # so that a size product such as the split's T * n2 * n1 cannot wrap
+    sizes = [
+        BipartiteGraph(np.int64(20), np.uint64(2**62), _GRAPH.edges).n2,
+        PlantedCspInstance(np.int32(10), None, [[0, 1]], [[1, -1]]).n,
+        GoldreichInstance(np.int64(10), parity_predicate(2), None, [[0, 1]], [1]).n,
+        PlantingDistribution(np.int8(2), np.ones(4)).k,
+    ]
+    assert [type(x) for x in sizes] == [int] * 4
+
+
+def test_a_solve_at_numpy_sizes_past_int64_keys_matches_python_sizes():
+    # numpy sizes once wrapped the split's bucket-key bound and the centering term
+    def solve(n1, n2):
+        return spi_solve(BipartiteGraph(n1, n2, _GRAPH.edges), SolverConfig(seed=1)).to_dict()
+
+    assert solve(np.int64(20), np.int64(2**62)) == solve(20, 2**62)
 
 
 def test_block_params_reject_sizes_past_int64():

@@ -282,6 +282,16 @@ def test_reduction_rejects():
         _small_reduced(thinning="bogus")
 
 
+@pytest.mark.parametrize("mode", [{"thinning": "bogus"}, {"left_literal": "last"}], ids=["thinning", "left_literal"])
+def test_an_unknown_mode_is_reported_before_a_bad_clause(mode):
+    # the clause's id 7 is outside [0, 4): the mode is checked before any clause is read
+    q = noisy_xor_weights(3, 0.8)
+    inst = PlantedCspInstance(4, None, [[0, 1, 7]], [[1, 1, 1]])
+    (name, value), = mode.items()
+    with pytest.raises(ReductionError, match=f"unknown {name} mode: '{value}'"):
+        csp_to_bipartite(inst, distribution_complexity(q), **mode)
+
+
 @pytest.mark.parametrize("epsilon", [2.0, float("nan"), -3.0, float("inf"), -1e-9])
 @pytest.mark.parametrize("thinning", ["poisson", "dedup"])
 def test_reduction_rejects_epsilon_outside_unit_interval(epsilon, thinning):
