@@ -17,6 +17,7 @@ from .instances import (
     HiddenPartition,
     PlantedCspInstance,
     PlantingDistribution,
+    _check_real,
     _ids_dtype,
     _is_number,
     _narrow,
@@ -180,6 +181,7 @@ def write_sbm(
     include_truth_v: bool = True,
     reduced_meta: dict | None = None,
 ):
+    _check_real(p, "p", "be a number in [0, 1]", lambda x: 0.0 <= x <= 1.0)  # as read_sbm requires; NaN fails
     header = {
         "type": "sbm",
         "n1": graph.n1,

@@ -23,6 +23,7 @@ from .instances import (
     GoldreichInstance,
     PlantedCspInstance,
     PlantingDistribution,
+    _check_delta,
     _is_number,
     _number_list,
     overlap,
@@ -221,8 +222,7 @@ class SweepSpec:
             value = getattr(self, name)
             if not (_is_number(value, integer=True) and value >= low):
                 raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
-        if not (_is_number(self.delta) and 0.0 <= self.delta <= 2.0 and self.delta != 1.0):
-            raise ValueError(f"delta must lie in [0, 2] and differ from 1, got {self.delta!r}")
+        _check_delta(self.delta)
         if not (self.weights is None or isinstance(self.weights, PlantingDistribution)):
             raise ValueError(f"weights must be a PlantingDistribution, got {self.weights!r}")
         if not _number_list(self.predicate, integer=True):
@@ -293,11 +293,13 @@ def _sweep_trial(spec: SweepSpec, mi: int, ti: int) -> tuple[int, int, float, in
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     """All multiplier x trial cells, aggregated per multiplier. Trials are
     independent; with workers > 1 they run in a process pool and results are
-    merged in deterministic (multiplier, trial) order."""
+    merged in deterministic (multiplier, trial) order. The pool is no larger
+    than the cell count: a fork pool starts all its workers at the first
+    submit."""
     spec.validate()
     jobs = [(mi, ti) for mi in range(len(spec.multipliers)) for ti in range(spec.trials)]
     if spec.workers > 1:
-        with ProcessPoolExecutor(max_workers=spec.workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(spec.workers, len(jobs))) as pool:
             results = list(pool.map(_sweep_trial, [spec] * len(jobs), *zip(*jobs)))
     else:
         results = [_sweep_trial(spec, mi, ti) for mi, ti in jobs]

@@ -102,6 +102,26 @@ def _check_int(value, name: str, low: int) -> int:
     return int(value)
 
 
+def _check_real(value, name: str, rule: str, ok) -> float:
+    """``value`` as a float when it is a Python or numpy real, not a bool,
+    whose float ``ok`` accepts; else ``ValueError`` saying ``name`` must
+    ``rule``. The real twin of ``_check_int``: every real-valued argument is
+    checked here, so ``True`` is not 1.0, ``"0.5"`` or ``None`` fails as a
+    bad value and an int past the float range fails too."""
+    try:
+        real = None if isinstance(value, bool) or not isinstance(value, numbers.Real) else float(value)
+    except OverflowError:
+        real = None
+    if real is None or not ok(real):
+        raise ValueError(f"{name} must {rule}, got {value!r}")
+    return real
+
+
+def _check_delta(delta) -> float:
+    """The block models' delta: a real in [0, 2] other than 1."""
+    return _check_real(delta, "delta", "lie in [0, 2] and differ from 1", lambda d: 0.0 <= d <= 2.0 and d != 1.0)
+
+
 def _predicate_table(table, k: int | None = None) -> tuple[np.ndarray, int]:
     """``(table, k)``: a +/-1 table of 2^k entries, k >= 1, as int64, and k,
     read from the length when not given. Raises ``ValueError`` otherwise."""
@@ -251,10 +271,8 @@ class BlockModelParams:
     seed: int
 
     def validate(self, require_even: bool = True):
-        if not (0.0 <= self.delta <= 2.0) or self.delta == 1.0:
-            raise ValueError("delta must lie in [0, 2] and differ from 1")
-        if not (math.isfinite(self.p) and self.p >= 0.0):
-            raise ValueError(f"p must be finite and nonnegative, got {self.p}")
+        _check_delta(self.delta)
+        _check_real(self.p, "p", "be finite and nonnegative", lambda p: 0.0 <= p < math.inf)
         if self.delta * self.p > 1.0 or (2.0 - self.delta) * self.p > 1.0:
             raise ValueError("delta*p and (2-delta)*p must be probabilities")
         if _check_int(self.n1, "n1", 1) * _check_int(self.n2, "n2", 1) > _INT64_MAX:
@@ -381,8 +399,7 @@ def uniform_weights(k: int) -> PlantingDistribution:
 def noisy_xor_weights(k: int, eta: float) -> PlantingDistribution:
     """Parity-tilted table w(z) = 1 + eta * prod(z); induced bias is 1 + eta."""
     k = _check_int(k, "k", 1)
-    if not -1.0 <= eta <= 1.0:
-        raise ValueError("eta must lie in [-1, 1]")
+    _check_real(eta, "eta", "lie in [-1, 1]", lambda e: -1.0 <= e <= 1.0)
     z = _pattern_table(k)
     return PlantingDistribution(k, 1.0 + eta * z.prod(axis=1))
 
@@ -406,7 +423,7 @@ def majority_predicate(k: int) -> np.ndarray:
 
 
 def constant_predicate(k: int, value: int = 1) -> np.ndarray:
-    if value not in (-1, 1):
+    if isinstance(value, bool) or value not in (-1, 1):  # True == 1, but is no sign
         raise ValueError("value must be +/-1")
     return np.full(2 ** _check_int(k, "k", 1), value, dtype=np.int64)
 

@@ -3,9 +3,9 @@ block-model graphs.
 
 Left vertices are the 2n literals: code 2v is the positive literal of
 variable v, code 2v+1 the negated one. Right vertices are unordered
-(r-1)-sets of literal codes, materialized lazily in first-seen order; the
-nominal right-side count C(2n, r-1) is carried separately for density
-formulas.
+(r-1)-sets of literal codes, materialized when they occur and numbered in
+lexicographic order; the nominal right-side count C(2n, r-1) is carried
+separately for density formulas.
 
 Truth-label conventions (fixed so that a clause lands on a same-side edge
 exactly when it has an even number of false literals, which happens with
@@ -21,7 +21,6 @@ probability delta/2):
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +28,7 @@ import numpy as np
 from .fourier import FourierReport
 from .instances import (
     _CHUNK_ROWS, BipartiteGraph, GoldreichInstance, HiddenPartition, PlantedCspInstance, _distinct, _ids_dtype,
-    _check_int, _int64, _pack, _sigma, _signs,
+    _check_int, _check_real, _int64, _pack, _sigma, _signs,
 )
 
 __all__ = [
@@ -64,9 +63,10 @@ def _literal_codes(ids: np.ndarray, signs: np.ndarray) -> np.ndarray:
 
 class TupleIndexer:
     """Bijection between canonical literal-code tuples and dense right-vertex
-    indices. Canonical form is the sorted code tuple; indices are assigned
-    contiguously from 0 in order of first appearance. The tuples are held as
-    one (count, r-1) array in index order."""
+    indices. Canonical form is the sorted code tuple; the bulk build numbers
+    the tuples contiguously from 0 in lexicographic order, and
+    ``index_of(create=True)`` appends after them. The tuples are held as one
+    (count, r-1) array in index order."""
 
     def __init__(self, r: int, n_vars: int):
         self.r = r
@@ -107,39 +107,37 @@ class TupleIndexer:
 
         Each row is packed column by column into one key in mixed radix 2n;
         ``_pack`` picks each step's width and ranks where the next column
-        would pass int64. The distinct rows are kept as int64, whatever the
-        dtype of ``rows``."""
+        would pass int64. Keys sort as their rows do: the ids number the
+        tuples lexicographically (``index_of(create=True)`` appends after
+        them), and the distinct rows are decoded from the distinct keys as
+        int64, whatever the dtype of ``rows``."""
         idxr = cls(r, n_vars)
-        key, bound = rows[:, 0], 2 * n_vars
+        key, bound, unpacks = rows[:, 0], 2 * n_vars, []
         for col in rows.T[1:]:
-            key, bound, _ = _pack(key, bound, col, 2 * n_vars)
-        key = key.astype(np.intp, copy=False)  # rebound, freeing the narrow key; grouping indexes with it 3 times
-        ids, first = _group_first_seen(key, bound)
-        idxr._rows = rows[first].astype(np.int64)
+            key, bound, unpack = _pack(key, bound, col, 2 * n_vars)
+            unpacks.append(unpack)
+        key = key.astype(np.intp, copy=False)  # rebound, freeing the narrow key; grouping indexes with it twice
+        values, ids = _group_sorted(key, bound)
+        cols = [values]
+        for unpack in reversed(unpacks):  # each splits the leading column in two
+            cols[:1] = unpack(cols[0]).T
+        idxr._rows = np.column_stack(cols).astype(np.int64)
         return idxr, ids
 
 
-def _group_first_seen(key: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
-    """Number the distinct values of a 1-D integer array by first appearance.
+def _group_sorted(key: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(values, ids)``: the distinct values of a 1-D integer array in
+    ascending order, and for each element the number of its value.
 
-    ``bound`` is an upper bound on the values (exclusive). Returns
-    ``(ids, first)``: ``ids[i]`` is the number of ``key[i]``'s value and
-    ``first[g]`` the index where value ``g`` first appears (ascending).
-    Values are ranked first when ``bound`` exceeds m, to keep the table short.
-    """
-    m = len(key)
-    if bound > m:
-        values, key = np.unique(key, return_inverse=True)
-        bound = len(values)
-    row = np.int32 if m < 2**31 else np.int64  # rows and numbers are at most m
-    first_at = np.full(bound, m, dtype=row)
-    np.minimum.at(first_at, key, np.arange(m, dtype=row))
-    seen = np.zeros(m + 1, dtype=bool)  # slot m takes the values that never occur
-    seen[first_at] = True
-    first = np.flatnonzero(seen[:m])
-    number = np.empty(bound, dtype=row)  # read only at values that occur
-    number[key[first]] = np.arange(len(first))
-    return number[key], first
+    ``bound`` is an upper bound on the values (exclusive). Up to m, a
+    presence table of ``bound`` entries and its running count number the
+    values; past m, ``np.unique`` ranks them, to keep the table short."""
+    if bound > len(key):
+        return np.unique(key, return_inverse=True)
+    seen = np.zeros(bound, dtype=bool)
+    seen[key] = True
+    number = np.cumsum(seen, dtype=np.int32 if bound < 2**31 else np.int64) - 1  # read only where seen
+    return np.flatnonzero(seen), number[key]
 
 
 @dataclass(frozen=True)
@@ -312,8 +310,7 @@ def csp_to_bipartite(
     any clause is read.
     """
     _check_int(seed, "seed", 0)
-    if not (isinstance(epsilon, numbers.Real) and 0.0 <= epsilon <= 1.0):  # NaN fails too
-        raise ValueError(f"epsilon must be a number in [0, 1], got {epsilon!r}")
+    _check_real(epsilon, "epsilon", "be a number in [0, 1]", lambda e: 0.0 <= e <= 1.0)  # NaN fails too
     if thinning not in ("dedup", "poisson"):
         raise ReductionError(f"unknown thinning mode: {thinning!r}")
     if left_literal not in ("first", "random"):
@@ -324,8 +321,8 @@ def csp_to_bipartite(
         raise ReductionError("planting law has no usable witness subset")
     if report.r == 1:
         raise ReductionError("witness size 1: use the majority-vote solver")
-    if report.r > instance.k:
-        raise ReductionError("witness wider than the clauses")
+    if max(report.subset) >= instance.k:
+        raise ReductionError(f"witness position {max(report.subset)} lies outside the clauses' width k = {instance.k}")
     return _build_reduced(
         instance.n,
         instance.clause_vars,

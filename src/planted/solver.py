@@ -26,15 +26,14 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .instances import (
-    _CHUNK_ROWS, _INT64_MAX, BipartiteGraph, PlantedCspInstance, _check_int, _is_number, _key_dtype, _number_list,
-    _run_starts,
+    _CHUNK_ROWS, _INT64_MAX, BipartiteGraph, PlantedCspInstance, _check_int, _check_real, _key_dtype,
+    _number_list, _run_starts,
 )
 from .reduction import _check_clauses, _sign_or_coin
 
@@ -185,13 +184,20 @@ def split_edges(graph: BipartiteGraph, T: int, seed, p: float | None = None) -> 
     if not isinstance(seed, np.random.SeedSequence):
         _check_int(seed, "seed", 0)
     T = _check_int(T, "T", 2)
+    q = _density(graph, p) / T  # checked before the split's work
     subs = _sub_graphs(graph.n1, graph.n2, graph.edges, T, np.random.default_rng(seed))
-    return SplitGraphs(graph.n1, graph.n2, T, _density(graph, p) / T, subs)
+    return SplitGraphs(graph.n1, graph.n2, T, q, subs)
 
 
 def _density(graph: BipartiteGraph, p: float | None) -> float:
     """p when given, else the observed density m / (n1 n2)."""
-    return graph.num_edges / (graph.n1 * graph.n2) if p is None else p
+    return graph.num_edges / (graph.n1 * graph.n2) if p is None else _check_density(p, "p")
+
+
+def _check_density(p, name: str) -> float:
+    """A density in [0, 1]. NaN compares false and passes: the solve then
+    reports "degenerate"."""
+    return _check_real(p, name, "be a number in [0, 1]", lambda x: not (x < 0.0 or x > 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -336,15 +342,12 @@ class SolverConfig:
     p_override: float | None = None
 
     def __post_init__(self):
-        if not (_is_number(self.T_factor) and self.T_factor > 0):
-            raise ValueError(f"T_factor must be finite and positive, got {self.T_factor!r}")
+        _check_real(self.T_factor, "T_factor", "be finite and positive", lambda t: 0.0 < t < math.inf)
         w = self.majority_window
         if not (_number_list(w) and len(w) == 2 and 0.0 <= w[0] < w[1] <= 1.0):
             raise ValueError(f"majority_window must satisfy 0 <= lo < hi <= 1, got {w!r}")
-        p = self.p_override
-        # NaN compares false and passes: the solve then reports "degenerate"
-        if p is not None and (isinstance(p, bool) or not isinstance(p, numbers.Real) or p < 0.0 or p > 1.0):
-            raise ValueError(f"p_override must be a number in [0, 1], got {p!r}")
+        if self.p_override is not None:
+            _check_density(self.p_override, "p_override")
         _check_int(self.seed, "seed", 0)
 
     def resolve_T(self, n1: int) -> int:
@@ -509,10 +512,12 @@ def majority_vote_r1(
     subset = tuple(subset)
     if len(subset) != 1:
         raise ValueError("majority vote needs a single witness position")
+    (j,) = subset
+    if not 0 <= j < instance.k:
+        raise ValueError(f"witness position {j} lies outside the clauses' width k = {instance.k}")
     cvars, csigns = instance.clause_vars, instance.clause_signs
     for a in range(0, instance.m, _CHUNK_ROWS):
         _check_clauses(instance.n, cvars[a : a + _CHUNK_ROWS], csigns[a : a + _CHUNK_ROWS], first_row=a)
-    (j,) = subset
     counts = np.bincount(cvars[:, j], weights=csigns[:, j].astype(np.float64), minlength=instance.n)
     return _sign_or_coin(counts, seed)
 

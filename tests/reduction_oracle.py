@@ -22,7 +22,7 @@ from planted.reduction import (
 
 
 class DictTupleIndexer:
-    """Canonical sorted code tuples <-> dense ids in first-seen order."""
+    """Canonical sorted code tuples <-> dense ids in lexicographic order."""
 
     def __init__(self, r: int, n_vars: int):
         self.r = r
@@ -44,15 +44,12 @@ class DictTupleIndexer:
         idxr = cls(r, n_vars)
         if len(rows) == 0:
             return idxr, np.empty(0, dtype=np.int64)
-        uniq, first, inv = np.unique(rows, axis=0, return_index=True, return_inverse=True)
-        order = np.argsort(first, kind="stable")
-        rank = np.empty(len(order), dtype=np.int64)
-        rank[order] = np.arange(len(order))
-        for row in uniq[order]:
+        uniq, inv = np.unique(rows, axis=0, return_inverse=True)
+        for row in uniq:
             key = tuple(int(c) for c in row)
             idxr._index[key] = len(idxr._tuples)
             idxr._tuples.append(key)
-        return idxr, rank[inv.ravel()]
+        return idxr, inv.ravel()
 
 
 def build_reduced_oracle(n, clause_vars, clause_signs, positions, sigma, delta, thinning, epsilon, seed, left_literal):

@@ -23,7 +23,7 @@ except ModuleNotFoundError:  # Python < 3.11
 from planted import files
 from planted.cli import _sweep_spec_from_config, main
 from planted.fourier import distribution_complexity
-from planted.harness import SweepSpec, solve_goldreich_end_to_end
+from planted.harness import SweepSpec, run_sweep, solve_csp_end_to_end, solve_goldreich_end_to_end
 from planted.instances import (
     BlockModelParams,
     PlantingDistribution,
@@ -877,6 +877,50 @@ def test_epsilon_outside_unit_interval_exits_1_naming_the_flag(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["reduce", "solve-csp"])
+def test_a_valid_epsilon_reaches_the_reduction(tmp_path, command):
+    _, csp = _inputs(tmp_path)
+    q = noisy_xor_weights(2, 0.5)
+    inst = files.read_csp(csp).instance
+    out = tmp_path / "out"
+    argv = ["-i", str(csp), "--thinning", "poisson", "--epsilon", "0.25", "--seed", "4", "-o", str(out), "-q"]
+    assert _run(command, *argv) in (0, 2)  # the solve of 2000 clauses may be degenerate
+    if command == "reduce":
+        red = csp_to_bipartite(inst, distribution_complexity(q), thinning="poisson", epsilon=0.25, seed=4)
+        assert np.array_equal(files.read_sbm(out).graph.edges, red.graph.edges)
+    else:
+        _, rep = solve_csp_end_to_end(inst, q, seed=4, thinning="poisson", epsilon=0.25, config=SolverConfig())
+        assert json.loads(out.read_text())["solver"] == json.loads(json.dumps(rep.to_dict()))["solver"]
+
+
+def _shuffle_constraint_lines(path, out, seed: int):
+    """Write ``path`` to ``out`` with its constraint lines in a seeded random order."""
+    lines = path.read_bytes().splitlines(keepends=True)
+    at = [i for i, line in enumerate(lines) if line.startswith(b'{"vars"')]
+    order = np.random.default_rng(seed).permutation(at)
+    shuffled = list(lines)
+    for i, j in zip(at, order):
+        shuffled[i] = lines[j]
+    assert shuffled != lines
+    out.write_bytes(b"".join(shuffled))
+
+
+@pytest.mark.parametrize("kind", ["csp", "goldreich"])
+@pytest.mark.parametrize("command", ["reduce", "solve-csp"])
+def test_a_line_shuffled_constraint_file_gives_the_same_bytes(tmp_path, kind, command):
+    # the reduction numbers the tuples in lexicographic order, not in order of first appearance
+    f, shuffled = tmp_path / "f.jsonl", tmp_path / "shuffled.jsonl"
+    gen = (["gen-csp", "--preset", "noisy-xor", "--eta", "0.8"] if kind == "csp"
+           else ["gen-goldreich", "--predicate=" + ",".join(map(str, parity_predicate(3)))])
+    assert _run(*gen, "--n", "40", "--m", "30000", "--seed", "3", "-o", str(f), "-q") == 0
+    _shuffle_constraint_lines(f, shuffled, seed=1)
+    outs = [tmp_path / "a.out", tmp_path / "b.out"]
+    solver = ["--t-factor", "6"] if command == "solve-csp" else []
+    codes = [_run(command, "-i", str(x), "--seed", "4", *solver, "-o", str(o), "-q")
+             for x, o in zip((f, shuffled), outs)]
+    assert codes == [0, 0] and outs[0].read_bytes() == outs[1].read_bytes()
+
+
 def test_reduce_solve_past_int64_right_side(tmp_path, capsys):
     # Witness size 8: n2 = comb(2n, 7) > 2^63. The reduced file carries the
     # exact n2, read_sbm's duplicate check packs id ranks since n1 * n2
@@ -967,6 +1011,15 @@ def test_sweep_json_runtime_zeroed_unless_timed(tmp_path):
     assert [r["mean_runtime_ms"] for r in json.loads(a.read_text())] == [0.0, 0.0]
     assert _run("sweep", "-c", str(cfg), "-o", str(wall), "--format", "json", "--timing", "wall", "-q") == 0
     assert all(r["mean_runtime_ms"] > 0 for r in json.loads(wall.read_text()))
+
+
+def test_sweep_config_weights_list_becomes_the_csp_planting_law(tmp_path):
+    cfg, out = tmp_path / "sweep.toml", tmp_path / "s.json"
+    cfg.write_text('family = "csp"\nweights = [0.2, 1.8, 1.8, 0.2]\nmultipliers = [4.0]\ntrials = 1\nn = 20\n')
+    assert _run("sweep", "-c", str(cfg), "-o", str(out), "--format", "json", "-q") == 0
+    spec = _sweep_spec_from_config(tomllib.loads(cfg.read_text()))
+    assert spec.weights.k == 2 and spec.weights.weights.tolist() == [0.2, 1.8, 1.8, 0.2]
+    assert json.loads(out.read_text()) == [dict(vars(row), mean_runtime_ms=0.0) for row in run_sweep(spec)]
 
 
 def test_sweep_print_config(capsys):

@@ -425,3 +425,12 @@ def test_read_constraints_rejects_other_files(tmp_path):
     f.write_text('{"type":"sbm","n1":1,"n2":1,"delta":1.8,"p":0.5,"seed":0}\n')
     with pytest.raises(ValueError, match="not a CSP or predicate-constraint instance file"):
         files.read_constraints(f)
+
+
+@pytest.mark.parametrize("text", ['{"type":"csp","n":4,"k":2,"m":0,"seed":0,"weights":[1,1,1,1]}\n', "", "\n  \n\n"],
+                         ids=["csp-header", "empty", "blank-lines"])
+def test_read_sbm_rejects_other_files(tmp_path, text):
+    f = tmp_path / "other.jsonl"
+    f.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(f"{f}: not an SBM instance file")):
+        files.read_sbm(f)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from planted import files
+from planted import files, harness
 from planted.fourier import distribution_complexity, predicate_lowest_degree
 from planted.harness import (
     CSV_HEADER,
@@ -22,6 +22,8 @@ from planted.harness import (
 from planted.instances import (
     GoldreichInstance,
     PlantedCspInstance,
+    PlantingDistribution,
+    _pattern_table,
     majority_predicate,
     noisy_xor_weights,
     parity_predicate,
@@ -83,8 +85,8 @@ def _sha(*parts) -> str:
 
 
 @pytest.mark.parametrize("seed, digests", [
-    (3, ("51c7218c5b882707", "375d6e11ef562cff")),
-    (11, ("be7ae086d6432123", "e2b78991b00b96ff")),
+    (3, ("fb08502a7e13d6e3", "75a8e4dda6e704a0")),
+    (11, ("d2a8dd5680d9bbda", "87e2c9f42e6e6868")),
 ])
 def test_csp_route_keeps_its_per_seed_digests(seed, digests):
     # the reduction's edges, and the reduce-split-iterate-decode stream behind
@@ -180,6 +182,44 @@ def _same_solve(a, b):
 def _head(instance, *names, m=3000):
     """``instance`` with only its first m constraints, each array in its own dtype."""
     return replace(instance, **{name: getattr(instance, name)[:m] for name in names})
+
+
+def _shuffled(instance, seed: int):
+    """``instance`` with its constraints in a seeded random order."""
+    order = np.random.default_rng(seed).permutation(instance.m)
+    names = ("clause_vars", "clause_signs") if isinstance(instance, PlantedCspInstance) else ("tuple_vars", "values")
+    return replace(instance, **{name: getattr(instance, name)[order] for name in names})
+
+
+@pytest.mark.parametrize("pipeline", ["csp", "goldreich"])
+def test_a_dedup_reduction_and_solve_are_functions_of_the_clause_multiset(pipeline):
+    # the tuples are numbered in lexicographic order, not in order of first appearance
+    n, q, config = 40, noisy_xor_weights(3, 0.8), SolverConfig(T_factor=6.0)
+    if pipeline == "csp":
+        inst = sample_planted_csp(q, n, math.floor(50 * n**1.5 * math.log(n)), seed=3)
+        reductions = [lambda x: csp_to_bipartite(x, distribution_complexity(q))]
+        solve = lambda x: solve_csp_end_to_end(x, q, seed=4, config=config)
+    else:
+        inst = sample_goldreich(parity_predicate(3), n, 30_000, seed=3)
+        witness = predicate_lowest_degree(inst.predicate)
+        reductions = [lambda x, h=h: goldreich_to_bipartite(x, witness, value_handling=h) for h in ("fold", "discard")]
+        solve = lambda x: solve_goldreich_end_to_end(x, seed=4, config=config)
+    rows = reductions[0](inst).indexer.materialized()
+    assert rows.tolist() == sorted(rows.tolist()) and len(np.unique(rows, axis=0)) == len(rows)
+    for seed in (0, 1):
+        shuffled = _shuffled(inst, seed)
+        for reduce in reductions:
+            _same_reduction(reduce(shuffled), reduce(inst))
+        _same_solve(solve(shuffled), solve(inst))
+
+
+def test_a_witness_past_the_clause_width_is_a_reduction_error_end_to_end():
+    # a 4-wide law with witness (2, 3) on 3-wide clauses: r = 2 <= k, but position 3 is past the clause
+    w4 = PlantingDistribution(4, 1.0 + 0.8 * _pattern_table(4)[:, 2:].prod(axis=1))
+    assert distribution_complexity(w4).subset == (2, 3)
+    inst = sample_planted_csp(noisy_xor_weights(3, 0.8), 10, 50, seed=0)
+    with pytest.raises(ReductionError, match="witness position 3 lies outside the clauses' width k = 3"):
+        solve_csp_end_to_end(inst, w4)
 
 
 def test_compact_and_int64_instances_reduce_solve_and_write_alike(tmp_path):
@@ -317,6 +357,42 @@ def test_sweep_workers_match_sequential(tmp_path):
             b.mean_overlap,
             b.mean_edges,
         )
+
+
+class _RecordingPool:
+    """An in-process stand-in for ProcessPoolExecutor that records the pool
+    size it was asked for and starts no process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+@pytest.mark.parametrize("workers, trials, pool", [(64, 1, 2), (3, 1, 2), (3, 2, 3)])
+def test_sweep_pool_is_no_larger_than_its_cell_count(monkeypatch, workers, trials, pool):
+    # a fork pool starts every worker at its first submit, so 64 workers on 2 cells forked 64
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    rows = run_sweep(_sbm_spec(multipliers=(4.0, 12.0), trials=trials, n1=32, n2=32, workers=workers))
+    assert _RecordingPool.sizes == [pool] and [r.trials for r in rows] == [trials, trials]
+
+
+def test_witness_size_1_clause_budget_is_n_ln_n():
+    # the majority vote's budget: n ln n / (delta - 1)^2 clauses at multiplier 1
+    spec = SweepSpec(family="csp", weights=sat_clause_weights(3), n=50)
+    m, report = harness._csp_clause_budget(spec, 2.0)
+    assert report.r == 1
+    assert m == round(2.0 * 50 * math.log(50) / (report.delta - 1.0) ** 2)
 
 
 def test_sweep_csv_schema(tmp_path):

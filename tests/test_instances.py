@@ -2,6 +2,7 @@
 import hashlib
 import itertools
 import math
+import os
 import re
 import tracemalloc
 import unittest.mock
@@ -38,7 +39,8 @@ from planted.instances import (
     uniform_weights,
 )
 from planted.fourier import distribution_complexity, predicate_lowest_degree
-from planted.harness import solve_csp_end_to_end, solve_goldreich_end_to_end
+from planted.files import write_sbm
+from planted.harness import SweepSpec, solve_csp_end_to_end, solve_goldreich_end_to_end
 from planted.reduction import csp_to_bipartite, goldreich_to_bipartite, partition_to_assignment
 from planted.solver import SolverConfig, majority_vote_r1, power_iteration_baseline, spi_solve, split_edges
 
@@ -313,6 +315,29 @@ def test_geometric_skip_sampler_extremes():
     assert len(_bernoulli_indices(0, 0.5, rng)) == 0
 
 
+class _TinyExponentials:
+    """A generator stub whose exponentials are all tiny, so every gap the
+    skip sampler draws below p = 1/3 is 1."""
+
+    def __init__(self):
+        self.draws = 0
+
+    def standard_exponential(self, size):
+        self.draws += 1
+        return np.full(size, 1e-12)
+
+
+def test_geometric_skip_sampler_continues_past_a_chunk_that_stays_inside():
+    # a chunk of gaps that all land inside range(length) leaves the sampler
+    # drawing one more from the last hit on
+    from planted.instances import _bernoulli_indices
+
+    rng = _TinyExponentials()
+    hits = _bernoulli_indices(1000, 0.1, rng)
+    assert rng.draws > 2
+    assert hits.dtype == np.int64 and hits.tolist() == list(range(1000))
+
+
 # ---------------------------------------------------------------------------
 # Planted CSP
 # ---------------------------------------------------------------------------
@@ -405,6 +430,16 @@ def test_csp_rejects():
         PlantingDistribution(2, np.zeros(4))  # all-zero table
 
 
+@pytest.mark.parametrize("clause_vars, clause_signs", [
+    ([0, 1, 2], [1, 1, 1]),  # one clause as a 1-D row
+    ([[0, 1, 2]], [[1, 1]]),  # signs narrower than the ids
+    ([[0, 1, 2]], [[1, 1, 1], [1, 1, 1]]),  # more sign rows than clauses
+], ids=["1d", "narrow-signs", "extra-signs"])
+def test_csp_instance_rejects_ids_and_signs_of_other_shapes(clause_vars, clause_signs):
+    with pytest.raises(ValueError, match="clause_vars and clause_signs must be \\(m, k\\) arrays"):
+        PlantedCspInstance(4, None, clause_vars, clause_signs)
+
+
 def test_csp_cramped_n_equals_k():
     inst = sample_planted_csp(uniform_weights(3), 3, 2000, seed=1)
     _clause_street(inst)
@@ -418,6 +453,24 @@ def test_csp_cramped_n_equals_k():
 def test_goldreich_constant_predicate_values():
     inst = sample_goldreich(constant_predicate(3), 10, 300, seed=2)
     assert (inst.values == 1).all()
+
+
+@pytest.mark.parametrize("value", [-1, 1, np.int8(-1)])
+def test_constant_predicate_takes_either_sign(value):
+    assert constant_predicate(3, value).tolist() == [int(value)] * 8
+
+
+@pytest.mark.parametrize("value", [0, 2, True, "1"], ids=repr)
+def test_constant_predicate_rejects_a_value_that_is_not_a_sign(value):
+    # True == 1 was once taken as the sign +1
+    with pytest.raises(ValueError, match="value must be \\+/-1"):
+        constant_predicate(3, value)
+
+
+@pytest.mark.parametrize("k", [2, 4])
+def test_majority_predicate_needs_odd_k(k):
+    with pytest.raises(ValueError, match="majority needs odd k"):
+        majority_predicate(k)
 
 
 def test_goldreich_parity2_values_match_product():
@@ -894,6 +947,48 @@ def test_sizes_and_counts_reject_non_integers_and_values_below_their_least(entry
 def test_sizes_and_counts_take_numpy_ints(entry):
     _, _, good, call = _SIZED[entry]
     for value in (np.int64(good), np.uint8(good)):
+        call(value)
+
+
+_UNIT = "be a number in [0, 1]"
+_DELTA_RULE = "lie in [0, 2] and differ from 1"
+# site -> (argument, rule, a value it takes, out-of-range values, call with the value there)
+_REAL = {
+    "BlockModelParams.delta": ("delta", _DELTA_RULE, 1.8, [None, 1.0, 2.5, -0.1, math.nan],
+                               lambda v: sample_bipartite_block(BlockModelParams(10, 10, v, 0.3, 1))),
+    "SweepSpec.delta": ("delta", _DELTA_RULE, 1.8, [None, 1.0, 2.5, math.nan], lambda v: SweepSpec(delta=v).validate()),
+    "BlockModelParams.p": ("p", "be finite and nonnegative", 0.3, [None, -0.1, math.inf, math.nan, 10**400],
+                           lambda v: sample_bipartite_block(BlockModelParams(10, 10, 1.8, v, 1))),
+    "SolverConfig.T_factor": ("T_factor", "be finite and positive", 6.0, [None, 0.0, -1.0, math.inf, math.nan, 10**400],
+                              lambda v: SolverConfig(T_factor=v)),
+    "SolverConfig.p_override": ("p_override", _UNIT, 0.3, [-0.1, 1.5, math.inf],
+                                lambda v: SolverConfig(p_override=v)),
+    "split_edges.p": ("p", _UNIT, 0.3, [-3.0, 1.5, math.inf], lambda v: split_edges(_GRAPH, 4, 0, p=v)),
+    "power_iteration_baseline.p": ("p", _UNIT, 0.3, [5.0, -0.1, -math.inf],
+                                   lambda v: power_iteration_baseline(_GRAPH, 3, 0, p=v)),
+    "csp_to_bipartite.epsilon": ("epsilon", _UNIT, 0.5, [None, -0.1, 1.5, math.nan],
+                                 lambda v: csp_to_bipartite(_CLAUSES, distribution_complexity(_XOR), epsilon=v)),
+    "noisy_xor_weights.eta": ("eta", "lie in [-1, 1]", 0.5, [None, 1.5, -2.0, math.nan],
+                              lambda v: noisy_xor_weights(3, v)),
+    "write_sbm.p": ("p", _UNIT, 0.3, [None, 5.0, -0.1, math.nan], lambda v: write_sbm(os.devnull, _GRAPH, 1.8, v, 0)),
+}
+
+
+@pytest.mark.parametrize("entry, value", [
+    (entry, value) for entry, (*_, bad, _) in _REAL.items() for value in [True, False, "0.5", *bad]
+], ids=repr)
+def test_real_arguments_reject_bools_non_numbers_and_values_outside_their_rule(entry, value):
+    # True was once taken as 1.0 and False as 0; a string or None raised TypeError, 10**400
+    # OverflowError. None is the observed density where a density may be omitted.
+    name, rule, _, _, call = _REAL[entry]
+    with pytest.raises(ValueError, match=re.escape(f"{name} must {rule}, got {value!r}")):
+        call(value)
+
+
+@pytest.mark.parametrize("entry", _REAL)
+def test_real_arguments_take_python_and_numpy_reals(entry):
+    _, _, good, _, call = _REAL[entry]
+    for value in (good, np.float64(good), np.float32(good)):
         call(value)
 
 

@@ -282,6 +282,18 @@ def test_reduction_rejects():
         _small_reduced(thinning="bogus")
 
 
+def test_a_witness_position_past_the_clause_width_is_a_reduction_error():
+    # witness (2, 3) of a 4-wide law has r = 2 <= k = 3, yet position 3 is not in a 3-wide clause
+    w4 = _witness_weights(4, 2, 0.8)
+    report = distribution_complexity(w4)
+    assert report.subset == (2, 3)
+    inst = sample_planted_csp(noisy_xor_weights(3, 0.8), 10, 50, seed=0)
+    with pytest.raises(ReductionError, match="witness position 3 lies outside the clauses' width k = 3"):
+        csp_to_bipartite(inst, report)
+    with pytest.raises(ReductionError, match="witness position 3 lies outside the clauses' width k = 3"):
+        csp_to_bipartite(inst, distribution_complexity(_witness_weights(4, 4, 0.8)))  # r > k
+
+
 @pytest.mark.parametrize("mode", [{"thinning": "bogus"}, {"left_literal": "last"}], ids=["thinning", "left_literal"])
 def test_an_unknown_mode_is_reported_before_a_bad_clause(mode):
     # the clause's id 7 is outside [0, 4): the mode is checked before any clause is read
@@ -543,18 +555,21 @@ def test_edge_keys_do_not_wrap_at_large_left_codes():
 @pytest.mark.parametrize("n, dtype", [(2**15, np.uint32), (2**15 + 1, np.int64)])
 def test_edge_keys_at_the_32_bit_boundary_match_the_oracle(n, dtype):
     """2-XOR clauses whose tails are all 2^16 literal codes of the first 2^15
-    variables. The last clause pairs the last left code, 2n - 1, with the
-    last-seen tuple: at n = 2^15, 2n * n_tuples = 2^32 packs into uint32
-    and that key is 2^32 - 1; one more variable passes 2^32 and needs int64
-    keys."""
-    tails = np.r_[np.arange(1, 2**16), 0]  # code 0 is seen last, so its tuple id is 2^16 - 1
+    variables, so a tail code's tuple id is the code itself. The last clause
+    pairs the last left code, 2n - 1, with tail code 2^16 - 3 (both literals
+    of variable n - 1 in one clause would be the largest key, but no valid
+    clause has them): at n = 2^15, 2n * n_tuples = 2^32 packs into uint32
+    and that edge's key is 2^32 - 3; one more variable passes 2^32 and
+    needs int64 keys."""
+    tails = np.r_[np.arange(2**16 - 3), 2**16 - 2, 2**16 - 1, 2**16 - 3]
     left = (tails // 2 + 1) % 2**15 * 2
     left[-1] = 2 * n - 1
     codes = np.column_stack([left, tails])
     inst = PlantedCspInstance(n, np.ones(n, dtype=np.int64), codes // 2, 1 - 2 * (codes % 2))
     assert _key_dtype(2 * n, 2**16) is dtype
     red = csp_to_bipartite(inst, distribution_complexity(noisy_xor_weights(2, 0.8)))
-    assert red.graph.edges[-1].tolist() == [2 * n - 1, 2**16 - 1]
+    assert len(red.indexer) == 2**16
+    assert red.graph.edges[-1].tolist() == [2 * n - 1, 2**16 - 3]
     _assert_matches_oracle(lambda: csp_to_bipartite(inst, distribution_complexity(noisy_xor_weights(2, 0.8))))
 
 
@@ -781,6 +796,12 @@ def test_goldreich_noisy_predicate_same_side_law():
     frac = float((u[codes[:, 0]] == v).mean())
     se = math.sqrt(target * (1 - target) / inst.m)
     assert abs(frac - target) < 3 * se
+
+
+def test_goldreich_rejects_an_unknown_value_handling():
+    inst = sample_goldreich(parity_predicate(3), 10, 100, seed=0)
+    with pytest.raises(ReductionError, match="unknown value_handling mode: 'keep'"):
+        goldreich_to_bipartite(inst, predicate_lowest_degree(parity_predicate(3)), value_handling="keep")
 
 
 def test_goldreich_rejects_r1_and_constant():

@@ -791,6 +791,14 @@ def test_majority_vote_coinflips_are_seeded():
         majority_vote_r1(inst, (0, 1))
 
 
+@pytest.mark.parametrize("position", [3, -1])
+def test_majority_vote_rejects_a_position_outside_the_clause_width(position):
+    # position 3 once raised IndexError on 3-wide clauses, and -1 read the last column
+    inst = sample_planted_csp(sat_clause_weights(3), 10, 50, seed=0)
+    with pytest.raises(ValueError, match=f"witness position {position} lies outside the clauses' width k = 3"):
+        majority_vote_r1(inst, (position,))
+
+
 def test_power_iteration_baseline_square_regime():
     g, part, params = _square_instance(4, n=300, C=12.0)
     signs = power_iteration_baseline(g, iterations=30, seed=0, p=params.p)
@@ -829,3 +837,6 @@ def test_power_iteration_baseline_errors():
     g2, _ = sample_bipartite_block(BlockModelParams(4, 4, 1.5, 0.1, 0))
     with pytest.raises(ValueError):
         power_iteration_baseline(g2, iterations=0, seed=0)
+    # a NaN density passes the density rule and makes the iterate NaN
+    with pytest.raises(SolverError, match="zero-norm iterate"):
+        power_iteration_baseline(g2, iterations=3, seed=0, p=math.nan)
