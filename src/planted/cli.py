@@ -107,12 +107,17 @@ def _solver_config(args) -> SolverConfig:
     return SolverConfig(T_factor=args.t_factor, majority_window=(lo, hi), seed=args.seed)
 
 
+def _wrote(args, what: str = ""):
+    """Report the file a command wrote, and what it holds, unless ``-q``."""
+    if not args.quiet:
+        print(f"wrote {args.output}" + (f" ({what})" if what else ""))
+
+
 def _emit(args, text: str):
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text)
-        if not args.quiet:
-            print(f"wrote {args.output}")
+        _wrote(args)
     else:
         print(text)
 
@@ -122,50 +127,55 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="planted", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, seed=True, **kw):
+    def add(name, run, seed=True, output=None, **kw):
+        """A subcommand that ``main`` runs as ``run(args)``, writing to
+        ``output`` when no ``-o`` is given (None: standard output)."""
         sub = subs.add_parser(name, **kw)
+        sub.set_defaults(run=run)
         if seed:
             sub.add_argument("--seed", type=_seed, default=0)
-        sub.add_argument("--output", "-o", default=None)
+        sub.add_argument("--output", "-o", default=output)
         sub.add_argument("--quiet", "-q", action="store_true")
         return sub
 
-    g = add("gen-sbm", help="write a block-model instance file")
+    g = add("gen-sbm", _cmd_gen_sbm, output="sbm.jsonl", help="write a block-model instance file")
     g.add_argument("--n1", type=int, required=True)
     g.add_argument("--n2", type=int, required=True)
     g.add_argument("--delta", type=float, required=True)
     g.add_argument("--p", type=float, required=True)
     g.add_argument("--no-truth", action="store_true")
 
-    g = add("gen-csp", help="write a planted CSP instance file")
+    g = add("gen-csp", _cmd_gen_csp, output="csp.jsonl", help="write a planted CSP instance file")
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--m", type=int, required=True)
     _add_weight_flags(g)
 
-    g = add("gen-goldreich", help="write a predicate-constraint instance file")
+    g = add("gen-goldreich", _cmd_gen_goldreich, output="goldreich.jsonl",
+            help="write a predicate-constraint instance file")
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--m", type=int, required=True)
     g.add_argument("--predicate", required=True, help="comma-separated +/-1 table of length 2^k")
 
-    g = add("analyze-q", seed=False, help="lowest-degree witness of a weight table")
+    g = add("analyze-q", _cmd_analyze_q, seed=False, help="lowest-degree witness of a weight table")
     _add_weight_flags(g)
 
-    g = add("reduce", help="CSP or predicate-constraint file -> block-model instance file")
+    g = add("reduce", _cmd_reduce, output="reduced.jsonl",
+            help="CSP or predicate-constraint file -> block-model instance file")
     g.add_argument("--input", "-i", required=True)
     g.add_argument("--thinning", choices=["dedup", "poisson"], default="dedup")
     g.add_argument("--epsilon", type=_epsilon, default=0.5)
 
-    g = add("solve", help="recover the left partition of a block-model file")
+    g = add("solve", _cmd_solve, help="recover the left partition of a block-model file")
     g.add_argument("--input", "-i", required=True)
     _add_solver_flags(g)
 
-    g = add("solve-csp", help="end-to-end recovery from a CSP or predicate-constraint file")
+    g = add("solve-csp", _cmd_solve_csp, help="end-to-end recovery from a CSP or predicate-constraint file")
     g.add_argument("--input", "-i", required=True)
     g.add_argument("--thinning", choices=["dedup", "poisson"], default="dedup")
     g.add_argument("--epsilon", type=_epsilon, default=0.5)
     _add_solver_flags(g)
 
-    g = add("sweep", seed=False, help="density sweep from a TOML/JSON spec to CSV")
+    g = add("sweep", _cmd_sweep, seed=False, output="sweep.csv", help="density sweep from a TOML/JSON spec to CSV")
     g.add_argument("--config", "-c")
     g.add_argument("--timing", choices=["none", "wall"], default="none")
     g.add_argument("--format", choices=["json", "csv"], default=None)
@@ -215,33 +225,24 @@ def _sweep_spec_from_config(cfg: dict) -> SweepSpec:
 def _cmd_gen_sbm(args) -> int:
     params = BlockModelParams(args.n1, args.n2, args.delta, args.p, args.seed)
     graph, truth = sample_bipartite_block(params)
-    files.write_sbm(
-        args.output or "sbm.jsonl",
-        graph,
-        delta=args.delta,
-        p=args.p,
-        seed=args.seed,
-        truth=None if args.no_truth else truth,
-    )
-    if not args.quiet:
-        print(f"wrote {args.output or 'sbm.jsonl'} ({graph.num_edges} edges)")
+    truth = None if args.no_truth else truth
+    files.write_sbm(args.output, graph, delta=args.delta, p=args.p, seed=args.seed, truth=truth)
+    _wrote(args, f"{graph.num_edges} edges")
     return 0
 
 
 def _cmd_gen_csp(args) -> int:
     weights = _weights_from_args(args)
     inst = sample_planted_csp(weights, args.n, args.m, args.seed)
-    files.write_csp(args.output or "csp.jsonl", inst, weights, args.seed)
-    if not args.quiet:
-        print(f"wrote {args.output or 'csp.jsonl'} ({inst.m} clauses)")
+    files.write_csp(args.output, inst, weights, args.seed)
+    _wrote(args, f"{inst.m} clauses")
     return 0
 
 
 def _cmd_gen_goldreich(args) -> int:
     inst = sample_goldreich([int(v) for v in args.predicate.split(",")], args.n, args.m, args.seed)
-    files.write_goldreich(args.output or "goldreich.jsonl", inst, args.seed)
-    if not args.quiet:
-        print(f"wrote {args.output or 'goldreich.jsonl'} ({inst.m} constraints)")
+    files.write_goldreich(args.output, inst, args.seed)
+    _wrote(args, f"{inst.m} constraints")
     return 0
 
 
@@ -254,18 +255,13 @@ def _cmd_analyze_q(args) -> int:
 def _cmd_reduce(args) -> int:
     common = dict(thinning=args.thinning, epsilon=args.epsilon, seed=args.seed)
     data = files.read_constraints(args.input)
-    try:
-        if isinstance(data, files.GoldreichFile):
-            report = predicate_lowest_degree(data.instance.predicate)
-            reduced = goldreich_to_bipartite(data.instance, report, **common)
-        else:
-            reduced = csp_to_bipartite(data.instance, distribution_complexity(data.weights), **common)
-    except ReductionError as exc:
-        print(f"cannot reduce: {exc}", file=sys.stderr)
-        return 2
-    files.write_reduced(args.output or "reduced.jsonl", reduced, seed=args.seed)
-    if not args.quiet:
-        print(f"wrote {args.output or 'reduced.jsonl'} ({reduced.graph.num_edges} edges)")
+    if isinstance(data, files.GoldreichFile):
+        report = predicate_lowest_degree(data.instance.predicate)
+        reduced = goldreich_to_bipartite(data.instance, report, **common)
+    else:
+        reduced = csp_to_bipartite(data.instance, distribution_complexity(data.weights), **common)
+    files.write_reduced(args.output, reduced, seed=args.seed)
+    _wrote(args, f"{reduced.graph.num_edges} edges")
     return 0
 
 
@@ -295,9 +291,8 @@ def _cmd_solve_csp(args) -> int:
             assignment, report = solve_goldreich_end_to_end(data.instance, **common)
         else:
             assignment, report = solve_csp_end_to_end(data.instance, data.weights, **common)
-    except ReductionError as exc:
-        print(f"cannot reduce: {exc}", file=sys.stderr)
-        return 2
+    except ReductionError:  # a refused reduction is reported by main
+        raise
     except (ValueError, MemoryError) as exc:  # e.g. numpy refusing vectors of 2n entries
         raise ValueError(f"{args.input}: cannot solve with n = {n}: {exc}") from None
     payload = report.to_dict()
@@ -318,41 +313,30 @@ def _cmd_sweep(args) -> int:
     rows = run_sweep(spec)
     if args.timing != "wall":  # wall-clock times differ between reruns
         rows = [replace(r, mean_runtime_ms=0.0) for r in rows]
-    out = args.output or "sweep.csv"
     if args.format == "json":
-        with open(out, "w") as fh:
+        with open(args.output, "w") as fh:
             json.dump([asdict(r) for r in rows], fh)
     else:
-        write_sweep_csv(rows, out)
-    if not args.quiet:
-        print(f"wrote {out} ({len(rows)} rows)")
+        write_sweep_csv(rows, args.output)
+    _wrote(args, f"{len(rows)} rows")
     return 0
-
-
-_COMMANDS = {
-    "gen-sbm": _cmd_gen_sbm,
-    "gen-csp": _cmd_gen_csp,
-    "gen-goldreich": _cmd_gen_goldreich,
-    "analyze-q": _cmd_analyze_q,
-    "reduce": _cmd_reduce,
-    "solve": _cmd_solve,
-    "solve-csp": _cmd_solve_csp,
-    "sweep": _cmd_sweep,
-}
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return 1
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)
-    except (ValueError, KeyError, MemoryError) as exc:  # e.g. a 2^k weight preset numpy cannot allocate
+    except ReductionError as exc:  # a ValueError, but a solve failure: exit 2
+        print(f"cannot reduce: {exc}", file=sys.stderr)
+        return 2
+    except (ValueError, MemoryError) as exc:  # e.g. a 2^k weight preset numpy cannot allocate
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

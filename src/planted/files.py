@@ -17,6 +17,8 @@ from .instances import (
     HiddenPartition,
     PlantedCspInstance,
     PlantingDistribution,
+    _check_delta,
+    _check_int,
     _check_real,
     _ids_dtype,
     _is_number,
@@ -114,6 +116,36 @@ def _check_sizes(header: dict, names: tuple, where: str):
         raise ValueError(f"{where}: {' and '.join(names)} must be positive integers")
 
 
+def _check_seed(seed) -> int:
+    return _check_int(seed, "seed", 0)
+
+
+def _check_p(p) -> float:
+    """A block-model file's density; NaN fails."""
+    return _check_real(p, "p", "be a number in [0, 1]", lambda x: 0.0 <= x <= 1.0)
+
+
+def _check_n1(n1: int) -> int:
+    """A block-model file's n1, an int, must be below 2^63. n2 may pass
+    int64: a reduced file's n2 = comb(2n, r-1) does at witness size 8."""
+    if n1 > np.iinfo(np.int64).max:
+        raise ValueError(f"n1 must be below 2^63, got {n1}")
+    return n1
+
+
+def _check_header(header: dict, name: str, check, where: str):
+    """Applies ``check``, a rule whose ``ValueError`` reads "<name> must
+    <rule>, got <value>", to the header's ``name`` when it is present. Raises
+    the rule's error naming the header's line, with the value as the file
+    spells it (``true``, ``"x"``, ``null``)."""
+    if name in header:
+        try:
+            check(header[name])
+        except ValueError as exc:
+            rule = str(exc).partition(", got ")[0]
+            raise ValueError(f"{where}: {rule}, got {json.dumps(header[name])}") from None
+
+
 @dataclass
 class SbmFile:
     graph: BipartiteGraph
@@ -181,7 +213,11 @@ def write_sbm(
     include_truth_v: bool = True,
     reduced_meta: dict | None = None,
 ):
-    _check_real(p, "p", "be a number in [0, 1]", lambda x: 0.0 <= x <= 1.0)  # as read_sbm requires; NaN fails
+    # the header rules read_sbm applies
+    _check_n1(graph.n1)
+    _check_delta(delta)
+    _check_p(p)
+    _check_seed(seed)
     header = {
         "type": "sbm",
         "n1": graph.n1,
@@ -229,7 +265,8 @@ def write_reduced(path, reduced: ReducedInstance, seed: int):
     """Reduced instances serialize as ordinary SBM files plus a sidecar
     record, so the solve command consumes either kind identically. The header
     density is the realized edges/(n1*n2) (the solver's centering constant);
-    the sidecar keeps the constraint-count density for reference."""
+    the sidecar keeps the constraint-count density, and the witness bias as
+    computed, for reference."""
     g = reduced.graph
     p_realized = g.num_edges / (g.n1 * g.n2)
     meta = {
@@ -241,7 +278,8 @@ def write_reduced(path, reduced: ReducedInstance, seed: int):
     write_sbm(
         path,
         g,
-        delta=reduced.delta,
+        # a witness bias lies in [0, 2] but can round past it: 1 - 1.0000000000000002 < 0
+        delta=min(max(reduced.delta, 0.0), 2.0),
         p=p_realized,
         seed=seed,
         truth=reduced.truth,
@@ -343,12 +381,8 @@ def _sbm_header(line: str, where: str, path) -> dict:
     if rec.get("type") != "sbm":
         raise ValueError(f"{path}: not an SBM instance file")
     _check_sizes(rec, ("n1", "n2"), where)
-    # n2 may pass int64: a reduced file's n2 = comb(2n, r-1) does at witness size 8
-    if rec["n1"] > np.iinfo(np.int64).max:
-        raise ValueError(f"{where}: n1 must be below 2^63, got {rec['n1']}")
-    p = rec.get("p", 0.0)
-    if not (type(p) in (int, float) and 0.0 <= p <= 1.0):
-        raise ValueError(f"{where}: p must be a number in [0, 1], got {json.dumps(p)}")
+    for name, check in (("n1", _check_n1), ("delta", _check_delta), ("p", _check_p), ("seed", _check_seed)):
+        _check_header(rec, name, check, where)
     return rec
 
 
@@ -429,9 +463,11 @@ def read_sbm(path) -> SbmFile:
     id that is not an integer in range (or past int64), a repeated edge, a
     second ``truth_u`` record, a header ``n1`` or ``n2`` that is not a
     positive integer, an ``n1`` past int64, a header density ``p`` that is
-    not a number in [0, 1], or truth labels whose count is not n1 (left) or
-    0 or n2 (right). No line number is kept per edge: a repeated edge is
-    named by reading the blocks again up to it."""
+    not a number in [0, 1], a ``delta`` outside [0, 2] or equal to 1, a
+    ``seed`` that is not an integer >= 0 (each when present), or truth
+    labels whose count is not n1 (left) or 0 or n2 (right). No line number
+    is kept per edge: a repeated edge is named by reading the blocks again
+    up to it."""
     found = {}
     chunks = [ids for ids, *_ in _sbm_blocks(path, found)]  # (k, 2) edges in file order
     header = found["header"]
@@ -466,6 +502,7 @@ _CONSTRAINT_KINDS = {
 
 
 def _write_constraints(path, kind: str, instance, seed: int, table, tuple_vars, values):
+    _check_seed(seed)  # as the reader requires
     _, table_name, field = _CONSTRAINT_KINDS[kind]
     header = {"type": kind, "n": instance.n, "k": instance.k, "m": instance.m, "seed": seed}
 
@@ -496,9 +533,11 @@ def read_constraints(path) -> CspFile | GoldreichFile:
     predicate-constraint file ("goldreich") as a ``GoldreichFile``. Raises
     ``ValueError`` naming the line for a line that is not UTF-8, a record
     that is not a JSON object, a header ``n`` or ``k`` that is not a positive
-    integer, a header table (``weights`` or ``predicate``) that is missing or
-    not a list of JSON numbers (integers for ``predicate``), or a constraint
-    whose variable ids or signs are not k integers or whose value is not one
+    integer, a header ``m`` or ``seed`` that is present but not an integer
+    >= 0, a header ``m`` other than the number of constraint records, a
+    header table (``weights`` or ``predicate``) that is missing or not a list
+    of JSON numbers (integers for ``predicate``), or a constraint whose
+    variable ids or signs are not k integers or whose value is not one
     integer; range checks are left to the reduction. Ids are held as int32
     and signs and values as int8 where every entry fits, else as int64."""
     return _read_constraints(path, tuple(_CONSTRAINT_KINDS))
@@ -514,18 +553,20 @@ def read_goldreich(path) -> GoldreichFile:
 
 def _read_constraints(path, kinds: tuple) -> CspFile | GoldreichFile:
     records = _records(path)
-    where, header = next(records, (None, {}))
+    head, header = next(records, (None, {}))
     kind = header.get("type")
     if kind not in kinds:
         names = " or ".join(_CONSTRAINT_KINDS[t][0] for t in kinds)
         raise ValueError(f"{path}: not a {names} instance file")
     _, table_name, field = _CONSTRAINT_KINDS[kind]
-    _check_sizes(header, ("n", "k"), where)
+    _check_sizes(header, ("n", "k"), head)
+    _check_header(header, "m", lambda m: _check_int(m, "m", 0), head)
+    _check_header(header, "seed", _check_seed, head)
     table = header.get(table_name)
     integer = kind == "goldreich"
     if not _number_list(table, integer):
         entries = "integers" if integer else "numbers"
-        raise ValueError(f"{where}: the header needs a {table_name} list of {entries}")
+        raise ValueError(f"{head}: the header needs a {table_name} list of {entries}")
     n, k = header["n"], header["k"]
     try:  # the table's own checks, reported at the header's line
         if kind == "csp":
@@ -533,7 +574,7 @@ def _read_constraints(path, kinds: tuple) -> CspFile | GoldreichFile:
         else:
             table = _predicate_table(table, k)[0]
     except ValueError as exc:
-        raise ValueError(f"{where}: {exc}") from None
+        raise ValueError(f"{head}: {exc}") from None
     sigma, cvars, values = None, [], []
     for where, rec in records:
         if "vars" in rec:
@@ -547,6 +588,8 @@ def _read_constraints(path, kinds: tuple) -> CspFile | GoldreichFile:
             values.append(value)
         elif "sigma" in rec:
             sigma = _labels(rec["sigma"], (n,), "sigma", where)
+    if header.get("m", len(cvars)) != len(cvars):  # a file that lost or gained records
+        raise ValueError(f"{head}: header m = {header['m']}, but the file holds {len(cvars)} constraints")
     # the compact instance dtypes where every entry fits; past them int64, so the
     # reduction names the entry as it was written
     cvars = _narrow(np.array(cvars, dtype=np.int64).reshape(-1, k), np.int32)

@@ -9,6 +9,7 @@ record recovery rates to CSV.
 """
 from __future__ import annotations
 
+import functools
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -102,14 +103,11 @@ def _solve_clauses(
         status, route = "ok", "majority"
         assignment, flips = majority_vote_r1(instance, report.subset, seed=seed)
     else:
-        route, best = "spi", None
-        for cand in candidates:
-            reduced = csp_to_bipartite(instance, cand, thinning=thinning, epsilon=epsilon, seed=seed)
-            assignment, res, bad = _run_reduced(reduced, seed, config)
-            entry = (math.inf if assignment is None else bad, cand, assignment, res, bad)
-            if best is None or entry[0] < best[0]:
-                best = entry
-        _, chosen, assignment, res, bad = best
+        route = "spi"
+        reduce = functools.partial(csp_to_bipartite, instance, thinning=thinning, epsilon=epsilon, seed=seed)
+        tries = ((cand, *_run_reduced(reduce(cand), seed, config)) for cand in candidates)
+        # the first of the fewest inconsistent pairs; a degenerate try only when every try is one
+        chosen, assignment, res, bad = min(tries, key=lambda t: math.inf if t[1] is None else t[3])
         status = "degenerate" if assignment is None else "ok"
     ov = None
     if assignment is not None and instance.sigma is not None:
@@ -262,8 +260,8 @@ def _csp_clause_budget(spec: SweepSpec, mult: float) -> tuple[int, FourierReport
     return max(1, int(round(mult * m0))), report
 
 
-def _sweep_trial(spec: SweepSpec, mi: int, ti: int) -> tuple[int, int, float, int, float]:
-    """One (multiplier, trial) cell; returns (mi, ti, overlap, edges, ms)."""
+def _sweep_trial(spec: SweepSpec, mi: int, ti: int) -> tuple[float, int, float]:
+    """One (multiplier, trial) cell; returns (overlap, edges, ms)."""
     mult = spec.multipliers[mi]
     seed = int(np.random.SeedSequence([spec.seed, mi, ti]).generate_state(1)[0])
     t0 = time.perf_counter()
@@ -287,15 +285,15 @@ def _sweep_trial(spec: SweepSpec, mi: int, ti: int) -> tuple[int, int, float, in
         ov = rep.overlap if rep.status == "ok" else 0.0
         edges = rep.solver.edges_used if rep.solver is not None else m
     ms = (time.perf_counter() - t0) * 1000.0
-    return mi, ti, float(ov), int(edges), ms
+    return float(ov), int(edges), ms
 
 
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     """All multiplier x trial cells, aggregated per multiplier. Trials are
-    independent; with workers > 1 they run in a process pool and results are
-    merged in deterministic (multiplier, trial) order. The pool is no larger
-    than the cell count: a fork pool starts all its workers at the first
-    submit."""
+    independent; with workers > 1 they run in a process pool, whose ``map``
+    returns them in job order, (multiplier, trial), as the serial loop does.
+    The pool is no larger than the cell count: a fork pool starts all its
+    workers at the first submit."""
     spec.validate()
     jobs = [(mi, ti) for mi in range(len(spec.multipliers)) for ti in range(spec.trials)]
     if spec.workers > 1:
@@ -303,23 +301,19 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
             results = list(pool.map(_sweep_trial, [spec] * len(jobs), *zip(*jobs)))
     else:
         results = [_sweep_trial(spec, mi, ti) for mi, ti in jobs]
-    results.sort(key=lambda r: (r[0], r[1]))
-
-    rows = []
-    for mi, mult in enumerate(spec.multipliers):
-        cells = [r for r in results if r[0] == mi]
-        ovs = np.array([c[2] for c in cells])
-        rows.append(
-            SweepRow(
-                multiplier=float(mult),
-                trials=spec.trials,
-                exact_rate=float((ovs == 1.0).mean()),
-                mean_overlap=float(ovs.mean()),
-                mean_runtime_ms=float(np.mean([c[4] for c in cells])),
-                mean_edges=float(np.mean([c[3] for c in cells])),
-            )
+    # one contiguous row of trials per multiplier, for each of the three results
+    ovs, edges, ms = np.array(results).T.reshape(3, len(spec.multipliers), spec.trials)
+    return [
+        SweepRow(
+            multiplier=float(mult),
+            trials=spec.trials,
+            exact_rate=float((ovs[mi] == 1.0).mean()),
+            mean_overlap=float(ovs[mi].mean()),
+            mean_runtime_ms=float(ms[mi].mean()),
+            mean_edges=float(edges[mi].mean()),
         )
-    return rows
+        for mi, mult in enumerate(spec.multipliers)
+    ]
 
 
 def write_sweep_csv(rows: list[SweepRow], path, include_timing: bool = True):

@@ -245,6 +245,37 @@ def test_solve_rejects_header_density_outside_unit_interval(tmp_path, capsys, p)
     assert not (tmp_path / "r.json").exists()
 
 
+_DELTA_RULE = "delta must lie in [0, 2] and differ from 1"
+_SEED_RULE = "seed must be an integer >= 0"
+
+
+@pytest.mark.parametrize(
+    "old, value, rule",
+    [('"delta":1.8', v, _DELTA_RULE) for v in ("5.0", "-0.5", "1.0", "1", "true", '"x"', "null", "[1.8]")]
+    + [('"seed":0', v, _SEED_RULE) for v in ("-1", "2.5", "true", '"x"', "null")],
+)
+def test_solve_rejects_header_delta_and_seed_outside_their_rules(tmp_path, capsys, old, value, rule):
+    # each value shown as the file spells it, as the header p is
+    f = tmp_path / "bad.jsonl"
+    key = old.split(":")[0]
+    f.write_text(_SBM_HEAD.replace(old, f"{key}:{value}") + '\n{"i":0,"j":1}\n')
+    message = f"line 1: {rule}, got {value}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        files.read_sbm(f)
+    assert _run("solve", "-i", str(f), "-o", str(tmp_path / "r.json"), "-q") == 1
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_a_header_without_delta_p_or_seed_reads(tmp_path):
+    # the header rules apply to the keys that are present
+    f = tmp_path / "bare.jsonl"
+    f.write_text('{"type":"sbm","n1":3,"n2":4}\n{"i":0,"j":1}\n')
+    data = files.read_sbm(f)
+    assert data.header == {"type": "sbm", "n1": 3, "n2": 4} and data.graph.num_edges == 1
+
+
 _INT64_PAST = 2**63  # one past the int64 maximum
 _BIG_HEAD = _SBM_HEAD.replace('"n2":4', f'"n2":{2**62}')
 
@@ -587,9 +618,23 @@ _TABLE = "line 1: the header needs a {table} list"
     [('"k":3', '"k":"3"', 0, _SIZES), ('"n":4', '"n":"4"', 1, _SIZES), ('"k":3,', "", 0, _SIZES),
      ('"n":4', '"n":0', 1, _SIZES), (r',"\w+":\[.*\]', "", 1, _TABLE), (r'\[.*\]', '"1,-1"', 0, _TABLE),
      (r"\[1,", "[null,", 1, _TABLE), (r"\[1,", "[true,", 1, _TABLE), (r"\[1,", '["1",', 1, _TABLE),
-     (r"\[1,", "[NaN,", 1, _TABLE)],
+     (r"\[1,", "[NaN,", 1, _TABLE),
+     # a file that lost records once read as a smaller instance, with exit 0
+     ('"m":2', '"m":99', 2, "line 1: header m = 99, but the file holds 2 constraints"),
+     ('"m":2', '"m":2', 1, "line 1: header m = 2, but the file holds 1 constraints"),
+     ('"m":2', '"m":2', 3, "line 1: header m = 2, but the file holds 3 constraints"),
+     ('"m":2', '"m":-3', 2, "line 1: m must be an integer >= 0, got -3"),
+     ('"m":2', '"m":2.0', 2, "line 1: m must be an integer >= 0, got 2.0"),
+     ('"m":2', '"m":"x"', 2, 'line 1: m must be an integer >= 0, got "x"'),
+     ('"m":2', '"m":null', 2, "line 1: m must be an integer >= 0, got null"),
+     ('"m":2', '"m":true', 2, "line 1: m must be an integer >= 0, got true"),
+     ('"seed":0', '"seed":-1', 2, "line 1: seed must be an integer >= 0, got -1"),
+     ('"seed":0', '"seed":2.5', 2, "line 1: seed must be an integer >= 0, got 2.5"),
+     ('"seed":0', '"seed":"x"', 2, 'line 1: seed must be an integer >= 0, got "x"'),
+     ('"seed":0', '"seed":null', 2, "line 1: seed must be an integer >= 0, got null")],
     ids=["string-k", "string-n", "missing-k", "zero-n", "missing-table", "string-table", "null-entry",
-         "bool-entry", "string-entry", "nan-entry"],
+         "bool-entry", "string-entry", "nan-entry", "m-99", "lost-record", "extra-record", "m-negative",
+         "m-float", "m-string", "m-null", "m-bool", "seed-negative", "seed-float", "seed-string", "seed-null"],
 )
 @pytest.mark.parametrize("head", [_CSP_HEAD, _GOLDREICH_HEAD], ids=["csp", "goldreich"])
 @pytest.mark.parametrize("command", ["solve-csp", "reduce"])
@@ -618,6 +663,36 @@ def test_fractional_predicate_entry_exits_1(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+def test_a_witness_bias_rounded_below_0_is_written_as_0(tmp_path):
+    # 1 + 8 * (-0.125000...03) = -2.2e-16: the header takes the rule's bound, the sidecar the bias as computed
+    c, r = tmp_path / "c.jsonl", tmp_path / "r.jsonl"
+    weights = "0,0.5714285714285714,2,0,0,2,0.5714285714285714,0"
+    assert _run("gen-csp", "--n", "30", "--m", "3000", "--weights", weights, "-o", str(c), "-q") == 0
+    assert _run("reduce", "-i", str(c), "-o", str(r), "-q") == 0
+    data = files.read_sbm(r)
+    assert data.header["delta"] == 0.0 and -1e-15 < data.reduced_meta["delta"] < 0.0
+    assert _run("solve", "-i", str(r), "-o", str(tmp_path / "s.json"), "-q") == 0
+
+
+@pytest.mark.parametrize("kind", ["csp", "goldreich"])
+def test_a_constraint_file_cut_short_is_refused(tmp_path, capsys, kind):
+    f = tmp_path / "cut.jsonl"
+    assert _run(f"gen-{kind}", *_GEN_ARGS[f"gen-{kind}"], "-o", str(f), "-q") == 0
+    f.write_text("".join(f.read_text().splitlines(keepends=True)[:-1]))
+    message = f"{f}, line 1: header m = 50, but the file holds 49 constraints"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        files.read_constraints(f)
+    assert _run("solve-csp", "-i", str(f), "-o", str(tmp_path / "r.json"), "-q") == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_a_header_without_m_or_seed_reads(tmp_path):
+    f = tmp_path / "bare.jsonl"
+    f.write_text(_CSP_HEAD.replace('"m":2,"seed":0,', "") + '\n{"vars":[0,1,2],"signs":[1,-1,1]}\n')
+    assert files.read_constraints(f).instance.m == 1
 
 
 @pytest.mark.parametrize(
@@ -1035,6 +1110,77 @@ def test_sweep_print_config_reads_back_as_the_default_spec(capsys):
 
 def test_sweep_requires_config():
     assert _run("sweep") == 1
+
+
+def test_writers_name_their_default_files_unless_quiet(tmp_path, monkeypatch, capsys):
+    # with no -o each writer writes its own file in the working directory
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sweep.json").write_text('{"multipliers": [8.0, 12.0], "trials": 1, "n1": 32, "n2": 32}')
+    assert _run("gen-sbm", *_GEN_ARGS["gen-sbm"]) == 0
+    assert capsys.readouterr().out == f"wrote sbm.jsonl ({files.read_sbm('sbm.jsonl').graph.num_edges} edges)\n"
+    assert _run("gen-csp", *_GEN_ARGS["gen-csp"]) == 0
+    assert capsys.readouterr().out == "wrote csp.jsonl (50 clauses)\n"
+    assert _run("gen-goldreich", *_GEN_ARGS["gen-goldreich"]) == 0
+    assert capsys.readouterr().out == "wrote goldreich.jsonl (50 constraints)\n"
+    assert _run("reduce", "-i", "goldreich.jsonl") == 0
+    edges = files.read_sbm("reduced.jsonl").graph.num_edges
+    assert capsys.readouterr().out == f"wrote reduced.jsonl ({edges} edges)\n"
+    assert _run("sweep", "-c", "sweep.json") == 0
+    assert capsys.readouterr().out == "wrote sweep.csv (2 rows)\n"
+    assert sorted(f.name for f in tmp_path.iterdir()) == [
+        "csp.jsonl", "goldreich.jsonl", "reduced.jsonl", "sbm.jsonl", "sweep.csv", "sweep.json"]
+
+
+@pytest.mark.parametrize("argv", [["analyze-q", "--preset", "sat"], ["solve", "-i", "sbm.jsonl"],
+                                  ["solve-csp", "-i", "csp.jsonl"]], ids=["analyze-q", "solve", "solve-csp"])
+def test_result_commands_print_to_stdout_or_name_the_file_they_write(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    _inputs(tmp_path)
+    capsys.readouterr()
+    code = _run(*argv)
+    printed = json.loads(capsys.readouterr().out)
+    assert _run(*argv, "-o", "r.json") == code
+    assert capsys.readouterr().out == "wrote r.json\n"
+    assert json.loads((tmp_path / "r.json").read_text()) == printed
+
+
+def test_an_empty_output_path_names_no_file(tmp_path, monkeypatch, capsys):
+    # a writer exits 3 as on any path it cannot open; a result command prints
+    monkeypatch.chdir(tmp_path)
+    _inputs(tmp_path)
+    before = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
+    capsys.readouterr()
+    assert _run("gen-sbm", *_GEN_ARGS["gen-sbm"], "-o", "") == 3
+    assert capsys.readouterr().err.startswith("i/o error: ")
+    assert {f.name: f.read_bytes() for f in tmp_path.iterdir()} == before
+    code = _run("solve", "-i", "sbm.jsonl")
+    printed = capsys.readouterr().out
+    assert _run("solve", "-i", "sbm.jsonl", "-o", "") == code
+    assert capsys.readouterr().out == printed
+    assert {f.name: f.read_bytes() for f in tmp_path.iterdir()} == before
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"]], ids=["planted", "solve"])
+def test_help_exits_0(capsys, argv):
+    assert _run(*argv) == 0
+    assert capsys.readouterr().out.startswith("usage: planted")
+
+
+def test_gen_csp_needs_weights_or_a_preset(tmp_path, capsys):
+    out = tmp_path / "c.jsonl"
+    assert _run("gen-csp", "--n", "10", "--m", "50", "-o", str(out)) == 1
+    assert "error: provide --weights or --preset" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_key_error_escapes_main(tmp_path, monkeypatch):
+    # no input raises KeyError, so one that does is a fault and keeps its traceback
+    def read_sbm(path):
+        raise KeyError("n1")
+
+    monkeypatch.setattr(files, "read_sbm", read_sbm)
+    with pytest.raises(KeyError, match="n1"):
+        _run("solve", "-i", str(tmp_path / "g.jsonl"))
 
 
 def test_csp_file_roundtrip(tmp_path):

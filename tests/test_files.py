@@ -434,3 +434,37 @@ def test_read_sbm_rejects_other_files(tmp_path, text):
     f.write_text(text)
     with pytest.raises(ValueError, match=re.escape(f"{f}: not an SBM instance file")):
         files.read_sbm(f)
+
+
+_DELTA_RULE = "delta must lie in [0, 2] and differ from 1, got "
+_SEED_RULE = "seed must be an integer >= 0, got "
+
+
+@pytest.mark.parametrize(
+    "graph, delta, message",
+    [(BipartiteGraph(3, 4, [[0, 1]]), d, _DELTA_RULE) for d in (5.0, -0.5, 1.0, 1, float("nan"), True, "x", None)]
+    + [(BipartiteGraph(2**63, 4, [[0, 1]]), 1.8, f"n1 must be below 2^63, got {2**63}")],
+)
+def test_write_sbm_refuses_a_header_read_sbm_refuses(tmp_path, graph, delta, message):
+    f = tmp_path / "g.jsonl"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        files.write_sbm(f, graph, delta, 0.3, 0)
+    assert not f.exists()
+
+
+@pytest.mark.parametrize("seed", [-1, 2.5, True, "x", None, np.float64(3.0)])
+@pytest.mark.parametrize("writer", ["sbm", "csp", "goldreich", "reduced"])
+def test_writers_refuse_a_seed_their_readers_refuse(tmp_path, writer, seed):
+    f = tmp_path / "w.jsonl"
+    with pytest.raises(ValueError, match=re.escape(_SEED_RULE)):
+        if writer == "sbm":
+            files.write_sbm(f, BipartiteGraph(3, 4, [[0, 1]]), 1.8, 0.3, seed)
+        elif writer == "csp":
+            files.write_csp(f, _CSP, _CSP_WEIGHTS, seed)
+        elif writer == "goldreich":
+            files.write_goldreich(f, _GOLDREICH, seed)
+        else:
+            q = noisy_xor_weights(3, 0.8)
+            reduced = csp_to_bipartite(sample_planted_csp(q, 12, 300, 7), distribution_complexity(q), seed=7)
+            files.write_reduced(f, reduced, seed)
+    assert not f.exists()

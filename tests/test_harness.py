@@ -2,6 +2,7 @@
 import hashlib
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from scipy import stats
 
 from planted import files, harness
-from planted.fourier import distribution_complexity, predicate_lowest_degree
+from planted.fourier import distribution_complexity, distribution_witnesses, predicate_lowest_degree
 from planted.harness import (
     CSV_HEADER,
     SweepSpec,
@@ -148,6 +149,60 @@ def test_end_to_end_try_all_witnesses():
     )
     assert rep2.overlap == 1.0
     assert rep2.subset == rep1.subset  # single witness here
+
+
+def _two_witness_law() -> PlantingDistribution:
+    """1 + 0.45 z0 z1 + 0.45 z1 z2 over k = 3: witnesses (0, 1) and (1, 2)."""
+    z = np.array([[1 if idx >> i & 1 else -1 for i in range(3)] for idx in range(8)])
+    return PlantingDistribution(3, 1 + 0.45 * z[:, 0] * z[:, 1] + 0.45 * z[:, 1] * z[:, 2])
+
+
+@pytest.mark.parametrize("m, seed", [(3000, 3), (1000, 6)], ids=["second-fewer", "first-fewer"])
+def test_try_all_witnesses_keeps_the_decoding_with_the_fewest_inconsistent_pairs(m, seed):
+    q = _two_witness_law()
+    witnesses = distribution_witnesses(q)
+    assert [w.subset for w in witnesses] == [(0, 1), (1, 2)]
+    inst = sample_planted_csp(q, 60, m, seed=seed)
+    config = SolverConfig(T_factor=3.0)
+    each = [harness._solve_clauses(inst, w, [w], 5, "dedup", 0.5, config) for w in witnesses]
+    assert all(rep.status == "ok" for _, rep in each)
+    want = min(each, key=lambda run: run[1].inconsistent_pairs)
+    assignment, rep = solve_csp_end_to_end(inst, q, seed=5, config=config, try_all_witnesses=True)
+    assert rep.to_dict() == want[1].to_dict() and np.array_equal(assignment, want[0])
+
+
+@pytest.mark.parametrize(
+    "bads, chosen, status",
+    [((3, 3), (0, 1), "ok"), ((5, 2), (1, 2), "ok"), ((None, 4), (1, 2), "ok"), ((4, None), (0, 1), "ok"),
+     ((None, None), (0, 1), "degenerate")],
+    ids=["tie", "second-fewer", "first-degenerate", "second-degenerate", "all-degenerate"],
+)
+def test_try_all_witnesses_takes_the_first_of_the_fewest_and_a_degenerate_try_last(monkeypatch, bads, chosen, status):
+    # each try's decoding is stubbed: None is a degenerate solve
+    q = _two_witness_law()
+    inst = sample_planted_csp(q, 20, 200, seed=0)
+    tries = dict(zip(((0, 1), (1, 2)), bads))
+
+    def run_reduced(witness, seed, config):
+        bad = tries[witness.subset]
+        return (None, ("solve", witness.subset), 0) if bad is None else (inst.sigma, ("solve", witness.subset), bad)
+
+    monkeypatch.setattr(harness, "csp_to_bipartite", lambda instance, witness, **kw: witness)
+    monkeypatch.setattr(harness, "_run_reduced", run_reduced)
+    assignment, rep = solve_csp_end_to_end(inst, q, seed=1, try_all_witnesses=True)
+    assert (rep.subset, rep.status, rep.route, rep.solver) == (chosen, status, "spi", ("solve", chosen))
+    assert rep.inconsistent_pairs == (tries[chosen] or 0)
+    assert (assignment is None) == (status == "degenerate")
+
+
+def test_a_degenerate_solve_of_the_reduced_graph_is_reported():
+    # a NaN density leaves every iterate at zero norm
+    q = noisy_xor_weights(2, 0.9)
+    inst = sample_planted_csp(q, 30, 2000, seed=0)
+    assignment, rep = solve_csp_end_to_end(inst, q, seed=1, config=SolverConfig(p_override=math.nan))
+    assert assignment is None
+    assert (rep.status, rep.route, rep.overlap, rep.inconsistent_pairs) == ("degenerate", "spi", None, 0)
+    assert rep.solver is not None and not rep.solver.ok
 
 
 def test_goldreich_end_to_end_parity():
@@ -411,6 +466,24 @@ def test_sweep_csv_schema(tmp_path):
     write_sweep_csv(rows, p1, include_timing=False)
     write_sweep_csv(run_sweep(_sbm_spec(multipliers=(8.0,), trials=2)), p2, include_timing=False)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [(SweepSpec(family="csp", weights=[1, 1, 1, 2]), "weights must be a PlantingDistribution, got [1, 1, 1, 2]"),
+     (SweepSpec(solver={"T_factor": 3.0}), "solver must be a SolverConfig, got {'T_factor': 3.0}")],
+    ids=["weights-list", "solver-dict"],
+)
+def test_sweep_spec_refuses_fields_of_the_wrong_type(spec, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run_sweep(spec)
+
+
+@pytest.mark.parametrize("family, table", [("csp", {"weights": uniform_weights(3)}),
+                                           ("goldreich", {"predicate": (1, 1, 1, 1)})], ids=["csp", "goldreich"])
+def test_a_sweep_over_an_unidentifiable_law_is_refused(family, table):
+    with pytest.raises(ValueError, match="sweep family has an unidentifiable planting law"):
+        run_sweep(SweepSpec(family=family, multipliers=(1.0,), trials=1, n=20, **table))
 
 
 def test_sweep_spec_validation():
